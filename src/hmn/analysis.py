@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as data_mod
 from . import svg
 from .train import train as run_train
@@ -98,13 +99,18 @@ def _require_frozen_filled(model, branch=None):
 
 
 def _captured_batches(model, dataset, batch_size=64):
-    """Yield (labels, capture, logits) per eval batch with last-block weights."""
+    """Yield (labels, capture, logits) per eval batch with last-block weights.
+
+    The forwards record no autodiff graph; the scope closes before each
+    yield, so the caller's own code runs outside it.
+    """
     cfg = model.cfg
     for start in range(0, len(dataset), batch_size):
         sl = slice(start, min(start + batch_size, len(dataset)))
         x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
         capture = {}
-        logits = model.forward(x, mode="eval", capture=capture)
+        with ad.no_grad():
+            logits = model.forward(x, mode="eval", capture=capture)
         yield dataset.labels[sl], capture, logits.value
 
 

@@ -5,14 +5,33 @@ row L2 normalization, neighborhood unfold, layernorm, gelu, cross entropy,
 and the small glue ops (concat, reshape, row broadcast/reduce). Values are
 checked finite after every op. Matmuls whose left operand stacks rows from
 several images execute one GEMM per image group, so an image's activations
-never depend on what else is in the batch, down to the last bit.
+never depend on what else is in the batch, down to the last bit. Inside a
+``no_grad()`` scope ops still compute and check their values but record no
+graph, so inference holds no activations beyond the ones still referenced.
 """
+
+import contextlib
 
 import numpy as np
 
 from . import kernels
 
 _FINITE_MSG = "{} produced non-finite values"
+
+# read by _node; off inside a no_grad() scope
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Scope in which op outputs keep no parents and no backward closure."""
+    global _recording
+    prev = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = prev
 
 
 def _finite(name, arr):
@@ -45,12 +64,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.value.shape}{flag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -58,7 +71,7 @@ def as_tensor(x):
 
 def _node(value, parents, bwd, name):
     out = Tensor(_finite(name, value))
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = bwd
@@ -251,7 +264,8 @@ def gelu(x):
     x = as_tensor(x)
     c = np.sqrt(2.0 / np.pi)
     xv = x.value
-    inner = c * (xv + 0.044715 * xv ** 3)
+    # xv ** 3 would take the slow general pow path
+    inner = c * (xv + 0.044715 * (xv * xv * xv))
     t = np.tanh(inner)
     out = 0.5 * xv * (1.0 + t)
 
@@ -276,7 +290,11 @@ def softmax_rows(x, mask=None):
     if xv.ndim != 2 or xv.shape[1] < 1:
         raise ValueError(f"softmax_rows expects a nonempty 2-D input, got {xv.shape}")
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), xv.shape)
+        keep = np.asarray(mask, dtype=bool)
+        mask = np.broadcast_to(keep, xv.shape)
+        if keep.all():
+            mask = None  # an all-true mask is the plain softmax, bit for bit
+    if mask is not None:
         if not mask.any(axis=1).all():
             raise ValueError("softmax_rows: fully-masked row")
         shifted = np.where(mask, xv, -np.inf)
@@ -376,18 +394,6 @@ def tile_rows(x, reps):
         _accum(x, dout.reshape(reps, n, d).sum(axis=0))
 
     return _node(out, (x,), bwd, "tile_rows")
-
-
-def broadcast_row(v, n):
-    """Stack a single row vector n times."""
-    v = as_tensor(v)
-    row = v.value.reshape(1, -1)
-    out = np.repeat(row, n, axis=0)
-
-    def bwd(dout):
-        _accum(v, dout.sum(axis=0).reshape(v.value.shape))
-
-    return _node(out, (v,), bwd, "broadcast_row")
 
 
 def concat_last_axis(a, b):

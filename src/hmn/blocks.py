@@ -63,21 +63,31 @@ class HMNBlock:
             names += ["norm_in_gain", "norm_in_bias", "norm_mlp_gain", "norm_mlp_bias"]
         return OrderedDict((f"{prefix}.{n}", getattr(self, n)) for n in names)
 
-    def _capture_alpha(self, q, bank, beta, t_steps, groups, capture, key):
-        """Retrieval weights for analysis: the last refinement step's alpha,
-        or a plain diagnostic retrieval when T=0 never reads the bank."""
-        _, trace = refine_rows(q.detach(), bank, beta.detach(), t_steps,
-                               groups=groups, record_trace=True)
-        if trace.alphas and trace.alphas[-1] is not None:
-            capture[key] = trace.alphas[-1]
-        else:
-            alpha, _ = retrieve_rows(q.detach(), bank, groups=groups)
-            capture[key] = None if alpha is None else alpha.value.copy()
+    def _refine(self, q, bank, beta, t_steps, groups, capture, key):
+        """Refined queries; with capture, also keep the retrieval weights.
+
+        The captured weights are the last refinement step's alpha. When
+        refinement never reads the bank (T=0 or β=0) a plain diagnostic
+        retrieval stands in; an empty bank captures None.
+        """
+        # recording a trace makes refinement read the bank even at β=0, which
+        # would give β a gradient; record one only where it reads the bank anyway
+        traced = (capture is not None and t_steps > 0
+                  and float(beta.value.reshape(())) != 0.0)
+        z, trace = refine_rows(q, bank, beta, t_steps, groups=groups, record_trace=traced)
+        if capture is not None:
+            alpha = trace.alphas[-1] if traced else None
+            if alpha is None:
+                alpha, _ = retrieve_rows(q.detach(), bank, groups=groups)
+                alpha = None if alpha is None else alpha.value
+            capture[key] = alpha
+        return z
 
     def _local_branch(self, x, groups, t_steps, mode, labels, rng, capture):
         u = ad.unfold_tokens(x, self.h_p, self.w_p, self.cfg.k)
         q = ad.add_bias(ad.matmul(u, self.W_loc_in, groups=groups), self.b_loc_in)
-        z, _ = refine_rows(q, self.bank_local, self.beta_local, t_steps, groups=groups)
+        z = self._refine(q, self.bank_local, self.beta_local, t_steps, groups, capture,
+                         "local_alpha")
         out = ad.add_bias(ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, groups=groups),
                           self.b_loc_out)
         writes = []
@@ -88,15 +98,13 @@ class HMNBlock:
                 picked = np.sort(rng.choice(n, size=s, replace=False))
                 for j in picked:
                     writes.append((q.value[i * n + j].copy(), int(labels[i])))
-        if capture is not None:
-            self._capture_alpha(q, self.bank_local, self.beta_local, t_steps,
-                                groups, capture, "local_alpha")
         return out, writes
 
     def _global_branch(self, x, groups, t_steps, mode, labels, capture):
         g = ad.mean_rows(x, groups=groups)
         qg = ad.add_bias(ad.matmul(g, self.W_glob_in, groups=groups), self.b_glob_in)
-        zg, _ = refine_rows(qg, self.bank_global, self.beta_global, t_steps, groups=groups)
+        zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, groups, capture,
+                          "global_alpha")
         row = ad.add_bias(ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, groups=groups),
                           self.b_glob_out)
         out = ad.repeat_rows_each(row, self.n_tokens)
@@ -104,9 +112,6 @@ class HMNBlock:
         if mode == "train":
             for i in range(groups):
                 writes.append((qg.value[i].copy(), int(labels[i])))
-        if capture is not None:
-            self._capture_alpha(qg, self.bank_global, self.beta_global, t_steps,
-                                groups, capture, "global_alpha")
         return out, writes
 
     def forward(self, tokens, groups, t_steps, mode, labels=None, rng=None, capture=None):

@@ -34,14 +34,15 @@ def prepare_datasets(cfg):
 
 
 def evaluate(model, dataset, batch_size=None):
-    """Top-1 accuracy in eval mode (banks frozen, no state touched)."""
+    """Top-1 accuracy in eval mode (banks frozen, no state touched, no graph)."""
     cfg = model.cfg
     bsz = batch_size or cfg.batch_size
     correct = 0
     for start in range(0, len(dataset), bsz):
         sl = slice(start, min(start + bsz, len(dataset)))
         x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
-        logits = model.forward(x, mode="eval")
+        with ad.no_grad():
+            logits = model.forward(x, mode="eval")
         correct += int((logits.value.argmax(axis=1) == dataset.labels[sl]).sum())
     return correct / max(len(dataset), 1)
 

@@ -110,6 +110,15 @@ def test_layernorm_constant_row_maps_to_bias(rng):
     np.testing.assert_allclose(out, bias.value[None, :], atol=1e-12)
 
 
+def test_gelu_matches_the_closed_form():
+    # the cube is x·x·x rather than x**3; the two differ in the last bit
+    x = np.concatenate([np.linspace(-40.0, 40.0, 20001), [-1e3, -1e-8, 0.0, 1e-8, 1e3]])
+    c = np.sqrt(2.0 / np.pi)
+    want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+    got = ad.gelu(Tensor(x)).value
+    assert (np.abs(got - want) <= 1e-15 * (1.0 + np.abs(x))).all()
+
+
 # --------------------------------------------------------- analytic backward
 
 def test_backward_linear_map(rng):
@@ -209,14 +218,12 @@ def test_fd_layernorm(rng):
 
 def test_fd_row_shaping_ops(rng):
     x = Tensor(rng.standard_normal((6, 3)))
-    v = Tensor(rng.standard_normal(3))
     proj = Tensor(rng.standard_normal((3, 1)))
     proj6 = Tensor(rng.standard_normal((6, 1)))
 
     fd_check(lambda: scalarize(ad.mean_rows(x, groups=2), proj), [x])
     fd_check(lambda: scalarize(ad.repeat_rows_each(ad.mean_rows(x, groups=3), 2), proj), [x])
     fd_check(lambda: scalarize(ad.tile_rows(x, 3), proj), [x])
-    fd_check(lambda: scalarize(ad.broadcast_row(v, 4), proj), [v])
     fd_check(lambda: scalarize(ad.concat_last_axis(x, x), proj6), [x])
     fd_check(lambda: scalarize(ad.reshape(x, (3, 6)), proj6), [x])
     fd_check(lambda: ad.sum_all(x), [x])
@@ -257,6 +264,20 @@ def test_masked_softmax_per_row_mask(rng):
     mask = np.array([[True, False, True], [False, True, True]])
     out = ad.softmax_rows(Tensor(x), mask=mask).value
     assert out[0, 1] == 0.0 and out[1, 0] == 0.0
+
+
+def test_all_true_mask_is_the_unmasked_softmax(rng):
+    x = rng.standard_normal((5, 7))
+    proj = Tensor(rng.standard_normal((7, 1)))
+    runs = []
+    for mask in (None, np.ones(7, dtype=bool), np.ones((5, 7), dtype=bool)):
+        t = Tensor(x.copy(), requires_grad=True)
+        out = ad.softmax_rows(t, mask=mask)
+        ad.backward(ad.sum_all(ad.matmul(out, proj)))
+        runs.append((out.value, t.grad))
+    for value, grad in runs[1:]:
+        np.testing.assert_array_equal(value, runs[0][0])
+        np.testing.assert_array_equal(grad, runs[0][1])
 
 
 def test_fully_masked_row_rejected(rng):
@@ -311,6 +332,44 @@ def test_shape_validation_errors(rng):
         ad.cross_entropy(Tensor(rng.standard_normal((2, 3))), np.array([0, 3]))
     with pytest.raises(ValueError):
         ad.cross_entropy(Tensor(rng.standard_normal((2, 3))), np.array([0]))
+
+
+# ------------------------------------------------------------ no_grad scope
+
+def test_no_grad_records_no_graph(rng):
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 3)))
+    with ad.no_grad():
+        out = ad.gelu(ad.matmul(x, w))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    # the same ops outside the scope build a graph with the same values
+    again = ad.gelu(ad.matmul(x, w))
+    assert again.requires_grad and again._parents
+    np.testing.assert_array_equal(out.value, again.value)
+
+
+def test_no_grad_still_checks_finiteness():
+    with ad.no_grad():
+        with pytest.raises(FloatingPointError):
+            ad.add(Tensor(np.array([[np.inf, 1.0]])), Tensor(np.zeros((1, 2))))
+
+
+def test_no_grad_restores_the_flag(rng):
+    w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+
+    def records():
+        return ad.scalar_mul(w, 2.0).requires_grad
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not records()
+        assert not records()
+    assert records()
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("boom")
+    assert records()
 
 
 # ------------------------------------------------------- hypothesis sanity

@@ -1,5 +1,7 @@
 """Block-level invariants: branch wiring, bank read/write discipline."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,75 @@ def test_capture_records_retrieval_weights(rng):
     capture = {}
     fresh.forward(x, groups=2, t_steps=2, mode="eval", capture=capture)
     assert capture["local_alpha"] is None and capture["global_alpha"] is None
+
+
+def rerun_alpha(block, tokens, groups, t_steps):
+    """Captured weights from a second, detached refinement of each branch's
+    queries: the last step's alpha, or a plain retrieval when that is None."""
+    cfg = block.cfg
+    x = ad.layernorm_rows(tokens, block.norm_in_gain, block.norm_in_bias)
+    u = ad.unfold_tokens(x, block.h_p, block.w_p, cfg.k)
+    q = ad.add_bias(ad.matmul(u, block.W_loc_in, groups=groups), block.b_loc_in)
+    g = ad.mean_rows(x, groups=groups)
+    qg = ad.add_bias(ad.matmul(g, block.W_glob_in, groups=groups), block.b_glob_in)
+    out = {}
+    for key, query, bank, beta in (("local_alpha", q, block.bank_local, block.beta_local),
+                                   ("global_alpha", qg, block.bank_global, block.beta_global)):
+        _, trace = hmn.retrieval.refine_rows(query.detach(), bank, beta.detach(), t_steps,
+                                             groups=groups, record_trace=True)
+        if trace.alphas and trace.alphas[-1] is not None:
+            out[key] = trace.alphas[-1]
+        else:
+            alpha, _ = hmn.retrieval.retrieve_rows(query.detach(), bank, groups=groups)
+            out[key] = None if alpha is None else alpha.value
+    return out
+
+
+def partly_fill_banks(block, rng):
+    for bank in (block.bank_local, block.bank_global):
+        for label in (0, 0, 1):
+            bank.write(rng.standard_normal(bank.dim), label)
+
+
+@pytest.mark.parametrize("fill", [fill_banks, partly_fill_banks])
+@pytest.mark.parametrize("t_steps,beta", [(0, 0.3), (3, 0.3), (3, 0.0)])
+def test_capture_reuses_the_refinement_weights(rng, fill, t_steps, beta):
+    cfg, block = make_block(k_local=8, k_global=6)
+    fill(block, rng)
+    block.beta_local.value = np.float64(beta)
+    block.beta_global.value = np.float64(beta)
+    x = tokens_for(cfg, 3, rng)
+    want = rerun_alpha(block, x, 3, t_steps)
+    for scope in (ad.no_grad, contextlib.nullcontext):
+        capture = {}
+        with scope():
+            block.forward(x, groups=3, t_steps=t_steps, mode="eval", capture=capture)
+        assert set(capture) == {"local_alpha", "global_alpha"}
+        for key in capture:
+            np.testing.assert_array_equal(capture[key], want[key])
+
+
+@pytest.mark.parametrize("t_steps,beta", [(0, 0.3), (3, 0.3), (3, 0.0)])
+def test_capture_leaves_outputs_and_gradients_unchanged(rng, t_steps, beta):
+    cfg, block = make_block(k_local=8, k_global=6)
+    partly_fill_banks(block, rng)
+    block.beta_local.value = np.float64(beta)
+    block.beta_global.value = np.float64(beta)
+    x = tokens_for(cfg, 2, rng)
+    proj = ad.Tensor(rng.standard_normal((cfg.d_emb, 1)))
+    params = list(block.parameters("b").values())
+    runs = []
+    for capture in (None, {}):
+        ad.zero_grad(params)
+        out = block.forward(x, groups=2, t_steps=t_steps, mode="eval", capture=capture)
+        ad.backward(ad.sum_all(ad.matmul(out, proj)))
+        runs.append((out.value, [p.grad for p in params]))
+    (plain, plain_grads), (captured, captured_grads) = runs
+    np.testing.assert_array_equal(captured, plain)
+    for a, b in zip(captured_grads, plain_grads):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
 
 
 def test_parameter_registry_order_and_count():

@@ -1,14 +1,18 @@
 """Model wiring, pooling, and the binary checkpoint format."""
 
+import contextlib
 import struct
 
 import numpy as np
 import pytest
 
 import hmn.autodiff as ad
+from hmn.analysis import _captured_batches, hit_rate
 from hmn.config import RunConfig
+from hmn.data import load_dataset, standardize
 from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
+from hmn.train import evaluate
 
 from conftest import make_tiny_cfg
 
@@ -144,6 +148,27 @@ def test_eval_batch_independence(tmp_path, rng):
         np.testing.assert_array_equal(whole[i], alone[0])
 
 
+def test_desk_shape_batch_independence_without_graph(tmp_path, rng):
+    # the benchmark's desk dimensions, with banks partly filled by one small
+    # train step so retrieval runs its masked softmax
+    cfg = RunConfig(dataset="synth_blobs", image_size=[28, 28], synth_classes=10,
+                    d_emb=64, d_lat=64, n_blocks=4, k=3, k_local=500, k_global=200,
+                    write_sample=4, out_dir=str(tmp_path)).resolve()
+    model = Model(cfg, np.random.default_rng(0))
+    fill_via_training_steps(cfg, model, np.random.default_rng(5), steps=1, batch=6)
+    for bank in model.banks().values():
+        assert bank.any_filled and not bank.filled_view()[2].all()
+    imgs = std_images(cfg, 5, rng)
+    with ad.no_grad():
+        whole = model.forward(imgs)
+        mixed = model.forward(np.concatenate([imgs[2:], imgs[:2][::-1]])).value
+        alone = model.forward(imgs[4:]).value
+    assert not whole.requires_grad and whole._parents == ()
+    np.testing.assert_array_equal(mixed[:3], whole.value[2:])
+    np.testing.assert_array_equal(mixed[3:], whole.value[:2][::-1])
+    np.testing.assert_array_equal(alone[0], whole.value[4])
+
+
 def test_single_image_promoted_to_batch(tmp_path, rng):
     cfg, model = tiny_model(tmp_path)
     img = std_images(cfg, 1, rng)
@@ -226,6 +251,44 @@ def test_checkpoint_reserialization_is_byte_identical(tmp_path, rng):
     again = tmp_path / "again.ckpt"
     save_checkpoint(clone, again, rng=crng, extra={"epoch": 3, "best_acc": 0.75})
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, monkeypatch):
+    cfg, model, _ = checkpointed(tmp_path, rng)
+    _, test = load_dataset(cfg)
+    graph = model.forward(standardize(test.images, cfg.norm_mean, cfg.norm_std))
+    assert graph.requires_grad
+    acc = evaluate(model, test, batch_size=7)
+    assert acc == int((graph.value.argmax(axis=1) == test.labels).sum()) / len(test)
+    cases = (("local", False), ("local", True), ("global", False))
+    reports = [hit_rate(model, test, branch=b, all_tokens=a, batch_size=7) for b, a in cases]
+    # the scope covers the forwards only, never the caller's loop body
+    w = ad.Tensor(np.ones(2), requires_grad=True)
+    for _ in _captured_batches(model, test, batch_size=7):
+        assert ad.scalar_mul(w, 2.0).requires_grad
+    # the same entry points with the scope switched off build the full graph
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    assert evaluate(model, test, batch_size=7) == acc
+    assert reports == [hit_rate(model, test, branch=b, all_tokens=a, batch_size=7)
+                       for b, a in cases]
+
+
+@pytest.mark.parametrize("t_steps", [0, 3])
+def test_captured_arrays_do_not_depend_on_the_scope(tmp_path, rng, t_steps):
+    cfg, model = tiny_model(tmp_path, t_steps=t_steps)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, 3, rng)
+    plain = model.forward(imgs).value
+    runs = []
+    for scope in (ad.no_grad, contextlib.nullcontext):
+        capture = {}
+        with scope():
+            logits = model.forward(imgs, capture=capture).value
+        np.testing.assert_array_equal(logits, plain)
+        runs.append(capture)
+    assert set(runs[0]) == {"local_alpha", "global_alpha", "pool_weights"}
+    for key in runs[0]:
+        np.testing.assert_array_equal(runs[0][key], runs[1][key])
 
 
 def test_checkpoint_with_optimizer_state_loads(tmp_path, rng):
