@@ -87,15 +87,19 @@ def corrupt_dataset(dataset, family, severity, seed):
 
 # ------------------------------------------------------------ capture plumbing
 
-def _require_frozen_filled(model, branch=None):
+def _last_bank(model, branch):
+    """The last block's bank for branch, once every bank is frozen and that
+    one holds at least one slot."""
+    if branch not in ("local", "global"):
+        raise ValueError(f"branch must be local or global, got {branch!r}")
     for name, bank in model.banks().items():
         if not bank.frozen:
             raise ValueError(f"bank {name} is not frozen; analyze a saved checkpoint")
     last = model.blocks[-1]
-    banks = {"local": last.bank_local, "global": last.bank_global}
-    for bname, bank in banks.items():
-        if branch in (None, bname) and not bank.any_filled:
-            raise ValueError(f"last-block {bname} bank is empty")
+    bank = last.bank_local if branch == "local" else last.bank_global
+    if not bank.any_filled:
+        raise ValueError(f"last-block {branch} bank is empty")
+    return bank
 
 
 def _captured_batches(model, dataset, batch_size=64):
@@ -119,6 +123,28 @@ def _rank_slots(alpha_row):
     return np.argsort(-alpha_row, kind="stable")
 
 
+def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
+    """Yield (label, rows) per sample: its last-block retrieval weight rows.
+
+    The global branch has one row per image. The local branch gives the
+    token picked by the pooling weights (argmax), or every token with
+    all_tokens.
+    """
+    n_tok = model.cfg.n_tokens
+    for labels, cap, _ in _captured_batches(model, dataset, batch_size):
+        alpha = cap[f"{branch}_alpha"]
+        if alpha is None:
+            raise ValueError(f"last-block {branch} bank is empty")
+        for i, label in enumerate(labels):
+            if branch == "global":
+                yield label, alpha[i:i + 1]
+            elif all_tokens:
+                yield label, alpha[i * n_tok:(i + 1) * n_tok]
+            else:
+                t = i * n_tok + int(np.argmax(cap["pool_weights"][i]))
+                yield label, alpha[t:t + 1]
+
+
 # ----------------------------------------------------------------- hit rate
 
 def hit_rate(model, dataset, branch="global", topk=(1, 5), all_tokens=False,
@@ -130,35 +156,17 @@ def hit_rate(model, dataset, branch="global", topk=(1, 5), all_tokens=False,
     baselines: 1/C for top-1; 1 − (1 − 1/C)^k for top-k is an
     independent-draw approximation, reported as indicative only.
     """
-    if branch not in ("local", "global"):
-        raise ValueError(f"branch must be local or global, got {branch!r}")
-    _require_frozen_filled(model, branch)
-    last = model.blocks[-1]
-    bank = last.bank_local if branch == "local" else last.bank_global
-    _, slot_class, _ = bank.filled_view()
-    n_tok = model.cfg.n_tokens
+    _, slot_class, _ = _last_bank(model, branch).filled_view()
     hits = {k: 0.0 for k in topk}
     total = 0
-    for labels, cap, _ in _captured_batches(model, dataset, batch_size):
-        key = f"{branch}_alpha"
-        alpha = cap[key]
-        if alpha is None:
-            raise ValueError(f"last-block {branch} bank is empty")
-        for i, label in enumerate(labels):
-            if branch == "global":
-                rows = [alpha[i]]
-            elif all_tokens:
-                rows = [alpha[i * n_tok + t] for t in range(n_tok)]
-            else:
-                t_star = int(np.argmax(cap["pool_weights"][i]))
-                rows = [alpha[i * n_tok + t_star]]
-            for k in topk:
-                hit = 0.0
-                for row in rows:
-                    order = _rank_slots(row)[:k]
-                    hit += float(label in slot_class[order])
-                hits[k] += hit / len(rows)
-            total += 1
+    for label, rows in _sample_rows(model, dataset, branch, batch_size, all_tokens):
+        for k in topk:
+            hit = 0.0
+            for row in rows:
+                order = _rank_slots(row)[:k]
+                hit += float(label in slot_class[order])
+            hits[k] += hit / len(rows)
+        total += 1
     c = model.cfg.num_classes
     report = {"branch": branch, "n": total, "all_tokens": bool(all_tokens)}
     for k in topk:
@@ -185,27 +193,18 @@ def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
     Slot ids are contiguous per class, so the profile is grouped by
     slot_class along the x axis already.
     """
-    _require_frozen_filled(model, branch)
+    bank = _last_bank(model, branch)
     class_id = int(class_id)
     idx = np.flatnonzero(dataset.labels == class_id)
     if len(idx) == 0:
         raise ValueError(f"no samples of class {class_id} in the dataset")
     subset = dataset.subset(idx)
-    last = model.blocks[-1]
-    bank = last.bank_local if branch == "local" else last.bank_global
     _, slot_class, _ = bank.filled_view()
-    n_tok = model.cfg.n_tokens
     acc = np.zeros(bank.total_slots)
     total = 0
-    for labels, cap, _ in _captured_batches(model, subset, batch_size):
-        alpha = cap[f"{branch}_alpha"]
-        for i in range(len(labels)):
-            if branch == "global":
-                acc += alpha[i]
-            else:
-                t_star = int(np.argmax(cap["pool_weights"][i]))
-                acc += alpha[i * n_tok + t_star]
-            total += 1
+    for _, rows in _sample_rows(model, subset, branch, batch_size):
+        acc += rows[0]
+        total += 1
     return acc / total, slot_class
 
 
@@ -291,24 +290,12 @@ def _top1_and_top5(model, dataset, branch, batch_size):
     """Per sample: (top1 slot id, top5 slot id set) at the last block.
 
     The local branch scores the argmax-pooling token, mirroring hit_rate."""
-    n_tok = model.cfg.n_tokens
     top1 = np.empty(len(dataset), dtype=np.int64)
     top5 = []
-    pos = 0
-    for labels, cap, _ in _captured_batches(model, dataset, batch_size):
-        alpha = cap[f"{branch}_alpha"]
-        if alpha is None:
-            raise ValueError(f"last-block {branch} bank is empty")
-        for i in range(len(labels)):
-            if branch == "global":
-                row = alpha[i]
-            else:
-                t_star = int(np.argmax(cap["pool_weights"][i]))
-                row = alpha[i * n_tok + t_star]
-            order = _rank_slots(row)
-            top1[pos] = order[0]
-            top5.append(set(int(s) for s in order[:5]))
-            pos += 1
+    for pos, (_, rows) in enumerate(_sample_rows(model, dataset, branch, batch_size)):
+        order = _rank_slots(rows[0])
+        top1[pos] = order[0]
+        top5.append(set(int(s) for s in order[:5]))
     return top1, top5
 
 
@@ -320,15 +307,11 @@ def consistency(model, dataset, family="occlusion_px", grid=None, seed=4321,
     and how close (cosine) is the corrupted top-1 prototype to the clean
     one. Identical slots count as cosine exactly 1.
     """
-    if branch not in ("local", "global"):
-        raise ValueError(f"branch must be local or global, got {branch!r}")
-    _require_frozen_filled(model, branch)
+    slots = _last_bank(model, branch).slots
     grid = list(CONSISTENCY_GRID_PX if grid is None else grid)
     ident = _IDENTITY[family]
     if ident not in grid:
         grid = [ident] + grid
-    last = model.blocks[-1]
-    slots = (last.bank_local if branch == "local" else last.bank_global).slots
     clean1, clean5 = _top1_and_top5(model, dataset, branch, batch_size)
     rows = []
     for si, sev in enumerate(grid):

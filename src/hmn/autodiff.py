@@ -138,20 +138,17 @@ def matmul(a, b, groups=1):
     if m % groups != 0:
         raise ValueError(f"{groups} groups do not divide {m} rows")
     gs = m // groups
-    out = np.empty((m, n), dtype=np.float64)
-    for g in range(groups):
-        s = slice(g * gs, (g + 1) * gs)
-        out[s] = a.value[s] @ b.value
     av, bv = a.value, b.value
+    # a stacked matmul runs one GEMM per leading index
+    out = np.matmul(av.reshape(groups, gs, ka), bv).reshape(m, n)
 
     def bwd(dout):
         if a.requires_grad:
-            da = np.empty_like(av)
-            for g in range(groups):
-                s = slice(g * gs, (g + 1) * gs)
-                da[s] = dout[s] @ bv.T
-            _accum(a, da)
+            _accum(a, np.matmul(dout.reshape(groups, gs, n), bv.T).reshape(m, ka))
         if b.requires_grad:
+            # adding the per-group products in group order keeps weight
+            # gradients bit-identical; a stacked matmul then .sum(axis=0)
+            # holds every group's product at once and measured slower
             db = np.zeros_like(bv)
             for g in range(groups):
                 s = slice(g * gs, (g + 1) * gs)
@@ -174,22 +171,15 @@ def group_weighted_sum(weights, rows, groups):
     total, d = rows.value.shape
     if total != groups * n:
         raise ValueError(f"rows {total} != groups*{n}")
-    out = np.empty((groups, d), dtype=np.float64)
-    for g in range(groups):
-        out[g] = weights.value[g] @ rows.value[g * n:(g + 1) * n]
     wv, rv = weights.value, rows.value
+    rv3 = rv.reshape(groups, n, d)
+    out = np.matmul(wv[:, None, :], rv3).reshape(groups, d)
 
     def bwd(dout):
         if weights.requires_grad:
-            dw = np.empty_like(wv)
-            for g in range(groups):
-                dw[g] = rv[g * n:(g + 1) * n] @ dout[g]
-            _accum(weights, dw)
+            _accum(weights, np.matmul(rv3, dout[:, :, None]).reshape(groups, n))
         if rows.requires_grad:
-            dr = np.empty_like(rv)
-            for g in range(groups):
-                dr[g * n:(g + 1) * n] = np.outer(wv[g], dout[g])
-            _accum(rows, dr)
+            _accum(rows, (wv[:, :, None] * dout[:, None, :]).reshape(total, d))
 
     return _node(out, (weights, rows), bwd, "group_weighted_sum")
 
@@ -431,42 +421,24 @@ def sum_all(x):
 
 # ---------------------------------------------------------------- structured
 
-def unfold(grid, k):
-    """Gather each cell's k×k zero-padded neighborhood of an (H, W, D) grid.
-
-    Output is (H·W, k²·D) with windows flattened row-major: window rows,
-    then window columns, then channels.
-    """
-    grid = as_tensor(grid)
-    if grid.value.ndim != 3:
-        raise ValueError(f"unfold expects (H, W, D), got {grid.value.shape}")
-    h, w, d = grid.value.shape
-    out = kernels.unfold_grid(grid.value, k)
-
-    def bwd(dout):
-        _accum(grid, kernels.unfold_grid_bwd(dout, h, w, d, k))
-
-    return _node(out, (grid,), bwd, "unfold")
-
-
 def unfold_tokens(x, h, w, k):
-    """unfold applied per image to stacked token rows (G·h·w, D)."""
+    """Per-image k×k neighborhood gather over stacked token rows (G·h·w, D).
+
+    Each image's h·w rows form a zero-padded grid; the output is
+    (G·h·w, k²·D) with windows flattened row-major: window rows, then
+    window columns, then channels.
+    """
     x = as_tensor(x)
     r, d = x.value.shape
     n = h * w
     if r % n != 0:
         raise ValueError(f"token rows {r} not a multiple of grid size {n}")
-    groups = r // n
-    out = np.empty((r, k * k * d), dtype=np.float64)
-    for g in range(groups):
-        out[g * n:(g + 1) * n] = kernels.unfold_grid(x.value[g * n:(g + 1) * n].reshape(h, w, d), k)
+    g = r // n
+    out = kernels.unfold_grid(x.value.reshape(g, h, w, d), k).reshape(r, k * k * d)
 
     def bwd(dout):
-        dx = np.empty_like(x.value)
-        for g in range(groups):
-            dx[g * n:(g + 1) * n] = kernels.unfold_grid_bwd(
-                dout[g * n:(g + 1) * n], h, w, d, k).reshape(n, d)
-        _accum(x, dx)
+        dgrid = kernels.unfold_grid_bwd(dout.reshape(g, n, k * k * d), (g, h, w, d), k)
+        _accum(x, dgrid.reshape(r, d))
 
     return _node(out, (x,), bwd, "unfold_tokens")
 

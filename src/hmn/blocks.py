@@ -70,13 +70,8 @@ class HMNBlock:
         refinement never reads the bank (T=0 or β=0) a plain diagnostic
         retrieval stands in; an empty bank captures None.
         """
-        # recording a trace makes refinement read the bank even at β=0, which
-        # would give β a gradient; record one only where it reads the bank anyway
-        traced = (capture is not None and t_steps > 0
-                  and float(beta.value.reshape(())) != 0.0)
-        z, trace = refine_rows(q, bank, beta, t_steps, groups=groups, record_trace=traced)
+        z, alpha, _ = refine_rows(q, bank, beta, t_steps, groups=groups)
         if capture is not None:
-            alpha = trace.alphas[-1] if traced else None
             if alpha is None:
                 alpha, _ = retrieve_rows(q.detach(), bank, groups=groups)
                 alpha = None if alpha is None else alpha.value

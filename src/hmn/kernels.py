@@ -1,107 +1,44 @@
-"""Hot gather/scatter kernels with numba-jitted and pure-numpy paths.
+"""Neighborhood gather and its scatter-add adjoint, batched over leading axes.
 
-Set HMN_NO_NUMBA=1 to force the numpy fallbacks (also used automatically
-when numba is not importable). Both paths only copy, zero-fill, or add,
-so the forward kernels agree bitwise. ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+Both kernels take grids shaped (..., H, W, D): any leading axes (one per
+image, say) ride along, and a plain (H, W, D) grid is the case with none.
+The gather only copies and zero-pads, and the adjoint adds the k² window
+shifts in ascending (dr, dc) order, so every grid in a batch gets the same
+bits it would get on its own.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("HMN_NO_NUMBA", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-
-def _unfold_np(grid, k):
-    h, w, d = grid.shape
-    pad = k // 2
-    padded = np.zeros((h + 2 * pad, w + 2 * pad, d), dtype=grid.dtype)
-    padded[pad:pad + h, pad:pad + w] = grid
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    # windows: (h, w, d, k, k) -> rows ordered window-row, window-col, channel
-    return np.ascontiguousarray(windows.transpose(0, 1, 3, 4, 2)).reshape(h * w, k * k * d)
-
-
-def _unfold_bwd_np(dout, h, w, d, k):
-    pad = k // 2
-    acc = np.zeros((h + 2 * pad, w + 2 * pad, d), dtype=dout.dtype)
-    d4 = dout.reshape(h, w, k, k, d)
-    for dr in range(k):
-        for dc in range(k):
-            acc[dr:dr + h, dc:dc + w] += d4[:, :, dr, dc, :]
-    return acc[pad:pad + h, pad:pad + w].copy()
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _unfold_jit(grid, k):
-        h, w, d = grid.shape
-        pad = k // 2
-        out = np.zeros((h * w, k * k * d), dtype=grid.dtype)
-        for r in range(h):
-            for c in range(w):
-                row = r * w + c
-                for dr in range(k):
-                    rr = r + dr - pad
-                    if rr < 0 or rr >= h:
-                        continue
-                    for dc in range(k):
-                        cc = c + dc - pad
-                        if cc < 0 or cc >= w:
-                            continue
-                        base = (dr * k + dc) * d
-                        for ch in range(d):
-                            out[row, base + ch] = grid[rr, cc, ch]
-        return out
-
-    @njit(cache=True)
-    def _unfold_bwd_jit(dout, h, w, d, k):
-        # accumulate one (dr, dc) shift at a time, in ascending shift order,
-        # so the summation order (and hence every bit) matches the numpy path
-        pad = k // 2
-        acc = np.zeros((h, w, d), dtype=dout.dtype)
-        for dr in range(k):
-            for dc in range(k):
-                base = (dr * k + dc) * d
-                for r in range(h):
-                    rr = r + dr - pad
-                    if rr < 0 or rr >= h:
-                        continue
-                    for c in range(w):
-                        cc = c + dc - pad
-                        if cc < 0 or cc >= w:
-                            continue
-                        row = r * w + c
-                        for ch in range(d):
-                            acc[rr, cc, ch] += dout[row, base + ch]
-        return acc
-
 
 def unfold_grid(grid, k):
-    """Gather the k x k neighborhood of every cell of an (H, W, D) grid.
+    """Gather the k x k neighborhood of every cell of (..., H, W, D) grids.
 
-    Output row i (row-major cell order) holds the window flattened as
-    window-row, then window-col, then channel; cells outside the grid
-    contribute zeros. k must be odd so windows center on their cell.
+    Returns (..., H·W, k²·D). Row i (row-major cell order) holds the window
+    flattened as window-row, then window-col, then channel; cells outside
+    the grid contribute zeros. k must be odd so windows center on their cell.
     """
     if k % 2 == 0 or k < 1:
         raise ValueError(f"window size must be odd and positive, got {k}")
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if USE_NUMBA:
-        return _unfold_jit(grid, k)
-    return _unfold_np(grid, k)
+    grid = np.asarray(grid, dtype=np.float64)
+    *lead, h, w, d = grid.shape
+    pad = k // 2
+    padded = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d))
+    padded[..., pad:pad + h, pad:pad + w, :] = grid
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(-3, -2))
+    # windows: (..., h, w, d, k, k) -> rows ordered window-row, window-col, channel
+    return np.ascontiguousarray(np.moveaxis(windows, -3, -1)).reshape(*lead, h * w, k * k * d)
 
 
-def unfold_grid_bwd(dout, h, w, d, k):
-    """Scatter-add adjoint of ``unfold_grid`` back onto the (H, W, D) grid."""
-    dout = np.ascontiguousarray(dout, dtype=np.float64)
-    if USE_NUMBA:
-        return _unfold_bwd_jit(dout, h, w, d, k)
-    return _unfold_bwd_np(dout, h, w, d, k)
+def unfold_grid_bwd(dout, shape, k):
+    """Scatter-add adjoint of ``unfold_grid`` back onto grids of ``shape``.
+
+    dout is (..., H·W, k²·D) for a grid shape (..., H, W, D).
+    """
+    *lead, h, w, d = shape
+    pad = k // 2
+    d6 = np.asarray(dout, dtype=np.float64).reshape(*lead, h, w, k, k, d)
+    acc = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d))
+    for dr in range(k):
+        for dc in range(k):
+            acc[..., dr:dr + h, dc:dc + w, :] += d6[..., dr, dc, :]
+    return acc[..., pad:pad + h, pad:pad + w, :].copy()

@@ -52,10 +52,6 @@ class Adam:
             v += (1 - b2) * g * g
             p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
-    def grad_norms(self):
-        return {n: float(np.sqrt((p.grad ** 2).sum())) if p.grad is not None else 0.0
-                for n, p in self.params.items()}
-
     def state_records(self):
         """Named arrays for checkpoint embedding (moments quantize to f32)."""
         out = [("opt.t", np.array([self.t], dtype=np.int64))]

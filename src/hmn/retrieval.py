@@ -74,13 +74,14 @@ def retrieve(z, bank):
 
 
 def refine_rows(z, bank, beta, T, groups=1, record_trace=False):
-    """T refinement steps over row queries; returns (z_final, trace).
+    """T refinement steps over row queries; returns (z_final, alpha, trace).
 
-    The trace is recorded only when record_trace is set, else None. T=0
-    returns z unchanged. An exactly-zero β with no trace requested also
-    short-circuits: the update would add 0·(m − z), so the bank is not
-    read at all (and β receives no gradient there, matching the read-free
-    T=0 path bit for bit).
+    alpha is the last step's retrieval weights as an array, None when the
+    bank is never read. The trace is recorded only when record_trace is
+    set, else None. T=0 returns z unchanged. An exactly-zero β with no
+    trace requested also short-circuits: the update would add 0·(m − z),
+    so the bank is not read at all (and β receives no gradient there,
+    matching the read-free T=0 path bit for bit).
     """
     z = ad.as_tensor(z)
     beta = ad.as_tensor(beta)
@@ -88,7 +89,7 @@ def refine_rows(z, bank, beta, T, groups=1, record_trace=False):
         raise ValueError(f"negative step count {T}")
     trace = RefinementTrace(states=[z.value.copy()]) if record_trace else None
     if T == 0 or (not record_trace and float(beta.value.reshape(())) == 0.0):
-        return z, trace
+        return z, None, trace
     cur = z
     for _ in range(T):
         alpha, m = retrieve_rows(cur, bank, groups=groups)
@@ -99,13 +100,13 @@ def refine_rows(z, bank, beta, T, groups=1, record_trace=False):
             trace.energies.append(0.5 * (delta.value ** 2).sum(axis=1))
             trace.alphas.append(None if alpha is None else alpha.value.copy())
             trace.states.append(cur.value.copy())
-    return cur, trace
+    return cur, None if alpha is None else alpha.value, trace
 
 
 def refine(z, bank, beta, T):
     """Single-vector refinement with a fully recorded trace."""
     zv = np.asarray(z.value if isinstance(z, ad.Tensor) else z, dtype=np.float64).reshape(1, -1)
-    out, trace = refine_rows(ad.Tensor(zv), bank, beta, T, groups=1, record_trace=True)
+    out, _, trace = refine_rows(ad.Tensor(zv), bank, beta, T, groups=1, record_trace=True)
     trace.states = [s[0] for s in trace.states]
     trace.errors = [e[0] for e in trace.errors]
     trace.energies = [float(f[0]) for f in trace.energies]

@@ -178,6 +178,8 @@ def test_weight_profile_missing_class(tiny_run):
     cfg, model, test = tiny_run
     with pytest.raises(ValueError, match="no samples"):
         weight_profile(model, test, 7)
+    with pytest.raises(ValueError, match="branch"):
+        weight_profile(model, test, 0, branch="Global")
 
 
 def test_weight_profile_files(tiny_run, tmp_path):

@@ -67,9 +67,50 @@ def test_matmul_identity(rng):
 def test_matmul_grouped_value_matches_per_group(rng):
     a = rng.standard_normal((6, 3))
     b = rng.standard_normal((3, 5))
-    out = ad.matmul(Tensor(a), Tensor(b), groups=3).value
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = ad.matmul(ta, tb, groups=3)
+    dout = rng.standard_normal(out.shape)
+    out._backward(dout)
+    db = np.zeros_like(b)
     for g in range(3):
-        np.testing.assert_array_equal(out[2 * g:2 * g + 2], a[2 * g:2 * g + 2] @ b)
+        s = slice(2 * g, 2 * g + 2)
+        np.testing.assert_array_equal(out.value[s], a[s] @ b)
+        np.testing.assert_array_equal(ta.grad[s], dout[s] @ b.T)
+        db += a[s].T @ dout[s]
+    np.testing.assert_array_equal(tb.grad, db)
+
+
+def test_unfold_tokens_matches_per_image_kernel(rng):
+    """A stacked batch unfolds and back-propagates exactly as image by image."""
+    from hmn.kernels import unfold_grid, unfold_grid_bwd
+    for groups, h, w, d, k in [(4, 3, 5, 2, 3), (3, 1, 1, 4, 3), (2, 4, 4, 3, 5)]:
+        n = h * w
+        xv = rng.standard_normal((groups * n, d))
+        x = Tensor(xv, requires_grad=True)
+        out = ad.unfold_tokens(x, h, w, k)
+        dout = rng.standard_normal(out.shape)
+        out._backward(dout)
+        for g in range(groups):
+            s = slice(g * n, (g + 1) * n)
+            np.testing.assert_array_equal(out.value[s], unfold_grid(xv[s].reshape(h, w, d), k))
+            np.testing.assert_array_equal(
+                x.grad[s], unfold_grid_bwd(dout[s], (h, w, d), k).reshape(n, d))
+
+
+def test_group_weighted_sum_matches_per_group(rng):
+    """Values and both gradients equal the per-group products bit for bit."""
+    for groups, n, d in [(4, 5, 3), (3, 1, 4), (2, 6, 1)]:
+        wv = rng.standard_normal((groups, n))
+        rv = rng.standard_normal((groups * n, d))
+        w, rows = Tensor(wv, requires_grad=True), Tensor(rv, requires_grad=True)
+        out = ad.group_weighted_sum(w, rows, groups)
+        dout = rng.standard_normal(out.shape)
+        out._backward(dout)
+        for g in range(groups):
+            s = slice(g * n, (g + 1) * n)
+            np.testing.assert_array_equal(out.value[g], wv[g] @ rv[s])
+            np.testing.assert_array_equal(w.grad[g], rv[s] @ dout[g])
+            np.testing.assert_array_equal(rows.grad[s], np.outer(wv[g], dout[g]))
 
 
 def test_softmax_uniform_rows():
@@ -229,16 +270,12 @@ def test_fd_row_shaping_ops(rng):
     fd_check(lambda: ad.sum_all(x), [x])
 
 
-def test_fd_unfold(rng):
-    grid = Tensor(rng.standard_normal((4, 3, 2)))
-    proj = Tensor(rng.standard_normal((9 * 2, 1)))
-    fd_check(lambda: scalarize(ad.unfold(grid, 3), proj), [grid])
-
-
 def test_fd_unfold_tokens(rng):
-    x = Tensor(rng.standard_normal((2 * 6, 2)))  # two 2x3 grids stacked
     proj = Tensor(rng.standard_normal((9 * 2, 1)))
+    x = Tensor(rng.standard_normal((2 * 6, 2)))  # two 2x3 grids stacked
     fd_check(lambda: scalarize(ad.unfold_tokens(x, 2, 3, 3), proj), [x])
+    grid = Tensor(rng.standard_normal((4 * 3, 2)))  # one 4x3 grid
+    fd_check(lambda: scalarize(ad.unfold_tokens(grid, 4, 3, 3), proj), [grid])
 
 
 def test_fd_cross_entropy(rng):

@@ -210,8 +210,8 @@ def rerun_alpha(block, tokens, groups, t_steps):
     out = {}
     for key, query, bank, beta in (("local_alpha", q, block.bank_local, block.beta_local),
                                    ("global_alpha", qg, block.bank_global, block.beta_global)):
-        _, trace = hmn.retrieval.refine_rows(query.detach(), bank, beta.detach(), t_steps,
-                                             groups=groups, record_trace=True)
+        _, _, trace = hmn.retrieval.refine_rows(query.detach(), bank, beta.detach(), t_steps,
+                                                groups=groups, record_trace=True)
         if trace.alphas and trace.alphas[-1] is not None:
             out[key] = trace.alphas[-1]
         else:

@@ -1,19 +1,15 @@
 """Window-extraction kernels checked against a brute-force oracle.
 
 The oracle builds each window cell by cell with nested Python loops, so
-any indexing or padding mistake in the vectorized/jit paths shows up as
-a mismatch. Forward/backward paths must agree bitwise between the jit
-and numpy implementations.
+any indexing or padding mistake in the vectorized kernels shows up as a
+mismatch. Batched (B, H, W, D) grids are checked slice by slice against
+the oracle, and each slice must equal the kernel's own call on that one
+grid bit for bit.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from hmn import kernels
 from hmn.kernels import unfold_grid, unfold_grid_bwd
 
 
@@ -32,15 +28,28 @@ def oracle_unfold(grid, k):
     return out
 
 
+def check_batched_unfold(grids, k):
+    """Unfold of a (B, H, W, D) stack equals the oracle and the single-grid
+    kernel on every slice, exactly."""
+    got = unfold_grid(grids, k)
+    b, h, w, d = grids.shape
+    assert got.shape == (b, h * w, k * k * d)
+    for i in range(b):
+        np.testing.assert_array_equal(got[i], oracle_unfold(grids[i], k))
+        np.testing.assert_array_equal(got[i], unfold_grid(grids[i], k))
+
+
 def test_matches_oracle_small(rng):
     grid = rng.standard_normal((4, 5, 3))
     got = unfold_grid(grid, 3)
     np.testing.assert_array_equal(got, oracle_unfold(grid, 3))
+    check_batched_unfold(rng.standard_normal((3, 4, 5, 3)), 3)
 
 
 def test_matches_oracle_k5(rng):
     grid = rng.standard_normal((6, 4, 2))
     np.testing.assert_array_equal(unfold_grid(grid, 5), oracle_unfold(grid, 5))
+    check_batched_unfold(rng.standard_normal((2, 6, 4, 2)), 5)
 
 
 def test_matches_oracle_many_random(rng):
@@ -52,6 +61,7 @@ def test_matches_oracle_many_random(rng):
         k = int(rng.choice([1, 3, 5]))
         grid = rng.standard_normal((h, w, d))
         np.testing.assert_array_equal(unfold_grid(grid, k), oracle_unfold(grid, k))
+        check_batched_unfold(rng.standard_normal((int(rng.integers(1, 4)), h, w, d)), k)
 
 
 def test_k1_is_identity(rng):
@@ -101,54 +111,24 @@ def oracle_unfold_bwd(dout, h, w, d, k):
 def test_backward_matches_oracle(rng):
     h, w, d, k = 5, 4, 3, 3
     dout = rng.standard_normal((h * w, k * k * d))
-    got = unfold_grid_bwd(dout, h, w, d, k)
+    got = unfold_grid_bwd(dout, (h, w, d), k)
     np.testing.assert_allclose(got, oracle_unfold_bwd(dout, h, w, d, k), rtol=1e-12)
+    # batched stacks, slice by slice
+    for b, h, w, d, k in [(3, 5, 4, 3, 3), (2, 1, 1, 2, 3), (4, 3, 6, 1, 5), (2, 2, 2, 2, 1)]:
+        dout = rng.standard_normal((b, h * w, k * k * d))
+        got = unfold_grid_bwd(dout, (b, h, w, d), k)
+        assert got.shape == (b, h, w, d)
+        for i in range(b):
+            np.testing.assert_allclose(got[i], oracle_unfold_bwd(dout[i], h, w, d, k),
+                                       rtol=1e-12)
+            np.testing.assert_array_equal(got[i], unfold_grid_bwd(dout[i], (h, w, d), k))
 
 
 def test_backward_is_adjoint(rng):
-    # <unfold(x), y> == <x, unfold_bwd(y)> for the linear map
-    h, w, d, k = 6, 6, 2, 3
-    x = rng.standard_normal((h, w, d))
-    y = rng.standard_normal((h * w, k * k * d))
-    lhs = float((unfold_grid(x, k) * y).sum())
-    rhs = float((x * unfold_grid_bwd(y, h, w, d, k)).sum())
-    assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
-
-
-def test_numpy_fallback_matches_active_path(rng):
-    # the private numpy implementations must agree bitwise with whatever
-    # unfold_grid/unfold_grid_bwd dispatch to (jit when numba is present)
-    for _ in range(20):
-        h = int(rng.integers(1, 9))
-        w = int(rng.integers(1, 9))
-        d = int(rng.integers(1, 6))
-        k = int(rng.choice([1, 3, 5]))
-        grid = rng.standard_normal((h, w, d))
-        np.testing.assert_array_equal(unfold_grid(grid, k), kernels._unfold_np(grid, k))
-        dout = rng.standard_normal((h * w, k * k * d))
-        a = unfold_grid_bwd(dout, h, w, d, k)
-        b = kernels._unfold_bwd_np(dout, h, w, d, k)
-        np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="jit path disabled via HMN_NO_NUMBA")
-def test_env_flag_selects_numpy_path(tmp_path, rng):
-    """A subprocess with HMN_NO_NUMBA=1 produces byte-identical results."""
-    grid = rng.standard_normal((7, 5, 4))
-    dout = rng.standard_normal((35, 9 * 4))
-    np.save(tmp_path / "grid.npy", grid)
-    np.save(tmp_path / "dout.npy", dout)
-    script = (
-        "import numpy as np\n"
-        "from hmn.kernels import unfold_grid, unfold_grid_bwd, USE_NUMBA\n"
-        "assert not USE_NUMBA\n"
-        f"g = np.load(r'{tmp_path / 'grid.npy'}')\n"
-        f"d = np.load(r'{tmp_path / 'dout.npy'}')\n"
-        f"np.save(r'{tmp_path / 'fwd.npy'}', unfold_grid(g, 3))\n"
-        f"np.save(r'{tmp_path / 'bwd.npy'}', unfold_grid_bwd(d, 7, 5, 4, 3))\n"
-    )
-    env = dict(os.environ, HMN_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
-    np.testing.assert_array_equal(np.load(tmp_path / "fwd.npy"), unfold_grid(grid, 3))
-    np.testing.assert_array_equal(
-        np.load(tmp_path / "bwd.npy"), unfold_grid_bwd(dout, 7, 5, 4, 3))
+    # <unfold(x), y> == <x, unfold_bwd(y)> for the linear map, one grid or a stack
+    for shape, k in [((6, 6, 2), 3), ((3, 5, 4, 2), 3), ((2, 4, 4, 1), 5)]:
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(unfold_grid(x, k).shape)
+        lhs = float((unfold_grid(x, k) * y).sum())
+        rhs = float((x * unfold_grid_bwd(y, shape, k)).sum())
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))

@@ -122,16 +122,6 @@ def test_step_lr_override():
     np.testing.assert_array_equal(p.value, [1.0])
 
 
-def test_grad_norms():
-    p = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    q = Tensor(np.array([1.0]), requires_grad=True)
-    p.grad = np.array([3.0, 4.0])
-    q.grad = None
-    opt = Adam({"p": p, "q": q})
-    norms = opt.grad_norms()
-    assert norms["p"] == 5.0 and norms["q"] == 0.0
-
-
 def test_state_records_cover_all_moments():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     opt = Adam({"p": p})

@@ -104,15 +104,16 @@ def test_query_shape_validation(rng):
 
 def test_refine_zero_steps_is_identity(rng):
     z = Tensor(rng.standard_normal((3, 2)))
-    out, trace = refine_rows(z, two_slot_bank(), Tensor(np.array([0.7])), 0)
-    assert out is z and trace is None
+    out, alpha, trace = refine_rows(z, two_slot_bank(), Tensor(np.array([0.7])), 0)
+    assert out is z and alpha is None and trace is None
 
 
 def test_refine_zero_beta_matches_zero_steps(rng):
     z = rng.standard_normal((3, 2))
     bank = two_slot_bank()
-    out0, _ = refine_rows(Tensor(z), bank, Tensor(np.array([0.0])), 3)
+    out0, alpha, _ = refine_rows(Tensor(z), bank, Tensor(np.array([0.0])), 3)
     np.testing.assert_array_equal(out0.value, z)
+    assert alpha is None  # the bank is never read
 
 
 def test_one_step_error_shrinks_by_one_minus_beta(rng):
@@ -122,7 +123,7 @@ def test_one_step_error_shrinks_by_one_minus_beta(rng):
     m0 = retrieve(z, bank).m
     e0 = energy(z, m0)
     for beta in (0.2, 0.5, 1.0, 1.5):
-        out, _ = refine_rows(Tensor(z.reshape(1, -1)), bank, Tensor(np.array([beta])), 1)
+        out, _, _ = refine_rows(Tensor(z.reshape(1, -1)), bank, Tensor(np.array([beta])), 1)
         got = energy(out.value[0], m0)
         want = (1.0 - beta) ** 2 * e0
         assert abs(got - want) <= 1e-12 * max(e0, 1.0), f"beta={beta}"
@@ -146,12 +147,26 @@ def test_trace_shapes():
     z = np.zeros((2, 2))
     z[0, 0] = 1.0
     z[1, 1] = 1.0
-    out, trace = refine_rows(Tensor(z), two_slot_bank(), Tensor(np.array([0.3])), 3,
-                             record_trace=True)
+    out, alpha, trace = refine_rows(Tensor(z), two_slot_bank(), Tensor(np.array([0.3])), 3,
+                                    record_trace=True)
     assert len(trace.states) == 4
     assert len(trace.errors) == len(trace.energies) == len(trace.alphas) == 3
     assert trace.alphas[0].shape == (2, 2)
     assert trace.energies[0].shape == (2,)
+
+
+def test_refine_returns_the_last_alpha(rng):
+    """The returned weights are the trace's last alpha, with or without a trace."""
+    z = rng.standard_normal((3, 2))
+    beta = Tensor(np.array([0.4]))
+    _, alpha, trace = refine_rows(Tensor(z), two_slot_bank(), beta, 3, groups=3,
+                                  record_trace=True)
+    _, untraced, none = refine_rows(Tensor(z), two_slot_bank(), beta, 3, groups=3)
+    assert none is None
+    np.testing.assert_array_equal(alpha, trace.alphas[-1])
+    np.testing.assert_array_equal(untraced, trace.alphas[-1])
+    _, empty, _ = refine_rows(Tensor(z), MemoryBank(2, 4, 2), beta, 3)
+    assert empty is None
 
 
 def test_rows_refine_independently(rng):
@@ -159,9 +174,9 @@ def test_rows_refine_independently(rng):
     bank = two_slot_bank()
     beta = Tensor(np.array([0.4]))
     zs = rng.standard_normal((3, 2))
-    stacked, _ = refine_rows(Tensor(zs), bank, beta, 2, groups=3)
+    stacked, _, _ = refine_rows(Tensor(zs), bank, beta, 2, groups=3)
     for i in range(3):
-        single, _ = refine_rows(Tensor(zs[i:i + 1]), bank, beta, 2, groups=1)
+        single, _, _ = refine_rows(Tensor(zs[i:i + 1]), bank, beta, 2, groups=1)
         np.testing.assert_array_equal(stacked.value[i], single.value[0])
 
 
@@ -175,7 +190,7 @@ def test_fd_gradients_through_refinement(rng):
         beta = Tensor(np.array([0.35]))
 
         def build():
-            out, _ = refine_rows(z, bank, beta, t, groups=2)
+            out, _, _ = refine_rows(z, bank, beta, t, groups=2)
             return ad.sum_all(ad.matmul(out, proj))
 
         assert ad.check_gradients(build, [z, beta], step=1e-6) < 1e-6, f"T={t}"
