@@ -128,13 +128,11 @@ def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
 
     The global branch has one row per image. The local branch gives the
     token picked by the pooling weights (argmax), or every token with
-    all_tokens.
+    all_tokens. Callers check the bank with ``_last_bank`` first.
     """
     n_tok = model.cfg.n_tokens
     for labels, cap, _ in _captured_batches(model, dataset, batch_size):
         alpha = cap[f"{branch}_alpha"]
-        if alpha is None:
-            raise ValueError(f"last-block {branch} bank is empty")
         for i, label in enumerate(labels):
             if branch == "global":
                 yield label, alpha[i:i + 1]
