@@ -270,12 +270,16 @@ def test_fd_row_shaping_ops(rng):
     fd_check(lambda: ad.sum_all(x), [x])
 
 
+def test_fd_unfold(rng):
+    grid = Tensor(rng.standard_normal((4 * 3, 2)))  # one 4x3 grid
+    proj = Tensor(rng.standard_normal((9 * 2, 1)))
+    fd_check(lambda: scalarize(ad.unfold_tokens(grid, 4, 3, 3), proj), [grid])
+
+
 def test_fd_unfold_tokens(rng):
     proj = Tensor(rng.standard_normal((9 * 2, 1)))
     x = Tensor(rng.standard_normal((2 * 6, 2)))  # two 2x3 grids stacked
     fd_check(lambda: scalarize(ad.unfold_tokens(x, 2, 3, 3), proj), [x])
-    grid = Tensor(rng.standard_normal((4 * 3, 2)))  # one 4x3 grid
-    fd_check(lambda: scalarize(ad.unfold_tokens(grid, 4, 3, 3), proj), [grid])
 
 
 def test_fd_cross_entropy(rng):
