@@ -9,10 +9,9 @@ __version__ = "0.1.0"
 from .config import RunConfig, config_from_dict, load_config
 from .memory import MemoryBank
 from .model import Model, load_checkpoint, save_checkpoint
-from .retrieval import refine, retrieve, variance_probe
+from .retrieval import variance_probe
 
 __all__ = [
     "RunConfig", "config_from_dict", "load_config", "MemoryBank", "Model",
-    "load_checkpoint", "save_checkpoint", "refine", "retrieve",
-    "variance_probe", "__version__",
+    "load_checkpoint", "save_checkpoint", "variance_probe", "__version__",
 ]

@@ -173,14 +173,19 @@ def hit_rate(model, dataset, branch="global", topk=(1, 5), all_tokens=False,
     return report
 
 
+def _write_lines(path, lines):
+    """One newline-terminated line per entry, LF endings on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_hit_rate_csv(report, path):
     rows = ["branch,metric,value"]
     for key in sorted(report):
         if key.endswith("_pct"):
             rows.append(f"{report['branch']},{key},{repr(report[key])}")
     rows.append(f"{report['branch']},n,{report['n']}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_lines(path, rows)
 
 
 # ------------------------------------------------------------ weight profile
@@ -211,8 +216,7 @@ def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
     rows = ["slot_id,slot_class,mean_alpha"]
     for i, (sc, val) in enumerate(zip(slot_class, profile)):
         rows.append(f"{i},{int(sc)},{repr(float(val))}")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_lines(csv_path, rows)
     svg_path = os.path.join(out_dir, f"weights_{branch}_class{class_id}.svg")
     svg.render_svg([(list(range(len(profile))), list(profile))],
                    [f"class {class_id}"], svg_path,
@@ -259,8 +263,7 @@ def write_robustness(rows, out_dir):
     for r in rows:
         lines.append(f"{r['model']},{r['t_steps']},{r['family']},{r['severity']},"
                      f"{repr(float(r['accuracy']))},{r['n']}")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(csv_path, lines)
     paths = [csv_path]
     families = sorted({r["family"] for r in rows if r["family"] != "all"})
     models = []
@@ -341,8 +344,7 @@ def write_consistency(rows, out_dir):
     for r in rows:
         lines.append(f"{r['branch']},{r['family']},{r['severity']},"
                      f"{repr(r['top5_consistency_pct'])},{repr(r['mean_top1_cosine'])},{r['n']}")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(csv_path, lines)
     xs = [float(r["severity"]) for r in rows]
     p1 = os.path.join(out_dir, "consistency_top5.svg")
     svg.render_svg([(xs, [r["top5_consistency_pct"] for r in rows])], ["top-5 consistency"],
@@ -391,8 +393,7 @@ def write_sweep(runs, out_root):
     for r in runs:
         lines.append(f"{r['axis']},{r['value']},{r['seed']},"
                      f"{repr(r['final_test_acc'])},{repr(r['best_test_acc'])}")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(csv_path, lines)
     values = []
     for r in runs:
         if r["value"] not in values:
@@ -407,8 +408,7 @@ def write_sweep(runs, out_root):
                      f"{repr(float(np.std(finals)))},{repr(float(np.mean(bests)))},"
                      f"{repr(float(np.std(bests)))}")
         means.append(float(np.mean(finals)))
-    with open(sum_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(sum_path, lines)
     svg_path = os.path.join(out_root, "sweep.svg")
     svg.render_svg([([float(v) for v in values], means)], ["mean final accuracy"],
                    svg_path, title=f"Sweep over {runs[0]['axis']}",

@@ -6,7 +6,8 @@ queries, project back. Global branch: mean-pool the image's tokens, same
 treatment against the global bank, broadcast to all tokens. The branch sum
 feeds a two-layer MLP whose output rides a skip connection from the block
 input. In train mode the detached queries are written to the banks after
-both branches have read, so retrieval always sees pre-batch state.
+both branches have read, so retrieval always sees pre-batch state; each
+bank gets one batched write per forward.
 """
 
 from collections import OrderedDict
@@ -70,7 +71,7 @@ class HMNBlock:
         refinement never reads the bank (T=0 or β=0) a plain diagnostic
         retrieval stands in; an empty bank captures None.
         """
-        z, alpha, _ = refine_rows(q, bank, beta, t_steps, groups=groups)
+        z, alpha = refine_rows(q, bank, beta, t_steps, groups=groups)
         if capture is not None:
             if alpha is None:
                 alpha, _ = retrieve_rows(q.detach(), bank, groups=groups)
@@ -85,14 +86,14 @@ class HMNBlock:
                          "local_alpha")
         out = ad.add_bias(ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, groups=groups),
                           self.b_loc_out)
-        writes = []
+        writes = None
         if mode == "train":
-            s = self.cfg.write_sample
-            n = self.n_tokens
-            for i in range(groups):
-                picked = np.sort(rng.choice(n, size=s, replace=False))
-                for j in picked:
-                    writes.append((q.value[i * n + j].copy(), int(labels[i])))
+            # one draw per image, in image order: the rng stream is part of
+            # the determinism contract
+            n, s = self.n_tokens, self.cfg.write_sample
+            picked = [i * n + np.sort(rng.choice(n, size=s, replace=False))
+                      for i in range(groups)]
+            writes = q.value[np.concatenate(picked)], np.repeat(labels, s)
         return out, writes
 
     def _global_branch(self, x, groups, t_steps, mode, labels, capture):
@@ -103,11 +104,7 @@ class HMNBlock:
         row = ad.add_bias(ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, groups=groups),
                           self.b_glob_out)
         out = ad.repeat_rows_each(row, self.n_tokens)
-        writes = []
-        if mode == "train":
-            for i in range(groups):
-                writes.append((qg.value[i].copy(), int(labels[i])))
-        return out, writes
+        return out, (qg.value, labels) if mode == "train" else None
 
     def forward(self, tokens, groups, t_steps, mode, labels=None, rng=None, capture=None):
         """(B·N, D_emb) in, same shape out; writes banks in train mode."""
@@ -130,9 +127,8 @@ class HMNBlock:
         hidden = ad.gelu(ad.add_bias(ad.matmul(y, self.W1, groups=groups), self.b1))
         mlp_out = ad.add_bias(ad.matmul(hidden, self.W2, groups=groups), self.b2)
         out = ad.add(tokens, mlp_out)
-        # reads above all saw the bank as it stood before this batch
-        for emb, label in lwrites:
-            self.bank_local.write(emb, label)
-        for emb, label in gwrites:
-            self.bank_global.write(emb, label)
+        if mode == "train":
+            # reads above all saw the bank as it stood before this batch
+            self.bank_local.write(*lwrites)
+            self.bank_global.write(*gwrites)
         return out

@@ -48,8 +48,6 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    if args.size != "tiny":
-        raise ValueError(f"only the tiny size is defined, got {args.size!r}")
     results = {}
     for t in (int(v) for v in args.t.split(",")):
         results[f"T={t}"] = model_gradcheck(t_steps=t, seed=args.seed)
@@ -147,7 +145,6 @@ def build_parser():
     e.set_defaults(func=cmd_eval)
 
     g = sub.add_parser("gradcheck", help="finite-difference check on a tiny model")
-    g.add_argument("--size", default="tiny")
     g.add_argument("--t", default="1,2", help="comma list of refinement depths")
     g.add_argument("--tol", type=float, default=1e-4)
     g.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,10 @@
 """Class-balanced prototype storage with per-class ring-buffer replacement.
 
-Each class owns a fixed contiguous range of slots. Writes go to the class
-cursor and wrap, so the newest capacity[c] embeddings for a class are
-always present. Slots never carry gradients; callers hand in plain arrays.
+Each class owns a fixed contiguous range of slots. A write takes a batch
+of rows with their class ids and stores them in row order: each class's
+rows go to its cursor and wrap, so the newest capacity[c] embeddings for
+a class are always present. Slots never carry gradients; callers hand in
+plain arrays.
 """
 
 import numpy as np
@@ -34,21 +36,28 @@ class MemoryBank:
         self.filled = np.zeros(self.num_classes, dtype=np.int64)
         self.frozen = False
 
-    def write(self, embedding, class_id):
-        """Copy one detached embedding into the class's next ring slot."""
+    def write(self, rows, class_ids):
+        """Copy (n, D) detached rows into their classes' ring slots, in row order.
+
+        The result is exactly that of n one-row writes: of more than
+        capacity[c] rows of one class only the newest capacity[c] are kept.
+        """
         if self.frozen:
             raise FrozenBankError("write to a frozen bank")
-        c = int(class_id)
-        if not 0 <= c < self.num_classes:
-            raise ValueError(f"class {c} out of range [0, {self.num_classes})")
-        emb = np.asarray(embedding, dtype=np.float64).reshape(-1)
-        if emb.shape != (self.dim,):
-            raise ValueError(f"embedding dim {emb.shape} != ({self.dim},)")
-        cap = self.per_class_capacity[c]
-        self.slots[self.class_start[c] + self.cursor[c]] = emb
-        self.cursor[c] = (self.cursor[c] + 1) % cap
-        if self.filled[c] < cap:
-            self.filled[c] += 1
+        rows = np.asarray(rows, dtype=np.float64)
+        cls = np.asarray(class_ids, dtype=np.int64).reshape(-1)
+        if rows.shape != (len(cls), self.dim):
+            raise ValueError(f"rows {rows.shape} do not match ({len(cls)}, {self.dim})")
+        if len(cls) and not (0 <= cls.min() and cls.max() < self.num_classes):
+            raise ValueError(f"class ids out of range [0, {self.num_classes})")
+        for c in np.unique(cls):
+            own = rows[cls == c]
+            n, cap = len(own), self.per_class_capacity[c]
+            # row j of n lands on ring position cursor + j; later rows overwrite
+            kept = np.arange(max(n - cap, 0), n)
+            self.slots[self.class_start[c] + (self.cursor[c] + kept) % cap] = own[kept]
+            self.cursor[c] = (self.cursor[c] + n) % cap
+            self.filled[c] = min(self.filled[c] + n, cap)
 
     def freeze(self):
         self.frozen = True
@@ -66,30 +75,23 @@ class MemoryBank:
         Slot indices are stable across training, so analysis can track a
         slot over time.
         """
-        mask = np.zeros(self.total_slots, dtype=bool)
-        for c in range(self.num_classes):
-            mask[self.class_start[c]:self.class_start[c] + self.filled[c]] = True
-        return self.slots, self.slot_class, mask
+        offset = np.arange(self.total_slots) - self.class_start[self.slot_class]
+        return self.slots, self.slot_class, offset < self.filled[self.slot_class]
 
     # checkpoint plumbing; arrays are copied on both paths
     def state_dict(self):
         return {
-            "num_classes": self.num_classes,
-            "total_slots": self.total_slots,
-            "dim": self.dim,
             "slots": self.slots.copy(),
             "cursor": self.cursor.copy(),
             "filled": self.filled.copy(),
             "frozen": np.array([1 if self.frozen else 0], dtype=np.int64),
         }
 
-    @classmethod
-    def from_state(cls, state):
-        bank = cls(int(state["num_classes"]), int(state["total_slots"]), int(state["dim"]))
-        if state["slots"].shape != bank.slots.shape:
+    def load_state(self, state):
+        """Restore the slots, ring state and frozen flag of state_dict in place."""
+        if state["slots"].shape != self.slots.shape:
             raise ValueError("bank state shape mismatch")
-        bank.slots[:] = state["slots"]
-        bank.cursor[:] = state["cursor"]
-        bank.filled[:] = state["filled"]
-        bank.frozen = bool(int(np.asarray(state["frozen"]).reshape(-1)[0]))
-        return bank
+        self.slots[:] = state["slots"]
+        self.cursor[:] = state["cursor"]
+        self.filled[:] = state["filled"]
+        self.frozen = bool(int(np.asarray(state["frozen"]).reshape(-1)[0]))

@@ -14,7 +14,6 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import HMNBlock
 from .config import config_from_dict
-from .memory import MemoryBank
 
 MAGIC = b"HMN1"
 VERSION = 1
@@ -227,20 +226,12 @@ def load_checkpoint(path):
             raise ValueError(f"parameter {name!r} shape mismatch")
         t.value = np.ascontiguousarray(records[name], dtype=np.float64)
     for bname, bank in model.banks().items():
-        state = {"num_classes": bank.num_classes, "total_slots": bank.total_slots,
-                 "dim": bank.dim}
+        state = {}
         for field in ("slots", "cursor", "filled", "frozen"):
             key = f"bank.{bname}.{field}"
             if key not in records:
                 raise ValueError(f"checkpoint missing bank record {key!r}")
-            state[field] = np.ascontiguousarray(
-                records[key], dtype=np.float64 if field == "slots" else np.int64)
-        new_bank = MemoryBank.from_state(state)
-        blk_idx = int(bname.split(".")[0][len("block"):])
-        blk = model.blocks[blk_idx]
-        if bname.endswith("local"):
-            blk.bank_local = new_bank
-        else:
-            blk.bank_global = new_bank
+            state[field] = records[key]
+        bank.load_state(state)
     rng = _rng_from_meta(meta["rng"]) if "rng" in meta else None
     return model, meta.get("extra", {}), rng

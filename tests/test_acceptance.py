@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from hmn.analysis import consistency, hit_rate, robustness, sweep
+from hmn.autodiff import Tensor
 from hmn.config import load_config
 from hmn.data import (DataFormatError, load_cifar10, load_fashion_mnist)
 from hmn.gradcheck import model_gradcheck
 from hmn.memory import MemoryBank
 from hmn.model import Model, load_checkpoint
-from hmn.retrieval import refine, variance_probe
+from hmn.retrieval import refine_rows, retrieve_rows, variance_probe
 from hmn.train import evaluate, train
 
 from conftest import make_tiny_cfg
@@ -80,6 +81,17 @@ def test_gradient_check(capfd):
 
 # -------------------------------------------------------------- criterion 2
 
+def refinement_energies(z0, bank, beta, steps):
+    """½‖m(z_t) − z_t‖² for t < steps, stepping refine_rows one step at a time."""
+    z = Tensor(np.asarray(z0, dtype=np.float64).reshape(1, -1))
+    energies = []
+    for _ in range(steps):
+        _, m = retrieve_rows(z, bank)
+        energies.append(float(0.5 * ((m.value - z.value) ** 2).sum()))
+        z, _ = refine_rows(z, bank, beta, 1)
+    return energies
+
+
 def test_refinement_contraction(capfd):
     gen = np.random.default_rng(7)
     slot = gen.standard_normal(6)
@@ -88,22 +100,20 @@ def test_refinement_contraction(capfd):
     # a single-slot bank pins the retrieved prototype, isolating the update
     for beta in (0.2, 0.5, 1.0, 1.5):
         bank = MemoryBank(1, 1, 6)
-        bank.write(slot, 0)
+        bank.write(slot.reshape(1, -1), [0])
         bank.freeze()
-        out, trace = refine(z0, bank, beta, 6)
+        energies = refinement_energies(z0, bank, beta, 6)
         e0 = 0.5 * ((slot - z0) ** 2).sum()
-        assert len(trace.states) == 7
-        assert len(trace.errors) == len(trace.energies) == len(trace.alphas) == 6
-        for t, got in enumerate(trace.energies):
+        assert len(energies) == 6
+        for t, got in enumerate(energies):
             want = e0 * (1.0 - beta) ** (2 * t)
             worst = max(worst, abs(got - want) / max(e0, 1.0))
     # with live re-retrieval the energies must at least stay finite
     multi = MemoryBank(3, 9, 6)
-    for i in range(9):
-        multi.write(gen.standard_normal(6), i % 3)
+    multi.write(gen.standard_normal((9, 6)), np.arange(9) % 3)
     multi.freeze()
-    _, mtrace = refine(z0, multi, 0.2, 5)
-    finite = all(np.isfinite(e) for e in mtrace.energies) and len(mtrace.energies) == 5
+    menergies = refinement_energies(z0, multi, 0.2, 5)
+    finite = all(np.isfinite(e) for e in menergies) and len(menergies) == 5
     ok = worst <= 1e-12 and finite
     report(capfd, "criterion 2, per-step error contraction by (1-beta)^2", ok,
            f"worst deviation {worst:.2e} across beta grid, "

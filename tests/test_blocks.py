@@ -7,6 +7,7 @@ import pytest
 
 import hmn.autodiff as ad
 import hmn.blocks
+import hmn.memory
 import hmn.retrieval
 from hmn.blocks import HMNBlock
 from hmn.config import RunConfig
@@ -39,10 +40,9 @@ def make_block(seed=0, **overrides):
 
 
 def fill_banks(block, rng):
-    for i in range(block.bank_local.total_slots):
-        block.bank_local.write(rng.standard_normal(block.bank_local.dim), i % 2)
-    for i in range(block.bank_global.total_slots):
-        block.bank_global.write(rng.standard_normal(block.bank_global.dim), i % 2)
+    for bank in (block.bank_local, block.bank_global):
+        k = bank.total_slots
+        bank.write(rng.standard_normal((k, bank.dim)), np.arange(k) % 2)
 
 
 def tokens_for(cfg, batch, rng):
@@ -130,6 +130,24 @@ def test_write_accounting(rng):
     assert list(block.bank_global.filled) == [2, 1]
 
 
+def test_train_forward_writes_each_bank_once(rng, monkeypatch):
+    cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
+    calls = []
+    real = hmn.memory.MemoryBank.write
+
+    def spy(bank, rows, class_ids):
+        calls.append((bank, len(rows)))
+        return real(bank, rows, class_ids)
+
+    monkeypatch.setattr(hmn.memory.MemoryBank, "write", spy)
+    x = tokens_for(cfg, 3, rng)
+    block.forward(x, groups=3, t_steps=1, mode="eval")
+    assert calls == []
+    block.forward(x, groups=3, t_steps=1, mode="train", labels=np.array([0, 1, 0]),
+                  rng=np.random.default_rng(7))
+    assert calls == [(block.bank_local, 6), (block.bank_global, 3)]
+
+
 def test_reads_see_prebatch_bank_state(rng):
     """First train-mode batch on an empty bank retrieves nothing, so its
     output matches a no-retrieval forward even though writes then land."""
@@ -200,7 +218,8 @@ def test_capture_records_retrieval_weights(rng):
 
 def rerun_alpha(block, tokens, groups, t_steps):
     """Captured weights from a second, detached refinement of each branch's
-    queries: the last step's alpha, or a plain retrieval when that is None."""
+    queries, stepped by hand without the β=0 short-circuit: the last step's
+    alpha, or a plain retrieval when no step read the bank."""
     cfg = block.cfg
     x = ad.layernorm_rows(tokens, block.norm_in_gain, block.norm_in_bias)
     u = ad.unfold_tokens(x, block.h_p, block.w_p, cfg.k)
@@ -210,20 +229,19 @@ def rerun_alpha(block, tokens, groups, t_steps):
     out = {}
     for key, query, bank, beta in (("local_alpha", q, block.bank_local, block.beta_local),
                                    ("global_alpha", qg, block.bank_global, block.beta_global)):
-        _, _, trace = hmn.retrieval.refine_rows(query.detach(), bank, beta.detach(), t_steps,
-                                                groups=groups, record_trace=True)
-        if trace.alphas and trace.alphas[-1] is not None:
-            out[key] = trace.alphas[-1]
-        else:
+        z, alpha = query.detach(), None
+        for _ in range(t_steps):
+            alpha, m = hmn.retrieval.retrieve_rows(z, bank, groups=groups)
+            z = ad.add(z, ad.scale(ad.sub(m, z), beta.detach()))
+        if alpha is None:
             alpha, _ = hmn.retrieval.retrieve_rows(query.detach(), bank, groups=groups)
-            out[key] = None if alpha is None else alpha.value
+        out[key] = None if alpha is None else alpha.value
     return out
 
 
 def partly_fill_banks(block, rng):
     for bank in (block.bank_local, block.bank_global):
-        for label in (0, 0, 1):
-            bank.write(rng.standard_normal(bank.dim), label)
+        bank.write(rng.standard_normal((3, bank.dim)), [0, 0, 1])
 
 
 @pytest.mark.parametrize("fill", [fill_banks, partly_fill_banks])

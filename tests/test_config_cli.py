@@ -169,6 +169,8 @@ def test_cli_gradcheck(capsys):
     rec = last_json(out)
     assert rec["pass"] is True
     assert rec["max_rel_err"]["T=1"] < 1e-4
+    with pytest.raises(SystemExit):  # the model size is fixed, not an option
+        main(["gradcheck", "--size", "tiny"])
 
 
 def test_cli_analyze_hit_rate(capsys, trained_tiny, tmp_path):

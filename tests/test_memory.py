@@ -25,12 +25,17 @@ def test_capacity_remainder_goes_to_low_ids():
     assert list(bank.class_start) == [0, 3, 5]
 
 
+def one(bank, vec, cls):
+    """Write a single row."""
+    bank.write(np.asarray(vec, dtype=np.float64).reshape(1, -1), [cls])
+
+
 def test_ring_eviction_keeps_most_recent():
     bank = MemoryBank(1, 2, 3)
     e1, e2, e3 = np.eye(3)
-    bank.write(e1, 0)
-    bank.write(e2, 0)
-    bank.write(e3, 0)
+    one(bank, e1, 0)
+    one(bank, e2, 0)
+    one(bank, e3, 0)
     slots, slot_class, mask = bank.filled_view()
     assert mask.all()
     held = {tuple(row) for row in slots}
@@ -38,42 +43,71 @@ def test_ring_eviction_keeps_most_recent():
     assert tuple(e1) not in held
 
 
+def test_batch_over_capacity_keeps_newest_rows():
+    """Five class-0 rows into three slots and three class-1 rows into two,
+    interleaved in one batch."""
+    bank = MemoryBank(2, 5, 1)
+    one(bank, [-1.0], 0)
+    rows = np.arange(8.0).reshape(-1, 1)
+    bank.write(rows, [0, 1, 0, 0, 1, 0, 0, 1])
+    # class 0 (slots 0..2, cursor 1) gets 0, 2, 3, 5, 6 at positions 1, 2, 0, 1, 2
+    np.testing.assert_array_equal(bank.slots[:3, 0], [3.0, 5.0, 6.0])
+    # class 1 (slots 3..4, cursor 0) gets 1, 4, 7 at positions 0, 1, 0
+    np.testing.assert_array_equal(bank.slots[3:, 0], [7.0, 4.0])
+    assert list(bank.cursor) == [0, 1]
+    assert list(bank.filled) == [3, 2]
+    bank.write(np.array([[9.0]]), [1])
+    np.testing.assert_array_equal(bank.slots[3:, 0], [7.0, 9.0])
+
+
 def test_write_is_detached_copy():
     bank = MemoryBank(1, 4, 2)
-    v = np.array([1.0, 2.0])
-    bank.write(v, 0)
-    v[0] = 99.0
+    v = np.array([[1.0, 2.0]])
+    bank.write(v, [0])
+    v[0, 0] = 99.0
     slots, _, mask = bank.filled_view()
     np.testing.assert_array_equal(slots[0], [1.0, 2.0])
 
 
 def test_frozen_bank_rejects_writes():
     bank = MemoryBank(2, 4, 2)
-    bank.write(np.ones(2), 0)
+    one(bank, np.ones(2), 0)
     bank.freeze()
     with pytest.raises(FrozenBankError):
-        bank.write(np.ones(2), 1)
+        one(bank, np.ones(2), 1)
+    with pytest.raises(FrozenBankError):
+        bank.write(np.zeros((0, 2)), [])
     # freeze twice then thaw: no error, and writes work again
     bank.freeze()
     bank.thaw()
     bank.thaw()
-    bank.write(np.ones(2), 1)
+    one(bank, np.ones(2), 1)
 
 
 def test_validation():
     bank = MemoryBank(2, 4, 3)
     with pytest.raises(ValueError):
-        bank.write(np.ones(3), 2)
+        one(bank, np.ones(3), 2)
     with pytest.raises(ValueError):
-        bank.write(np.ones(3), -1)
+        one(bank, np.ones(3), -1)
     with pytest.raises(ValueError):
-        bank.write(np.ones(4), 0)
+        one(bank, np.ones(4), 0)
+    with pytest.raises(ValueError):
+        bank.write(np.ones(3), [0])  # one row must still be (1, D)
+    with pytest.raises(ValueError):
+        bank.write(np.ones((2, 3)), [0])
+    with pytest.raises(ValueError):
+        bank.write(np.ones((2, 3)), [0, 1, 1])
+    # a rejected batch writes nothing, even its valid rows
+    with pytest.raises(ValueError):
+        bank.write(np.ones((2, 3)), [0, 5])
+    assert not bank.any_filled
 
 
 def test_filled_view_masks_unwritten_slots():
     bank = MemoryBank(2, 6, 2)
     assert not bank.any_filled
-    bank.write(np.ones(2), 1)
+    one(bank, np.ones(2), 1)
     slots, slot_class, mask = bank.filled_view()
     assert mask.sum() == 1
     assert bank.any_filled
@@ -92,15 +126,25 @@ def naive_ring(writes, num_classes, caps):
     return kept
 
 
-def check_against_oracle(num_classes, total_slots, dim, writes):
+def write_in_batches(bank, writes, cuts):
+    """Write the (vec, cls) list as batches split at the sorted cut indices."""
+    edges = [0, *cuts, len(writes)]
+    for a, b in zip(edges[:-1], edges[1:]):
+        batch = writes[a:b]
+        bank.write(np.array([v for v, _ in batch]).reshape(-1, bank.dim),
+                   [c for _, c in batch])
+
+
+def check_against_oracle(num_classes, total_slots, dim, writes, cuts=None):
+    """Bank contents after the writes vs the oracle; one row per batch by default."""
     bank = MemoryBank(num_classes, total_slots, dim)
-    for vec, cls in writes:
-        bank.write(vec, cls)
+    write_in_batches(bank, writes, range(1, len(writes)) if cuts is None else cuts)
     kept = naive_ring(writes, num_classes, list(bank.per_class_capacity))
     slots, slot_class, mask = bank.filled_view()
     for c in range(num_classes):
         got = {tuple(row) for row, sc, m in zip(slots, slot_class, mask) if m and sc == c}
         assert got == set(kept[c]), f"class {c} contents diverge from oracle"
+    return bank
 
 
 def test_oracle_ten_thousand_writes(rng):
@@ -118,15 +162,35 @@ def test_oracle_random_traces(num_classes, extra_slots, classes, seed):
     check_against_oracle(num_classes, total, 2, writes)
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 4), st.integers(0, 8), st.lists(st.integers(0, 3), max_size=60),
+       st.lists(st.integers(0, 60), max_size=8), st.integers(0, 2 ** 31 - 1))
+def test_batched_writes_match_one_row_writes(num_classes, extra_slots, classes, cuts, seed):
+    """Any split into batches (empty ones, and more rows of a class than it
+    has slots, included) leaves the bank exactly as one-row writes do."""
+    gen = np.random.default_rng(seed)
+    writes = [(gen.standard_normal(2), c % num_classes) for c in classes]
+    cuts = sorted(min(c, len(writes)) for c in cuts)
+    total = num_classes + extra_slots
+    batched = check_against_oracle(num_classes, total, 2, writes, cuts)
+    single = check_against_oracle(num_classes, total, 2, writes)
+    np.testing.assert_array_equal(batched.slots, single.slots)
+    np.testing.assert_array_equal(batched.cursor, single.cursor)
+    np.testing.assert_array_equal(batched.filled, single.filled)
+
+
 def test_state_round_trip(rng):
     bank = MemoryBank(3, 10, 4)
-    for _ in range(17):
-        bank.write(rng.standard_normal(4), int(rng.integers(0, 3)))
+    bank.write(rng.standard_normal((17, 4)), rng.integers(0, 3, size=17))
     bank.freeze()
-    clone = MemoryBank.from_state(bank.state_dict())
+    assert set(bank.state_dict()) == {"slots", "cursor", "filled", "frozen"}
+    clone = MemoryBank(3, 10, 4)
+    clone.load_state(bank.state_dict())
     np.testing.assert_array_equal(clone.slots, bank.slots)
     np.testing.assert_array_equal(clone.cursor, bank.cursor)
     np.testing.assert_array_equal(clone.filled, bank.filled)
     assert clone.frozen == bank.frozen
     with pytest.raises(FrozenBankError):
-        clone.write(np.ones(4), 0)
+        one(clone, np.ones(4), 0)
+    with pytest.raises(ValueError):
+        MemoryBank(3, 11, 4).load_state(bank.state_dict())

@@ -231,6 +231,21 @@ def test_checkpoint_round_trip_forward(tmp_path, rng):
     assert crng.bit_generator.state == want.bit_generator.state
 
 
+def test_checkpoint_restores_every_bank_in_its_block(tmp_path, rng):
+    cfg, model, path = checkpointed(tmp_path, rng)
+    clone, _, _ = load_checkpoint(path)
+    banks = clone.banks()
+    for i, blk in enumerate(clone.blocks):
+        assert banks[f"block{i}.local"] is blk.bank_local
+        assert banks[f"block{i}.global"] is blk.bank_global
+    for name, bank in model.banks().items():
+        got = banks[name]
+        np.testing.assert_array_equal(got.slots, bank.slots.astype(np.float32))
+        np.testing.assert_array_equal(got.cursor, bank.cursor)
+        np.testing.assert_array_equal(got.filled, bank.filled)
+        assert got.frozen and got.any_filled
+
+
 def test_checkpoint_exact_when_params_are_f32_representable(tmp_path, rng):
     cfg, model = tiny_model(tmp_path / "m")
     fill_via_training_steps(cfg, model, np.random.default_rng(5))

@@ -8,11 +8,12 @@ tests compare at 1e-12.
 import numpy as np
 import pytest
 
+import hmn
 import hmn.autodiff as ad
+from hmn.analysis import _rank_slots
 from hmn.autodiff import Tensor
 from hmn.memory import MemoryBank
-from hmn.retrieval import (RefinementTrace, energy, refine, refine_rows,
-                           retrieve, retrieve_rows, variance_probe)
+from hmn.retrieval import refine_rows, retrieve_rows, variance_probe
 
 ALPHA_2SLOT = np.array([0.8044296825069569051929726, 0.1955703174930430948070274])
 M_2SLOT = np.array([0.8044296825069569051929726, 0.5867109524791292844210822])
@@ -21,45 +22,53 @@ REFINED_2SLOT = np.array([1.760885936501391381038595, 0.117342190495825856884216
 
 def two_slot_bank():
     bank = MemoryBank(2, 2, 2)
-    bank.write(np.array([1.0, 0.0]), 0)
-    bank.write(np.array([0.0, 3.0]), 1)
+    bank.write(np.array([[1.0, 0.0], [0.0, 3.0]]), [0, 1])
     return bank
+
+
+def row(v):
+    return Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1))
+
+
+def half_sq(a, b):
+    """½‖a − b‖², the refinement energy of a state against its prototype."""
+    return float(0.5 * ((np.asarray(a) - np.asarray(b)) ** 2).sum())
 
 
 def test_single_slot_full_weight(rng):
     bank = MemoryBank(1, 1, 4)
     v = rng.standard_normal(4)
-    bank.write(v, 0)
-    res = retrieve(rng.standard_normal(4), bank)
-    assert res.alpha.shape == (1,)
-    assert res.alpha[0] == 1.0
-    np.testing.assert_array_equal(res.m, v)
+    bank.write(v.reshape(1, -1), [0])
+    alpha, m = retrieve_rows(row(rng.standard_normal(4)), bank)
+    assert alpha.value.shape == (1, 1)
+    assert alpha.value[0, 0] == 1.0
+    np.testing.assert_array_equal(m.value[0], v)
 
 
 def test_two_slot_oracle():
-    res = retrieve(np.array([2.0, 0.0]), two_slot_bank())
-    np.testing.assert_allclose(res.alpha, ALPHA_2SLOT, rtol=1e-12)
-    np.testing.assert_allclose(res.m, M_2SLOT, rtol=1e-12)
-    assert list(res.top_indices) == [0, 1]
+    alpha, m = retrieve_rows(row([2.0, 0.0]), two_slot_bank())
+    np.testing.assert_allclose(alpha.value[0], ALPHA_2SLOT, rtol=1e-12)
+    np.testing.assert_allclose(m.value[0], M_2SLOT, rtol=1e-12)
+    assert list(_rank_slots(alpha.value[0])) == [0, 1]
 
 
 def test_refine_one_step_oracle():
-    out, trace = refine(np.array([2.0, 0.0]), two_slot_bank(), Tensor(np.array([0.2])), 1)
-    np.testing.assert_allclose(out, REFINED_2SLOT, rtol=1e-12)
-    assert len(trace.states) == 2 and len(trace.errors) == 1
-    np.testing.assert_array_equal(trace.states[0], [2.0, 0.0])
-    np.testing.assert_allclose(trace.states[1], REFINED_2SLOT, rtol=1e-12)
+    z0 = row([2.0, 0.0])
+    out, alpha = refine_rows(z0, two_slot_bank(), Tensor(np.array([0.2])), 1)
+    np.testing.assert_allclose(out.value[0], REFINED_2SLOT, rtol=1e-12)
+    # the one step read the bank at the starting state
+    np.testing.assert_allclose(alpha[0], ALPHA_2SLOT, rtol=1e-12)
+    np.testing.assert_array_equal(z0.value[0], [2.0, 0.0])
 
 
 def test_empty_bank_returns_query(rng):
     bank = MemoryBank(2, 4, 3)
-    z = rng.standard_normal(3)
-    res = retrieve(z, bank)
-    np.testing.assert_array_equal(res.m, z)
-    assert res.alpha.size == 0 and res.top_indices.size == 0
-    out, trace = refine(z, bank, Tensor(np.array([0.5])), 2)
-    np.testing.assert_array_equal(out, z)
-    assert trace.alphas == [None, None]
+    z = row(rng.standard_normal(3))
+    alpha, m = retrieve_rows(z, bank)
+    assert alpha is None and m is z
+    out, alpha = refine_rows(z, bank, Tensor(np.array([0.5])), 2)
+    np.testing.assert_array_equal(out.value, z.value)
+    assert alpha is None
 
 
 def test_alpha_invariant_to_query_scale(rng):
@@ -76,43 +85,45 @@ def test_mixture_linear_in_slot_scale(rng):
     m_by_scale = {}
     for c in (1.0, 5.0):
         bank = MemoryBank(2, 4, 3)
-        for i, v in enumerate(vecs):
-            bank.write(c * v, i % 2)
-        m_by_scale[c] = retrieve(z, bank).m
+        bank.write(c * vecs, [0, 1, 0, 1])
+        m_by_scale[c] = retrieve_rows(row(z), bank)[1].value
     np.testing.assert_allclose(m_by_scale[5.0], 5.0 * m_by_scale[1.0], rtol=1e-12)
 
 
 def test_ties_rank_lower_slot_first(rng):
     bank = MemoryBank(2, 2, 3)
     v = rng.standard_normal(3)
-    bank.write(v, 0)
-    bank.write(v, 1)
-    res = retrieve(rng.standard_normal(3), bank)
-    assert res.alpha[0] == res.alpha[1]
-    assert list(res.top_indices) == [0, 1]
+    bank.write(np.stack([v, v]), [0, 1])
+    alpha, _ = retrieve_rows(row(rng.standard_normal(3)), bank)
+    assert alpha.value[0, 0] == alpha.value[0, 1]
+    assert list(_rank_slots(alpha.value[0])) == [0, 1]
 
 
 def test_query_shape_validation(rng):
     bank = two_slot_bank()
     with pytest.raises(ValueError):
-        retrieve(np.ones(3), bank)
+        retrieve_rows(Tensor(np.ones(2)), bank)
     with pytest.raises(ValueError):
         retrieve_rows(Tensor(np.ones((2, 3))), bank)
+
+
+def test_public_names_resolve():
+    for name in hmn.__all__:
+        assert getattr(hmn, name) is not None, name
 
 
 # ------------------------------------------------------------------ refining
 
 def test_refine_zero_steps_is_identity(rng):
     z = Tensor(rng.standard_normal((3, 2)))
-    out, alpha, trace = refine_rows(z, two_slot_bank(), Tensor(np.array([0.7])), 0)
-    assert out is z and alpha is None and trace is None
+    out, alpha = refine_rows(z, two_slot_bank(), Tensor(np.array([0.7])), 0)
+    assert out is z and alpha is None
 
 
 def test_refine_zero_beta_matches_zero_steps(rng):
-    z = rng.standard_normal((3, 2))
-    bank = two_slot_bank()
-    out0, alpha, _ = refine_rows(Tensor(z), bank, Tensor(np.array([0.0])), 3)
-    np.testing.assert_array_equal(out0.value, z)
+    z = Tensor(rng.standard_normal((3, 2)))
+    out0, alpha = refine_rows(z, two_slot_bank(), Tensor(np.array([0.0])), 3)
+    assert out0 is z
     assert alpha is None  # the bank is never read
 
 
@@ -120,53 +131,53 @@ def test_one_step_error_shrinks_by_one_minus_beta(rng):
     """With the retrieved target held fixed, ‖z' − m‖ = |1−β|·‖z − m‖."""
     bank = two_slot_bank()
     z = np.array([2.0, 0.0])
-    m0 = retrieve(z, bank).m
-    e0 = energy(z, m0)
+    m0 = retrieve_rows(row(z), bank)[1].value[0]
+    e0 = half_sq(z, m0)
     for beta in (0.2, 0.5, 1.0, 1.5):
-        out, _, _ = refine_rows(Tensor(z.reshape(1, -1)), bank, Tensor(np.array([beta])), 1)
-        got = energy(out.value[0], m0)
+        out, _ = refine_rows(row(z), bank, Tensor(np.array([beta])), 1)
+        got = half_sq(out.value[0], m0)
         want = (1.0 - beta) ** 2 * e0
         assert abs(got - want) <= 1e-12 * max(e0, 1.0), f"beta={beta}"
 
 
-def test_energy_basics():
-    assert energy(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-    assert energy(np.array([0.0]), np.array([2.0])) == 2.0
-    with pytest.raises(ValueError):
-        energy(np.ones(2), np.ones(3))
-
-
 def test_trace_energies_decrease_near_attractor():
-    out, trace = refine(np.array([2.0, 0.0]), two_slot_bank(), Tensor(np.array([0.5])), 8)
-    assert len(trace.energies) == 8
-    assert all(np.isfinite(trace.energies))
-    assert trace.energies[-1] < trace.energies[0]
-
-
-def test_trace_shapes():
-    z = np.zeros((2, 2))
-    z[0, 0] = 1.0
-    z[1, 1] = 1.0
-    out, alpha, trace = refine_rows(Tensor(z), two_slot_bank(), Tensor(np.array([0.3])), 3,
-                                    record_trace=True)
-    assert len(trace.states) == 4
-    assert len(trace.errors) == len(trace.energies) == len(trace.alphas) == 3
-    assert trace.alphas[0].shape == (2, 2)
-    assert trace.energies[0].shape == (2,)
+    """½‖m(z_t) − z_t‖² along eight one-step refinements."""
+    bank = two_slot_bank()
+    beta = Tensor(np.array([0.5]))
+    z = row([2.0, 0.0])
+    energies = []
+    for _ in range(8):
+        energies.append(half_sq(retrieve_rows(z, bank)[1].value, z.value))
+        z, _ = refine_rows(z, bank, beta, 1)
+    assert all(np.isfinite(energies))
+    assert energies[-1] < energies[0]
 
 
 def test_refine_returns_the_last_alpha(rng):
-    """The returned weights are the trace's last alpha, with or without a trace."""
-    z = rng.standard_normal((3, 2))
+    """alpha after T steps is the retrieval at the state after T − 1 steps."""
+    z = Tensor(rng.standard_normal((3, 2)))
     beta = Tensor(np.array([0.4]))
-    _, alpha, trace = refine_rows(Tensor(z), two_slot_bank(), beta, 3, groups=3,
-                                  record_trace=True)
-    _, untraced, none = refine_rows(Tensor(z), two_slot_bank(), beta, 3, groups=3)
-    assert none is None
-    np.testing.assert_array_equal(alpha, trace.alphas[-1])
-    np.testing.assert_array_equal(untraced, trace.alphas[-1])
-    _, empty, _ = refine_rows(Tensor(z), MemoryBank(2, 4, 2), beta, 3)
+    bank = two_slot_bank()
+    for t in (1, 2, 3):
+        before, _ = refine_rows(z, bank, beta, t - 1, groups=3)
+        want, _ = retrieve_rows(before, bank, groups=3)
+        _, alpha = refine_rows(z, bank, beta, t, groups=3)
+        np.testing.assert_array_equal(alpha, want.value)
+    _, empty = refine_rows(z, MemoryBank(2, 4, 2), beta, 3)
     assert empty is None
+
+
+def test_one_step_calls_compose_to_a_multi_step_call(rng):
+    bank = MemoryBank(3, 9, 4)
+    bank.write(rng.standard_normal((7, 4)), [0, 1, 2, 0, 1, 2, 0])
+    beta = Tensor(np.array([0.35]))
+    z0 = Tensor(rng.standard_normal((6, 4)))
+    whole, whole_alpha = refine_rows(z0, bank, beta, 4, groups=3)
+    z = z0
+    for _ in range(4):
+        z, alpha = refine_rows(z, bank, beta, 1, groups=3)
+    np.testing.assert_array_equal(z.value, whole.value)
+    np.testing.assert_array_equal(alpha, whole_alpha)
 
 
 def test_rows_refine_independently(rng):
@@ -174,23 +185,22 @@ def test_rows_refine_independently(rng):
     bank = two_slot_bank()
     beta = Tensor(np.array([0.4]))
     zs = rng.standard_normal((3, 2))
-    stacked, _, _ = refine_rows(Tensor(zs), bank, beta, 2, groups=3)
+    stacked, _ = refine_rows(Tensor(zs), bank, beta, 2, groups=3)
     for i in range(3):
-        single, _, _ = refine_rows(Tensor(zs[i:i + 1]), bank, beta, 2, groups=1)
+        single, _ = refine_rows(Tensor(zs[i:i + 1]), bank, beta, 2, groups=1)
         np.testing.assert_array_equal(stacked.value[i], single.value[0])
 
 
 def test_fd_gradients_through_refinement(rng):
     bank = MemoryBank(2, 6, 3)
-    for i in range(6):
-        bank.write(rng.standard_normal(3), i % 2)
+    bank.write(rng.standard_normal((6, 3)), np.arange(6) % 2)
     proj = Tensor(rng.standard_normal((3, 1)))
     for t in (1, 2, 3):
         z = Tensor(rng.standard_normal((2, 3)))
         beta = Tensor(np.array([0.35]))
 
         def build():
-            out, _, _ = refine_rows(z, bank, beta, t, groups=2)
+            out, _ = refine_rows(z, bank, beta, t, groups=2)
             return ad.sum_all(ad.matmul(out, proj))
 
         assert ad.check_gradients(build, [z, beta], step=1e-6) < 1e-6, f"T={t}"
