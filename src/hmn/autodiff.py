@@ -8,6 +8,8 @@ several images execute one GEMM per image group, so an image's activations
 never depend on what else is in the batch, down to the last bit. Inside a
 ``no_grad()`` scope ops still compute and check their values but record no
 graph, so inference holds no activations beyond the ones still referenced.
+backward() takes the graph apart as it walks it, so after a training step
+only the leaves' gradients remain.
 """
 
 import contextlib
@@ -82,19 +84,24 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        # a fresh array with the bits of zeros + g (−0.0 becomes +0.0); never
+        # g itself, since one dout may be handed to two parents
+        t.grad = np.add(g, 0.0)
+    else:
+        t.grad += g
 
 
 def backward(loss):
-    """Backpropagate from a scalar loss, accumulating into .grad additively.
+    """Backpropagate from a scalar loss, accumulating into leaf .grad additively.
 
-    A graph can be walked once; a second call on the same loss raises.
+    The graph is taken apart as the walk goes. Nodes run in reverse
+    topological order, so once a node's backward has run every consumer of
+    it has too: its closure, parent edges and gradient are then dropped.
+    Leaves (tensors no op produced) keep their .grad. A graph can be walked
+    once; a walk that reaches an already-walked node raises.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
-    if loss._consumed:
-        raise RuntimeError("backward already called on this graph; rebuild it before differentiating again")
     topo = []
     seen = set()
     stack = [(loss, False)]
@@ -105,15 +112,22 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node._consumed:
+            raise RuntimeError("backward already walked this graph; rebuild it before differentiating again")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        node._backward(node.grad)
+        node._backward = None
+        node._parents = ()
+        node.grad = None
         node._consumed = True
 
 

@@ -6,6 +6,7 @@ saved again after loading is byte-identical (quantization is idempotent).
 """
 
 import json
+import os
 import struct
 from collections import OrderedDict
 
@@ -178,16 +179,26 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
         meta["rng"] = _rng_state_to_meta(rng)
     cfg_blob = model.cfg.to_json().encode("utf-8")
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(cfg_blob)))
-        fh.write(cfg_blob)
-        fh.write(struct.pack("<Q", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(records)))
-        for name, arr, dtype in records:
-            fh.write(_pack_record(name, np.asarray(arr), dtype))
+    # a crash mid-write leaves the previous file at path untouched
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(cfg_blob)))
+            fh.write(cfg_blob)
+            fh.write(struct.pack("<Q", len(meta_blob)))
+            fh.write(meta_blob)
+            fh.write(struct.pack("<I", len(records)))
+            for name, arr, dtype in records:
+                fh.write(_pack_record(name, np.asarray(arr), dtype))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

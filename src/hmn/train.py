@@ -51,12 +51,19 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _write_line(path, line, mode="a"):
+    # closing flushes, so every finished epoch's row is on disk
+    with open(path, mode, encoding="utf-8", newline="\n") as fh:
+        fh.write(line + "\n")
+
+
 def train(cfg, log=print):
     """Run the full recipe; returns a summary dict.
 
     Writes metrics.csv, timings.csv, config.json, best.ckpt, final.ckpt
-    under cfg.out_dir. Saved checkpoints carry frozen banks (the eval pass
-    freezes them) and the final one embeds optimizer state.
+    under cfg.out_dir. The CSVs gain one row per finished epoch. Saved
+    checkpoints carry frozen banks (the eval pass freezes them) and the
+    final one embeds optimizer state.
     """
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -69,8 +76,10 @@ def train(cfg, log=print):
     with open(os.path.join(cfg.out_dir, "config.json"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_json() + "\n")
 
-    metrics_rows = ["epoch,train_loss,train_acc,test_acc,lr"]
-    timing_rows = ["epoch,wall_ms"]
+    metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
+    timings_path = os.path.join(cfg.out_dir, "timings.csv")
+    _write_line(metrics_path, "epoch,train_loss,train_acc,test_acc,lr", mode="w")
+    _write_line(timings_path, "epoch,wall_ms", mode="w")
     best_acc = -1.0
     last_grad_norm = 0.0
     last_lr = 0.0
@@ -112,9 +121,9 @@ def train(cfg, log=print):
         test_acc = evaluate(model, test_ds)
         train_loss = loss_sum / seen
         train_acc = correct / seen
-        metrics_rows.append(",".join([str(epoch), _fmt(train_loss), _fmt(train_acc),
-                                      _fmt(test_acc), _fmt(last_lr)]))
-        timing_rows.append(f"{epoch},{(time.perf_counter() - t0) * 1000.0:.1f}")
+        _write_line(metrics_path, ",".join([str(epoch), _fmt(train_loss), _fmt(train_acc),
+                                            _fmt(test_acc), _fmt(last_lr)]))
+        _write_line(timings_path, f"{epoch},{(time.perf_counter() - t0) * 1000.0:.1f}")
         if test_acc > best_acc:
             best_acc = test_acc
             save_checkpoint(model, os.path.join(cfg.out_dir, "best.ckpt"), rng=rng,
@@ -125,11 +134,5 @@ def train(cfg, log=print):
     save_checkpoint(model, os.path.join(cfg.out_dir, "final.ckpt"), rng=rng,
                     extra={"epoch": cfg.epochs - 1, "test_acc": test_acc},
                     optimizer=opt)
-    with open(os.path.join(cfg.out_dir, "metrics.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(metrics_rows) + "\n")
-    with open(os.path.join(cfg.out_dir, "timings.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(timing_rows) + "\n")
     return {"final_test_acc": test_acc, "best_test_acc": best_acc,
             "train_loss": train_loss, "out_dir": cfg.out_dir, "epochs": cfg.epochs}

@@ -187,6 +187,39 @@ def test_backward_accumulates_across_branches(rng):
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
 
+def test_first_gradient_write_is_a_fresh_copy(rng):
+    g = np.array([[-0.0, 1.5, -2.25]])
+    t = Tensor(np.zeros((1, 3)), requires_grad=True)
+    ad._accum(t, g)
+    # same bits as zeros + g: −0.0 arrives as +0.0
+    np.testing.assert_array_equal(t.grad, np.zeros((1, 3)) + g)
+    assert not np.signbit(t.grad[0, 0])
+    assert not np.shares_memory(t.grad, g)
+    g[0, 1] = 7.0
+    assert t.grad[0, 1] == 1.5
+    # add hands the same dout to both parents; their grads stay apart
+    a = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    ad.backward(ad.sum_all(ad.scalar_mul(ad.add(a, b), -0.0)))
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.signbit(a.grad).any() and not np.signbit(b.grad).any()
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.zeros((2, 2)))
+
+
+def test_backward_releases_the_graph_and_keeps_leaf_grads(rng):
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    h = ad.matmul(x, w)
+    y = ad.gelu(h)
+    loss = ad.sum_all(ad.add(y, h))
+    ad.backward(loss)
+    for node in (h, y, loss):
+        assert node._parents == () and node._backward is None and node.grad is None
+    assert x.grad is not None and w.grad is not None
+    assert x._parents == () and w._parents == ()
+
+
 # ----------------------------------------------------------------- FD per op
 
 def test_fd_matmul(rng):
@@ -342,6 +375,17 @@ def test_double_backward_rejected(rng):
     ad.backward(loss)
     with pytest.raises(RuntimeError):
         ad.backward(loss)
+
+
+def test_second_root_over_a_walked_graph_rejected(rng):
+    x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    y = ad.gelu(ad.scalar_mul(x, 3.0))
+    ad.backward(ad.sum_all(y))
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError):
+        ad.backward(ad.sum_all(y))
+    # the rejected walk ran no backward closure
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_nan_input_trips_finite_check():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hmn.autodiff as ad
+import hmn.model as model_mod
 from hmn.analysis import _captured_batches, hit_rate
 from hmn.config import RunConfig
 from hmn.data import load_dataset, standardize
@@ -322,6 +323,49 @@ def test_checkpoint_with_optimizer_state_loads(tmp_path, rng):
     assert crng is None
     np.testing.assert_allclose(model.forward(imgs).value, clone.forward(imgs).value,
                                rtol=1e-5, atol=1e-6)
+
+
+def test_checkpoint_crash_mid_write_keeps_the_earlier_file(tmp_path, rng, monkeypatch):
+    cfg, model, path = checkpointed(tmp_path, rng)
+    before = path.read_bytes()
+    files = sorted(p.name for p in tmp_path.iterdir())
+    calls = []
+
+    def failing_pack(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return pack(*args)
+
+    pack = model_mod._pack_record
+    monkeypatch.setattr(model_mod, "_pack_record", failing_pack)
+    model.head_b.value = model.head_b.value + 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(model, path, rng=rng)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def test_train_step_backward_releases_the_graph(tmp_path, rng):
+    cfg, model = tiny_model(tmp_path / "m", n_blocks=2)
+    fill_via_training_steps(cfg, model, rng)
+    labels = np.array([0, 1, 1, 0])
+    logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
+    loss = ad.cross_entropy(logits, labels)
+    nodes, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes and t._backward is not None:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    params = model.parameters()
+    assert len(nodes) > 50
+    ad.zero_grad(params.values())
+    ad.backward(loss)
+    for t in nodes.values():
+        assert t._parents == () and t._backward is None and t.grad is None
+    for name, p in params.items():
+        assert p.grad is not None and p.grad.shape == p.value.shape, name
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path, rng):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hmn.train as train_mod
 from hmn.model import load_checkpoint
 from hmn.optim import lr_at
 from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train
@@ -80,6 +81,33 @@ def test_seed_repeat_is_byte_identical(tmp_path):
         a = Path(cfg_a.out_dir, name).read_bytes()
         b = Path(cfg_b.out_dir, name).read_bytes()
         assert a == b, name
+
+
+def test_rows_of_finished_epochs_survive_a_crash(tmp_path, monkeypatch):
+    full = make_tiny_cfg(tmp_path / "full", epochs=3, synth_train_per_class=20,
+                         synth_test_per_class=5)
+    train(full, log=lambda *_: None)
+    calls = []
+    evaluate_ = train_mod.evaluate
+
+    def failing_evaluate(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("killed in epoch 1")
+        return evaluate_(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "evaluate", failing_evaluate)
+    cfg = make_tiny_cfg(tmp_path / "crash", epochs=3, synth_train_per_class=20,
+                        synth_test_per_class=5)
+    with pytest.raises(RuntimeError, match="killed"):
+        train(cfg, log=lambda *_: None)
+    metrics = Path(cfg.out_dir, "metrics.csv").read_text()
+    assert metrics.split("\n")[:2] == Path(full.out_dir, "metrics.csv").read_text().split("\n")[:2]
+    assert metrics.count("\n") == 2 and metrics.endswith("\n")
+    timings = Path(cfg.out_dir, "timings.csv").read_text().split("\n")
+    assert timings[0] == "epoch,wall_ms" and timings[1].startswith("0,") and timings[2:] == [""]
+    assert Path(cfg.out_dir, "best.ckpt").exists()
+    assert not Path(cfg.out_dir, "final.ckpt").exists()
 
 
 def test_seed_changes_the_run(tmp_path):
