@@ -1,11 +1,13 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-Just enough ops to express the model: grouped matmul, masked row softmax,
-row L2 normalization, neighborhood unfold, layernorm, gelu, cross entropy,
-and the small glue ops (concat, reshape, row broadcast/reduce). Values are
-checked finite after every op. Matmuls whose left operand stacks rows from
-several images execute one GEMM per image group, so an image's activations
-never depend on what else is in the batch, down to the last bit. Inside a
+Just enough ops to express the model: grouped matmul, row softmax,
+layernorm, gelu, neighborhood unfold, cross entropy, the small glue ops
+(add, bias, concat, reshape, row broadcast/reduce) and the two memory ops:
+memory_read, one Hopfield read (normalize, score, masked softmax, mix),
+and hopfield_update, one refinement step. Values are checked finite after
+every op. Matmuls whose left operand stacks rows from several images
+execute one GEMM per image group, so an image's activations never depend
+on what else is in the batch, down to the last bit. Inside a
 ``no_grad()`` scope ops still compute and check their values but record no
 graph, so inference holds no activations beyond the ones still referenced.
 backward() takes the graph apart as it walks it, so after a training step
@@ -19,6 +21,7 @@ import numpy as np
 from . import kernels
 
 _FINITE_MSG = "{} produced non-finite values"
+_EPS = 1e-12
 
 # read by _node; off inside a no_grad() scope
 _recording = True
@@ -212,43 +215,6 @@ def add(a, b):
     return _node(a.value + b.value, (a, b), bwd, "add")
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"sub shapes disagree: {a.value.shape} vs {b.value.shape}")
-
-    def bwd(dout):
-        _accum(a, dout)
-        _accum(b, -dout)
-
-    return _node(a.value - b.value, (a, b), bwd, "sub")
-
-
-def scalar_mul(a, c):
-    a = as_tensor(a)
-    c = float(c)
-
-    def bwd(dout):
-        _accum(a, c * dout)
-
-    return _node(c * a.value, (a,), bwd, "scalar_mul")
-
-
-def scale(a, s):
-    """a scaled by a learnable scalar tensor s (shape () or (1,))."""
-    a, s = as_tensor(a), as_tensor(s)
-    if s.value.size != 1:
-        raise ValueError(f"scale expects a scalar tensor, got shape {s.value.shape}")
-    sv = float(s.value.reshape(()))
-
-    def bwd(dout):
-        _accum(a, sv * dout)
-        if s.requires_grad:
-            _accum(s, np.sum(dout * a.value).reshape(s.value.shape))
-
-    return _node(sv * a.value, (a, s), bwd, "scale")
-
-
 def add_bias(x, b):
     """Add a (D,) bias to every row of (R, D) x."""
     x, b = as_tensor(x), as_tensor(b)
@@ -282,56 +248,22 @@ def gelu(x):
 
 # ---------------------------------------------------------------- row ops
 
-def softmax_rows(x, mask=None):
-    """Row softmax with max-subtraction; optional boolean keep-mask.
-
-    mask may be (c,) shared across rows or (r, c). Masked positions get
-    weight exactly 0 and contribute nothing to the normalizer. A row with
-    no unmasked position is an error.
-    """
+def softmax_rows(x):
+    """Row softmax with max-subtraction."""
     x = as_tensor(x)
     xv = x.value
     if xv.ndim != 2 or xv.shape[1] < 1:
         raise ValueError(f"softmax_rows expects a nonempty 2-D input, got {xv.shape}")
-    if mask is not None:
-        keep = np.asarray(mask, dtype=bool)
-        mask = np.broadcast_to(keep, xv.shape)
-        if keep.all():
-            mask = None  # an all-true mask is the plain softmax, bit for bit
-    if mask is not None:
-        if not mask.any(axis=1).all():
-            raise ValueError("softmax_rows: fully-masked row")
-        shifted = np.where(mask, xv, -np.inf)
-        mx = shifted.max(axis=1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, xv - mx, 0.0)), 0.0)
-    else:
-        mx = xv.max(axis=1, keepdims=True)
-        e = np.exp(xv - mx)
+    mx = xv.max(axis=1, keepdims=True)
+    e = np.exp(xv - mx)
     out = e / e.sum(axis=1, keepdims=True)
 
     def bwd(dout):
-        # dx_j = a_j·(dout_j − Σ_t dout_t·a_t); masked entries have a_j = 0
+        # dx_j = a_j·(dout_j − Σ_t dout_t·a_t)
         inner = (dout * out).sum(axis=1, keepdims=True)
         _accum(x, out * (dout - inner))
 
     return _node(out, (x,), bwd, "softmax_rows")
-
-
-def l2_normalize_rows(x, eps=1e-12):
-    """Each row divided by max(‖row‖, eps), so zero rows stay zero."""
-    x = as_tensor(x)
-    xv = x.value
-    norm = np.sqrt((xv ** 2).sum(axis=1, keepdims=True))
-    denom = np.maximum(norm, eps)
-    out = xv / denom
-    big = norm > eps
-
-    def bwd(dout):
-        inner = (dout * out).sum(axis=1, keepdims=True)
-        dx = np.where(big, (dout - out * inner) / denom, dout / denom)
-        _accum(x, dx)
-
-    return _node(out, (x,), bwd, "l2_normalize_rows")
 
 
 def layernorm_rows(x, gain, bias, eps=1e-5):
@@ -424,13 +356,71 @@ def reshape(x, shape):
     return _node(out, (x,), bwd, "reshape")
 
 
-def sum_all(x):
-    x = as_tensor(x)
+# ---------------------------------------------------------------- memory read
+
+def normalize_rows(x):
+    """(x / max(‖row‖, ε), ‖row‖) for an (R, D) array, so zero rows stay zero."""
+    norm = np.sqrt((x ** 2).sum(axis=1, keepdims=True))
+    return x / np.maximum(norm, _EPS), norm
+
+
+def memory_read(z, slots, mask, groups=1):
+    """Hopfield read of (R, D) queries from (K, D) constant slots -> (alpha, m).
+
+    alpha is the row softmax of √D·ẑ·k̂ᵀ over the slots the mask keeps (the
+    others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Rows
+    split into groups as in matmul. alpha carries no graph; m carries z's.
+    """
+    z = as_tensor(z)
+    zv = z.value
+    r, d = zv.shape
+    k = slots.shape[0]
+    if r % groups != 0:
+        raise ValueError(f"{groups} groups do not divide {r} rows")
+    if not mask.any():
+        raise ValueError("memory_read: every slot is masked")
+    gs = r // groups
+    zhat, znorm = normalize_rows(zv)
+    khat_t = np.ascontiguousarray(normalize_rows(slots)[0].T)
+    alpha = np.matmul(zhat.reshape(groups, gs, d), khat_t).reshape(r, k)
+    alpha *= np.sqrt(d)
+    if not mask.all():
+        alpha[:, ~mask] = -np.inf  # exp gives exactly 0 there
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    m = np.matmul(alpha.reshape(groups, gs, k), slots).reshape(r, d)
 
     def bwd(dout):
-        _accum(x, np.broadcast_to(dout, x.value.shape).copy())
+        da = np.matmul(dout.reshape(groups, gs, d), slots.T).reshape(r, k)
+        dlogits = alpha * (da - (da * alpha).sum(axis=1, keepdims=True))
+        dlogits *= np.sqrt(d)
+        dzhat = np.matmul(dlogits.reshape(groups, gs, k), khat_t.T).reshape(r, d)
+        inner = (dzhat * zhat).sum(axis=1, keepdims=True)
+        denom = np.maximum(znorm, _EPS)
+        _accum(z, np.where(znorm > _EPS, (dzhat - zhat * inner) / denom, dzhat / denom))
 
-    return _node(np.sum(x.value).reshape(()), (x,), bwd, "sum_all")
+    return Tensor(alpha), _node(m, (z,), bwd, "memory_read")
+
+
+def hopfield_update(z, m, beta):
+    """One refinement step z + β·(m − z) toward the read-out m; β is a scalar tensor."""
+    z, m, beta = as_tensor(z), as_tensor(m), as_tensor(beta)
+    if m.value.shape != z.value.shape:
+        raise ValueError(f"update shapes disagree: {z.value.shape} vs {m.value.shape}")
+    bv = float(beta.value.reshape(()))  # ValueError unless β has one element
+    diff = m.value - z.value
+
+    def bwd(dout):
+        g = bv * dout
+        # z gets dout, then −β·dout after m's β·dout: m may be z itself
+        _accum(z, dout)
+        _accum(m, g)
+        _accum(z, -g)
+        if beta.requires_grad:
+            _accum(beta, np.sum(dout * diff).reshape(beta.value.shape))
+
+    return _node(z.value + bv * diff, (z, m, beta), bwd, "hopfield_update")
 
 
 # ---------------------------------------------------------------- structured

@@ -88,10 +88,28 @@ class MemoryBank:
         }
 
     def load_state(self, state):
-        """Restore the slots, ring state and frozen flag of state_dict in place."""
-        if state["slots"].shape != self.slots.shape:
+        """Restore state_dict's slots, ring state and frozen flag in place.
+
+        A state that no sequence of writes could leave raises ValueError
+        and changes nothing.
+        """
+        slots, cursor, filled, frozen = (
+            np.asarray(state[k]) for k in ("slots", "cursor", "filled", "frozen"))
+        cap = self.per_class_capacity
+        if slots.shape != self.slots.shape:
             raise ValueError("bank state shape mismatch")
-        self.slots[:] = state["slots"]
-        self.cursor[:] = state["cursor"]
-        self.filled[:] = state["filled"]
-        self.frozen = bool(int(np.asarray(state["frozen"]).reshape(-1)[0]))
+        if not np.all(np.isfinite(slots)):
+            raise ValueError("bank slots are not finite")
+        for name, arr in (("cursor", cursor), ("filled", filled)):
+            if arr.shape != cap.shape or arr.dtype.kind not in "iu":
+                raise ValueError(f"bank {name} must be an integer array of shape {cap.shape}")
+        if not (np.all((filled >= 0) & (filled <= cap)) and np.all((cursor >= 0) & (cursor < cap))):
+            raise ValueError("bank cursor or filled outside the class capacity")
+        if np.any((filled < cap) & (cursor != filled)):
+            raise ValueError("bank cursor is not at filled in a class that has not wrapped")
+        if frozen.size != 1 or frozen.dtype.kind not in "iu" or int(frozen.reshape(-1)[0]) not in (0, 1):
+            raise ValueError("bank frozen flag must be one integer, 0 or 1")
+        self.slots[:] = slots
+        self.cursor[:] = cursor
+        self.filled[:] = filled
+        self.frozen = bool(int(frozen.reshape(-1)[0]))

@@ -203,7 +203,7 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
 
 def load_checkpoint(path):
     """-> (model, meta dict, rng or None). Rejects bad magic, version skew,
-    truncation, and trailing bytes."""
+    truncation, trailing bytes, duplicate records and inconsistent banks."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -225,6 +225,8 @@ def load_checkpoint(path):
         dt = np.dtype(_DTYPES[code])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
+        if name in records:
+            raise ValueError(f"duplicate record {name!r}")
         records[name] = arr
     if r.pos != len(blob):
         raise ValueError(f"{len(blob) - r.pos} trailing bytes after last record")

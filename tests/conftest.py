@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
+import hmn.autodiff as ad
 from hmn.config import RunConfig
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def total(t):
+    """The sum of an (R, C) tensor's entries as a (1, 1) loss: ones row · t · ones column."""
+    r, c = t.shape
+    return ad.matmul(ad.matmul(ad.Tensor(np.ones((1, r))), t), ad.Tensor(np.ones((c, 1))))
 
 
 def make_tiny_cfg(tmp_dir, **overrides):

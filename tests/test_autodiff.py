@@ -6,6 +6,9 @@ harness, which gets its own tests at the bottom). Value-level oracles
 are closed forms worked out by hand.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,10 @@ from hypothesis.extra import numpy as hnp
 
 import hmn.autodiff as ad
 from hmn.autodiff import Tensor
+from hmn.memory import MemoryBank
+from hmn.retrieval import retrieve_rows
+
+from conftest import total
 
 
 def numeric_grad(build, param, step=1e-6):
@@ -47,7 +54,7 @@ def fd_check(build, params, tol=1e-6, step=1e-6):
 
 def scalarize(t, proj):
     # project rows through a fixed matrix so dout is non-uniform
-    return ad.sum_all(ad.matmul(t, proj))
+    return total(ad.matmul(t, proj))
 
 
 # ------------------------------------------------------------- value oracles
@@ -130,13 +137,15 @@ def test_softmax_log_ratios():
 
 
 def test_l2_normalize_345():
-    out = ad.l2_normalize_rows(Tensor([[3.0, 4.0]])).value
+    out, norm = ad.normalize_rows(np.array([[3.0, 4.0]]))
     assert out[0, 0] == 0.6 and out[0, 1] == 0.8
+    assert norm[0, 0] == 5.0
 
 
 def test_l2_normalize_zero_row_stays_zero():
-    out = ad.l2_normalize_rows(Tensor([[0.0, 0.0, 0.0]])).value
+    out, norm = ad.normalize_rows(np.zeros((1, 3)))
     np.testing.assert_array_equal(out, [[0.0, 0.0, 0.0]])
+    assert norm[0, 0] == 0.0
 
 
 def test_cross_entropy_uniform_binary():
@@ -165,7 +174,7 @@ def test_gelu_matches_the_closed_form():
 def test_backward_linear_map(rng):
     a = rng.standard_normal((3, 4))
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    ad.backward(ad.sum_all(ad.matmul(Tensor(a), x)))
+    ad.backward(total(ad.matmul(Tensor(a), x)))
     # d sum(A x) / dx = A^T 1
     want = np.repeat(a.sum(axis=0)[:, None], 2, axis=1)
     np.testing.assert_allclose(x.grad, want, rtol=1e-12)
@@ -175,7 +184,7 @@ def test_backward_shared_operand(rng):
     # X used as both sides of a matmul: grads from both roles accumulate
     xv = rng.standard_normal((3, 3))
     x = Tensor(xv, requires_grad=True)
-    ad.backward(ad.sum_all(ad.matmul(x, x)))
+    ad.backward(total(ad.matmul(x, x)))
     ones = np.ones((3, 3))
     want = ones @ xv.T + xv.T @ ones
     np.testing.assert_allclose(x.grad, want, rtol=1e-12)
@@ -183,7 +192,7 @@ def test_backward_shared_operand(rng):
 
 def test_backward_accumulates_across_branches(rng):
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    ad.backward(ad.sum_all(ad.add(x, x)))
+    ad.backward(total(ad.add(x, x)))
     np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
 
@@ -200,7 +209,7 @@ def test_first_gradient_write_is_a_fresh_copy(rng):
     # add hands the same dout to both parents; their grads stay apart
     a = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    ad.backward(ad.sum_all(ad.scalar_mul(ad.add(a, b), -0.0)))
+    ad.add(a, b)._backward(np.full((2, 2), -0.0))
     assert not np.shares_memory(a.grad, b.grad)
     assert not np.signbit(a.grad).any() and not np.signbit(b.grad).any()
     a.grad += 1.0
@@ -212,7 +221,7 @@ def test_backward_releases_the_graph_and_keeps_leaf_grads(rng):
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     h = ad.matmul(x, w)
     y = ad.gelu(h)
-    loss = ad.sum_all(ad.add(y, h))
+    loss = total(ad.add(y, h))
     ad.backward(loss)
     for node in (h, y, loss):
         assert node._parents == () and node._backward is None and node.grad is None
@@ -247,13 +256,14 @@ def test_fd_elementwise_ops(rng):
     a = Tensor(rng.standard_normal((3, 4)))
     b = Tensor(rng.standard_normal((3, 4)))
     s = Tensor(np.array(0.7))
+    s1 = Tensor(np.array([-0.4]))
     bias = Tensor(rng.standard_normal(4))
     proj = Tensor(rng.standard_normal((4, 1)))
 
     fd_check(lambda: scalarize(ad.add(a, b), proj), [a, b])
-    fd_check(lambda: scalarize(ad.sub(a, b), proj), [a, b])
-    fd_check(lambda: scalarize(ad.scalar_mul(a, -1.7), proj), [a])
-    fd_check(lambda: scalarize(ad.scale(a, s), proj), [a, s])
+    fd_check(lambda: scalarize(ad.hopfield_update(a, b, s), proj), [a, b, s])
+    fd_check(lambda: scalarize(ad.hopfield_update(a, b, s1), proj), [a, b, s1])
+    fd_check(lambda: scalarize(ad.hopfield_update(a, a, s), proj), [a, s])
     fd_check(lambda: scalarize(ad.add_bias(a, bias), proj), [a, bias])
 
 
@@ -269,17 +279,31 @@ def test_fd_softmax(rng):
     fd_check(lambda: scalarize(ad.softmax_rows(x), proj), [x])
 
 
-def test_fd_softmax_masked(rng):
-    x = Tensor(rng.standard_normal((3, 5)))
-    mask = np.array([True, False, True, True, False])
-    proj = Tensor(rng.standard_normal((5, 1)))
-    fd_check(lambda: scalarize(ad.softmax_rows(x, mask=mask), proj), [x])
+def partly_filled_bank(rng, dim=3):
+    bank = MemoryBank(3, 9, dim)
+    bank.write(rng.standard_normal((5, dim)), [0, 2, 0, 2, 0])
+    return bank
 
 
-def test_fd_l2_normalize(rng):
-    x = Tensor(rng.standard_normal((4, 3)) + 2.0)
+def test_fd_memory_read(rng):
+    slots, _, mask = partly_filled_bank(rng).filled_view()
+    assert mask.any() and not mask.all()
+    z = Tensor(rng.standard_normal((4, 3)))
     proj = Tensor(rng.standard_normal((3, 1)))
-    fd_check(lambda: scalarize(ad.l2_normalize_rows(x), proj), [x])
+    fd_check(lambda: scalarize(ad.memory_read(z, slots, mask, groups=2)[1], proj), [z])
+
+
+def test_hopfield_update_backward_keeps_the_graph_order(rng):
+    """z.grad adds dout, then m's β·dout (m may be z), then −β·dout, bit for bit
+    as the add/scale/sub graph the op replaces did; other orders round differently."""
+    z = Tensor(rng.standard_normal((50, 8)), requires_grad=True)
+    beta = Tensor(np.array(0.37), requires_grad=True)
+    dout = rng.standard_normal((50, 8))
+    ad.hopfield_update(z, z, beta)._backward(dout)
+    g = 0.37 * dout
+    np.testing.assert_array_equal(z.grad, (dout + g) - g)
+    assert not np.array_equal(z.grad, (dout - g) + g)
+    assert beta.grad == 0.0
 
 
 def test_fd_layernorm(rng):
@@ -300,7 +324,6 @@ def test_fd_row_shaping_ops(rng):
     fd_check(lambda: scalarize(ad.tile_rows(x, 3), proj), [x])
     fd_check(lambda: scalarize(ad.concat_last_axis(x, x), proj6), [x])
     fd_check(lambda: scalarize(ad.reshape(x, (3, 6)), proj6), [x])
-    fd_check(lambda: ad.sum_all(x), [x])
 
 
 def test_fd_unfold(rng):
@@ -321,44 +344,37 @@ def test_fd_cross_entropy(rng):
     fd_check(lambda: ad.cross_entropy(logits, labels), [logits])
 
 
-# ------------------------------------------------------------ masked softmax
+# ------------------------------------------------------- masked memory read
 
 def test_masked_softmax_exact_zeros_and_renormalization(rng):
-    x = rng.standard_normal((4, 6))
-    mask = np.array([True, True, False, True, False, True])
-    out = ad.softmax_rows(Tensor(x), mask=mask).value
+    """Unfilled slots get weight exactly 0; filled ones the dense softmax over them."""
+    bank = partly_filled_bank(rng, dim=4)
+    slots, _, mask = bank.filled_view()
+    z = rng.standard_normal((6, 4))
+    alpha, m = retrieve_rows(Tensor(z), bank, groups=3)
+    out = alpha.value
     assert (out[:, ~mask] == 0.0).all()
-    dense = ad.softmax_rows(Tensor(x[:, mask])).value
+    logits = 2.0 * ad.normalize_rows(z)[0] @ ad.normalize_rows(slots[mask])[0].T
+    dense = ad.softmax_rows(Tensor(logits)).value
     np.testing.assert_allclose(out[:, mask], dense, rtol=1e-14)
-    np.testing.assert_allclose(out.sum(axis=1), np.ones(4), rtol=1e-14)
-
-
-def test_masked_softmax_per_row_mask(rng):
-    x = rng.standard_normal((2, 3))
-    mask = np.array([[True, False, True], [False, True, True]])
-    out = ad.softmax_rows(Tensor(x), mask=mask).value
-    assert out[0, 1] == 0.0 and out[1, 0] == 0.0
+    np.testing.assert_allclose(out.sum(axis=1), np.ones(6), rtol=1e-14)
+    np.testing.assert_allclose(m.value, dense @ slots[mask], rtol=1e-13)
 
 
 def test_all_true_mask_is_the_unmasked_softmax(rng):
-    x = rng.standard_normal((5, 7))
-    proj = Tensor(rng.standard_normal((7, 1)))
-    runs = []
-    for mask in (None, np.ones(7, dtype=bool), np.ones((5, 7), dtype=bool)):
-        t = Tensor(x.copy(), requires_grad=True)
-        out = ad.softmax_rows(t, mask=mask)
-        ad.backward(ad.sum_all(ad.matmul(out, proj)))
-        runs.append((out.value, t.grad))
-    for value, grad in runs[1:]:
-        np.testing.assert_array_equal(value, runs[0][0])
-        np.testing.assert_array_equal(grad, runs[0][1])
+    """With every slot kept, alpha is softmax_rows of the scaled cosine logits, bit for bit."""
+    slots = rng.standard_normal((7, 4))
+    z = rng.standard_normal((5, 4))
+    alpha, _ = ad.memory_read(Tensor(z), slots, np.ones(7, dtype=bool))
+    zhat, khat = ad.normalize_rows(z)[0], ad.normalize_rows(slots)[0]
+    logits = np.matmul(zhat[None], np.ascontiguousarray(khat.T))[0] * np.sqrt(4)
+    np.testing.assert_array_equal(alpha.value, ad.softmax_rows(Tensor(logits)).value)
 
 
 def test_fully_masked_row_rejected(rng):
-    x = Tensor(rng.standard_normal((2, 3)))
-    mask = np.array([[True, True, True], [False, False, False]])
+    z = Tensor(rng.standard_normal((2, 3)))
     with pytest.raises(ValueError):
-        ad.softmax_rows(x, mask=mask)
+        ad.memory_read(z, rng.standard_normal((3, 3)), np.zeros(3, dtype=bool))
 
 
 # -------------------------------------------------------------- error paths
@@ -371,7 +387,7 @@ def test_backward_requires_scalar(rng):
 
 def test_double_backward_rejected(rng):
     x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    loss = ad.sum_all(x)
+    loss = total(x)
     ad.backward(loss)
     with pytest.raises(RuntimeError):
         ad.backward(loss)
@@ -379,11 +395,11 @@ def test_double_backward_rejected(rng):
 
 def test_second_root_over_a_walked_graph_rejected(rng):
     x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-    y = ad.gelu(ad.scalar_mul(x, 3.0))
-    ad.backward(ad.sum_all(y))
+    y = ad.gelu(ad.add(x, x))
+    ad.backward(total(y))
     first = x.grad.copy()
     with pytest.raises(RuntimeError):
-        ad.backward(ad.sum_all(y))
+        ad.backward(total(y))
     # the rejected walk ran no backward closure
     np.testing.assert_array_equal(x.grad, first)
 
@@ -410,7 +426,12 @@ def test_shape_validation_errors(rng):
     with pytest.raises(ValueError):
         ad.add(a, Tensor(rng.standard_normal((3, 2))))
     with pytest.raises(ValueError):
-        ad.scale(a, Tensor(rng.standard_normal(3)))
+        ad.hopfield_update(a, a, Tensor(rng.standard_normal(3)))
+    with pytest.raises(ValueError):
+        ad.hopfield_update(a, Tensor(rng.standard_normal((3, 2))), Tensor(np.array(0.5)))
+    with pytest.raises(ValueError):
+        ad.memory_read(Tensor(rng.standard_normal((5, 3))), rng.standard_normal((4, 3)),
+                       np.ones(4, dtype=bool), groups=2)
     with pytest.raises(ValueError):
         ad.add_bias(a, Tensor(rng.standard_normal(2)))
     with pytest.raises(ValueError):
@@ -444,7 +465,7 @@ def test_no_grad_restores_the_flag(rng):
     w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
 
     def records():
-        return ad.scalar_mul(w, 2.0).requires_grad
+        return ad.add(w, w).requires_grad
 
     with ad.no_grad():
         with ad.no_grad():
@@ -481,7 +502,7 @@ def test_softmax_shift_invariance(x, shift):
 @settings(deadline=None, max_examples=40)
 @given(hnp.arrays(np.float64, (3, 4), elements=st.floats(-10, 10)))
 def test_l2_normalized_rows_have_unit_or_zero_norm(x):
-    out = ad.l2_normalize_rows(Tensor(x)).value
+    out, _ = ad.normalize_rows(x)
     norms = np.sqrt((out ** 2).sum(axis=1))
     src = np.sqrt((x ** 2).sum(axis=1))
     for n, s in zip(norms, src):
@@ -489,6 +510,29 @@ def test_l2_normalized_rows_have_unit_or_zero_norm(x):
             assert abs(n - 1.0) < 1e-9
         else:
             assert n <= 1.0
+
+
+# ------------------------------------------------------------- op inventory
+
+def test_every_public_op_has_a_caller_in_the_package():
+    """No op exists only for tests: each public function that builds a node
+    (calls _node) is called as ad.<op> somewhere in src/hmn outside autodiff.py."""
+    pkg = pathlib.Path(ad.__file__).parent
+    tree = ast.parse((pkg / "autodiff.py").read_text(encoding="utf-8"))
+    ops = {f.name for f in tree.body
+           if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+           and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_node"
+                   for n in ast.walk(f))}
+    called = set()
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and isinstance(n.func.value, ast.Name) and n.func.value.id == "ad"):
+                called.add(n.func.attr)
+    assert {"matmul", "memory_read", "hopfield_update"} <= ops
+    assert sorted(ops - called) == []
 
 
 # ----------------------------------------------- the package's own FD tools
@@ -521,6 +565,6 @@ def test_check_gradients_flags_wrong_backward(rng):
     def build():
         # doubled forward with a deliberately wrong pullback (3x instead of 2x)
         bad = ad._node(x.value * 2.0, (x,), lambda dout: ad._accum(x, 3.0 * dout), "bad")
-        return ad.sum_all(bad)
+        return total(bad)
 
     assert ad.check_gradients(build, [x]) > 0.2

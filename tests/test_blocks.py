@@ -12,6 +12,8 @@ import hmn.retrieval
 from hmn.blocks import HMNBlock
 from hmn.config import RunConfig
 
+from conftest import total
+
 
 def block_cfg(**overrides):
     base = dict(
@@ -218,8 +220,8 @@ def test_capture_records_retrieval_weights(rng):
 
 def rerun_alpha(block, tokens, groups, t_steps):
     """Captured weights from a second, detached refinement of each branch's
-    queries, stepped by hand without the β=0 short-circuit: the last step's
-    alpha, or a plain retrieval when no step read the bank."""
+    queries, stepped in plain numpy without the β=0 short-circuit: the last
+    step's alpha, or a plain retrieval when no step read the bank."""
     cfg = block.cfg
     x = ad.layernorm_rows(tokens, block.norm_in_gain, block.norm_in_bias)
     u = ad.unfold_tokens(x, block.h_p, block.w_p, cfg.k)
@@ -232,7 +234,7 @@ def rerun_alpha(block, tokens, groups, t_steps):
         z, alpha = query.detach(), None
         for _ in range(t_steps):
             alpha, m = hmn.retrieval.retrieve_rows(z, bank, groups=groups)
-            z = ad.add(z, ad.scale(ad.sub(m, z), beta.detach()))
+            z = ad.Tensor(z.value + float(beta.value) * (m.value - z.value))
         if alpha is None:
             alpha, _ = hmn.retrieval.retrieve_rows(query.detach(), bank, groups=groups)
         out[key] = None if alpha is None else alpha.value
@@ -275,7 +277,7 @@ def test_capture_leaves_outputs_and_gradients_unchanged(rng, t_steps, beta):
     for capture in (None, {}):
         ad.zero_grad(params)
         out = block.forward(x, groups=2, t_steps=t_steps, mode="eval", capture=capture)
-        ad.backward(ad.sum_all(ad.matmul(out, proj)))
+        ad.backward(total(ad.matmul(out, proj)))
         runs.append((out.value, [p.grad for p in params]))
     (plain, plain_grads), (captured, captured_grads) = runs
     np.testing.assert_array_equal(captured, plain)
@@ -306,6 +308,6 @@ def test_block_gradients_match_finite_differences(rng):
 
     def build():
         out = block.forward(x, groups=2, t_steps=2, mode="eval")
-        return ad.sum_all(ad.matmul(out, proj))
+        return total(ad.matmul(out, proj))
 
     assert ad.check_gradients(build, params, step=1e-6) < 1e-5

@@ -194,3 +194,41 @@ def test_state_round_trip(rng):
         one(clone, np.ones(4), 0)
     with pytest.raises(ValueError):
         MemoryBank(3, 11, 4).load_state(bank.state_dict())
+
+
+def _nan_slot(st):
+    st["slots"][0, 1] = np.nan
+
+
+# each edit turns a valid 3-class state into one that no sequence of writes leaves
+BAD_STATES = [
+    pytest.param(lambda st: st.update(cursor=st["cursor"][:1]), id="one_cursor_for_all_classes"),
+    pytest.param(lambda st: st.update(filled=np.array([-1, 1, 0])), id="negative_filled"),
+    pytest.param(lambda st: st.update(cursor=np.array([2, 0, 0]), filled=np.array([1, 0, 0])),
+                 id="cursor_past_filled"),
+    pytest.param(lambda st: st.update(frozen=np.zeros(0, dtype=np.int64)), id="empty_frozen"),
+    pytest.param(_nan_slot, id="nan_slot"),
+    pytest.param(lambda st: st.update(filled=np.array([5, 0, 0]), cursor=np.array([1, 0, 0])),
+                 id="filled_over_capacity"),
+    pytest.param(lambda st: st.update(filled=np.array([4, 0, 0]), cursor=np.array([4, 0, 0])),
+                 id="cursor_at_capacity"),
+    pytest.param(lambda st: st.update(filled=st["filled"].astype(np.float64)), id="float_filled"),
+    pytest.param(lambda st: st.update(frozen=np.array([2])), id="frozen_two"),
+]
+
+
+@pytest.mark.parametrize("edit", BAD_STATES)
+def test_load_state_rejects_states_no_writes_leave(rng, edit):
+    src = MemoryBank(3, 10, 2)  # capacities 4, 3, 3
+    src.write(rng.standard_normal((2, 2)), [1, 1])
+    state = src.state_dict()
+    edit(state)
+    dst = MemoryBank(3, 10, 2)
+    dst.write(rng.standard_normal((1, 2)), [2])
+    before = dst.state_dict()
+    with pytest.raises(ValueError):
+        dst.load_state(state)
+    # a rejected state changes nothing
+    after = dst.state_dict()
+    for key in before:
+        np.testing.assert_array_equal(after[key], before[key])

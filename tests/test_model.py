@@ -281,7 +281,7 @@ def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, mo
     # the scope covers the forwards only, never the caller's loop body
     w = ad.Tensor(np.ones(2), requires_grad=True)
     for _ in _captured_batches(model, test, batch_size=7):
-        assert ad.scalar_mul(w, 2.0).requires_grad
+        assert ad.add(w, w).requires_grad
     # the same entry points with the scope switched off build the full graph
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
     assert evaluate(model, test, batch_size=7) == acc
@@ -405,10 +405,8 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, rng):
         load_checkpoint(bad)
 
 
-def test_checkpoint_rejects_missing_record(tmp_path, rng):
-    cfg, model, path = checkpointed(tmp_path, rng)
-    blob = path.read_bytes()
-    # walk the container to the record table, then drop the final record
+def record_table(blob):
+    """(offset of the record count, count, start of each record) of a checkpoint blob."""
     pos = 8
     cfg_len = struct.unpack_from("<Q", blob, pos)[0]
     pos += 8 + cfg_len
@@ -428,9 +426,32 @@ def test_checkpoint_rejects_missing_record(tmp_path, rng):
         pos += 8 * ndim
         item = 4 if code == 0 else 8
         pos += int(np.prod(shape, dtype=np.int64)) * item if shape else item
+    return count_at, count, starts
+
+
+def test_checkpoint_rejects_missing_record(tmp_path, rng):
+    cfg, model, path = checkpointed(tmp_path, rng)
+    blob = path.read_bytes()
+    # drop the final record
+    count_at, count, starts = record_table(blob)
     trimmed = (blob[:count_at] + struct.pack("<I", count - 1)
                + blob[count_at + 4:starts[-1]])
     bad = tmp_path / "missing.ckpt"
     bad.write_bytes(trimmed)
     with pytest.raises(ValueError, match="missing"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_duplicate_record(tmp_path, rng):
+    cfg, model, path = checkpointed(tmp_path, rng)
+    blob = path.read_bytes()
+    count_at, count, starts = record_table(blob)
+    # a second copy of the first parameter record, with other values, at the end
+    first = bytearray(blob[starts[0]:starts[1]])
+    first[-4:] = struct.pack("<f", 123.0)
+    doubled = (blob[:count_at] + struct.pack("<I", count + 1)
+               + blob[count_at + 4:] + bytes(first))
+    bad = tmp_path / "duplicate.ckpt"
+    bad.write_bytes(doubled)
+    with pytest.raises(ValueError, match="duplicate"):
         load_checkpoint(bad)

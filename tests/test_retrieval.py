@@ -15,6 +15,8 @@ from hmn.autodiff import Tensor
 from hmn.memory import MemoryBank
 from hmn.retrieval import refine_rows, retrieve_rows, variance_probe
 
+from conftest import total
+
 ALPHA_2SLOT = np.array([0.8044296825069569051929726, 0.1955703174930430948070274])
 M_2SLOT = np.array([0.8044296825069569051929726, 0.5867109524791292844210822])
 REFINED_2SLOT = np.array([1.760885936501391381038595, 0.1173421904958258568842164])
@@ -201,7 +203,7 @@ def test_fd_gradients_through_refinement(rng):
 
         def build():
             out, _ = refine_rows(z, bank, beta, t, groups=2)
-            return ad.sum_all(ad.matmul(out, proj))
+            return total(ad.matmul(out, proj))
 
         assert ad.check_gradients(build, [z, beta], step=1e-6) < 1e-6, f"T={t}"
 
