@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff over float64 numpy arrays.
+"""Reverse-mode autodiff over float32 or float64 numpy arrays.
 
 Just enough ops to express the model: grouped matmul, row softmax,
 layernorm, gelu, neighborhood unfold, cross entropy, the small glue ops
@@ -12,9 +12,15 @@ on what else is in the batch, down to the last bit. Inside a
 graph, so inference holds no activations beyond the ones still referenced.
 backward() takes the graph apart as it walks it, so after a training step
 only the leaves' gradients remain.
+
+Ops preserve dtype: a float32 tensor stays float32 through every op, its
+gradient included, and every other input computes in float64 (the dtype
+rule of ``kernels.as_float``). Constants inside ops are Python floats,
+which never widen a float32 array; a numpy float64 scalar would.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -46,12 +52,15 @@ def _finite(name, arr):
 
 
 class Tensor:
-    """A float64 array plus the graph edge that produced it."""
+    """A float32 or float64 array plus the graph edge that produced it.
+
+    A float32 array is kept as float32; anything else is cast to float64.
+    """
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, value, requires_grad=False):
-        self.value = np.ascontiguousarray(value, dtype=np.float64)
+        self.value = np.ascontiguousarray(kernels.as_float(value))
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -232,7 +241,7 @@ def add_bias(x, b):
 def gelu(x):
     """tanh-form gelu: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))."""
     x = as_tensor(x)
-    c = np.sqrt(2.0 / np.pi)
+    c = math.sqrt(2.0 / math.pi)
     xv = x.value
     # xv ** 3 would take the slow general pow path
     inner = c * (xv + 0.044715 * (xv * xv * xv))
@@ -383,7 +392,7 @@ def memory_read(z, slots, mask, groups=1):
     zhat, znorm = normalize_rows(zv)
     khat_t = np.ascontiguousarray(normalize_rows(slots)[0].T)
     alpha = np.matmul(zhat.reshape(groups, gs, d), khat_t).reshape(r, k)
-    alpha *= np.sqrt(d)
+    alpha *= math.sqrt(d)
     if not mask.all():
         alpha[:, ~mask] = -np.inf  # exp gives exactly 0 there
     alpha -= alpha.max(axis=1, keepdims=True)
@@ -394,7 +403,7 @@ def memory_read(z, slots, mask, groups=1):
     def bwd(dout):
         da = np.matmul(dout.reshape(groups, gs, d), slots.T).reshape(r, k)
         dlogits = alpha * (da - (da * alpha).sum(axis=1, keepdims=True))
-        dlogits *= np.sqrt(d)
+        dlogits *= math.sqrt(d)
         dzhat = np.matmul(dlogits.reshape(groups, gs, k), khat_t.T).reshape(r, d)
         inner = (dzhat * zhat).sum(axis=1, keepdims=True)
         denom = np.maximum(znorm, _EPS)

@@ -7,7 +7,8 @@ treatment against the global bank, broadcast to all tokens. The branch sum
 feeds a two-layer MLP whose output rides a skip connection from the block
 input. In train mode the detached queries are written to the banks after
 both branches have read, so retrieval always sees pre-batch state; each
-bank gets one batched write per forward.
+bank gets one batched write per forward. Parameters, β and bank slots all
+hold the block's dtype.
 """
 
 from collections import OrderedDict
@@ -19,42 +20,42 @@ from .memory import MemoryBank
 from .retrieval import refine_rows, retrieve_rows
 
 
-def _linear(rng, fan_in, fan_out):
-    return ad.Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)),
-                     requires_grad=True)
+def _linear(rng, fan_in, fan_out, dtype):
+    w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+    return ad.Tensor(w.astype(dtype), requires_grad=True)
 
 
-def _vec(value, n):
-    return ad.Tensor(np.full(n, float(value)), requires_grad=True)
+def _vec(value, n, dtype):
+    return ad.Tensor(np.full(n, float(value), dtype=dtype), requires_grad=True)
 
 
 class HMNBlock:
-    def __init__(self, cfg, rng):
+    def __init__(self, cfg, rng, dtype=np.float64):
         self.cfg = cfg
         self.h_p, self.w_p = cfg.grid_shape
         self.n_tokens = cfg.n_tokens
         k, d_e, d_l, r = cfg.k, cfg.d_emb, cfg.d_lat, cfg.mlp_ratio
-        self.W_loc_in = _linear(rng, k * k * d_e, d_l)
-        self.b_loc_in = _vec(0.0, d_l)
-        self.W_loc_out = _linear(rng, 2 * d_l, d_e)
-        self.b_loc_out = _vec(0.0, d_e)
-        self.W_glob_in = _linear(rng, d_e, d_l)
-        self.b_glob_in = _vec(0.0, d_l)
-        self.W_glob_out = _linear(rng, 2 * d_l, d_e)
-        self.b_glob_out = _vec(0.0, d_e)
-        self.beta_local = ad.Tensor(np.float64(cfg.beta_init), requires_grad=True)
-        self.beta_global = ad.Tensor(np.float64(cfg.beta_init), requires_grad=True)
-        self.W1 = _linear(rng, d_e, r * d_e)
-        self.b1 = _vec(0.0, r * d_e)
-        self.W2 = _linear(rng, r * d_e, d_e)
-        self.b2 = _vec(0.0, d_e)
+        self.W_loc_in = _linear(rng, k * k * d_e, d_l, dtype)
+        self.b_loc_in = _vec(0.0, d_l, dtype)
+        self.W_loc_out = _linear(rng, 2 * d_l, d_e, dtype)
+        self.b_loc_out = _vec(0.0, d_e, dtype)
+        self.W_glob_in = _linear(rng, d_e, d_l, dtype)
+        self.b_glob_in = _vec(0.0, d_l, dtype)
+        self.W_glob_out = _linear(rng, 2 * d_l, d_e, dtype)
+        self.b_glob_out = _vec(0.0, d_e, dtype)
+        self.beta_local = ad.Tensor(np.asarray(cfg.beta_init, dtype=dtype), requires_grad=True)
+        self.beta_global = ad.Tensor(np.asarray(cfg.beta_init, dtype=dtype), requires_grad=True)
+        self.W1 = _linear(rng, d_e, r * d_e, dtype)
+        self.b1 = _vec(0.0, r * d_e, dtype)
+        self.W2 = _linear(rng, r * d_e, d_e, dtype)
+        self.b2 = _vec(0.0, d_e, dtype)
         if cfg.use_norm:
-            self.norm_in_gain = _vec(1.0, d_e)
-            self.norm_in_bias = _vec(0.0, d_e)
-            self.norm_mlp_gain = _vec(1.0, d_e)
-            self.norm_mlp_bias = _vec(0.0, d_e)
-        self.bank_local = MemoryBank(cfg.num_classes, cfg.k_local, d_l)
-        self.bank_global = MemoryBank(cfg.num_classes, cfg.k_global, d_l)
+            self.norm_in_gain = _vec(1.0, d_e, dtype)
+            self.norm_in_bias = _vec(0.0, d_e, dtype)
+            self.norm_mlp_gain = _vec(1.0, d_e, dtype)
+            self.norm_mlp_bias = _vec(0.0, d_e, dtype)
+        self.bank_local = MemoryBank(cfg.num_classes, cfg.k_local, d_l, dtype)
+        self.bank_global = MemoryBank(cfg.num_classes, cfg.k_global, d_l, dtype)
 
     def parameters(self, prefix):
         names = ["W_loc_in", "b_loc_in", "W_loc_out", "b_loc_out",

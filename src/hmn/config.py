@@ -53,6 +53,7 @@ class RunConfig:
     synth_classes: int = 2
     synth_train_per_class: int = 200
     synth_test_per_class: int = 50
+    synth_noise: float = 0.1
     # run
     seed: int = 0
     out_dir: str = "runs/default"
@@ -101,6 +102,8 @@ class RunConfig:
             raise ValueError(f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError(f"warmup_epochs must be in [0, epochs), got {self.warmup_epochs}")
+        if self.synth_noise < 0:
+            raise ValueError(f"synth_noise must be nonnegative, got {self.synth_noise}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if len(self.norm_mean) != self.in_channels or len(self.norm_std) != self.in_channels:

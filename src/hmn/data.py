@@ -253,7 +253,9 @@ def load_dataset(cfg):
         return load_fashion_mnist(cfg.data_dir)
     if cfg.dataset == "synth_blobs":
         h, w = cfg.image_size
-        train = synth_blobs(cfg.num_classes, cfg.synth_train_per_class, (h, w), seed=cfg.seed)
-        test = synth_blobs(cfg.num_classes, cfg.synth_test_per_class, (h, w), seed=cfg.seed + 1)
+        train = synth_blobs(cfg.num_classes, cfg.synth_train_per_class, (h, w), seed=cfg.seed,
+                            noise=cfg.synth_noise)
+        test = synth_blobs(cfg.num_classes, cfg.synth_test_per_class, (h, w), seed=cfg.seed + 1,
+                           noise=cfg.synth_noise)
         return train, test
     raise ValueError(f"unknown dataset {cfg.dataset!r}")

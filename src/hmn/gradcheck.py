@@ -3,7 +3,9 @@
 Builds an 8×8-input model with two blocks, fills the banks with a couple
 of training batches, randomizes every parameter so no gradient path is
 trivially zero (the head starts at zero otherwise), then compares
-backward() against central differences for each parameter element.
+backward() against central differences for each parameter element. The
+model computes in float64: central differences at step 1e-5 would drown
+in float32 rounding.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ def model_gradcheck(t_steps=1, seed=0, step=1e-5, floor=1e-6, batch=4):
     """
     cfg = tiny_config(t_steps=int(t_steps))
     rng = np.random.default_rng(seed)
-    model = Model(cfg, rng)
+    model = Model(cfg, rng, dtype=np.float64)
     ds = data_mod.synth_blobs(cfg.num_classes, 8, tuple(cfg.image_size), seed=seed + 1)
     # two write passes so both banks hold real embeddings before the check
     for start in (0, batch):

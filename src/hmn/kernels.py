@@ -4,10 +4,18 @@ Both kernels take grids shaped (..., H, W, D): any leading axes (one per
 image, say) ride along, and a plain (H, W, D) grid is the case with none.
 The gather only copies and zero-pads, and the adjoint adds the k² window
 shifts in ascending (dr, dc) order, so every grid in a batch gets the same
-bits it would get on its own.
+bits it would get on its own. Both compute in their input's dtype by the
+rule of ``as_float``.
 """
 
 import numpy as np
+
+
+def as_float(x):
+    """x as an array of the dtype it computes in: float32 stays float32,
+    anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def unfold_grid(grid, k):
@@ -19,10 +27,10 @@ def unfold_grid(grid, k):
     """
     if k % 2 == 0 or k < 1:
         raise ValueError(f"window size must be odd and positive, got {k}")
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = as_float(grid)
     *lead, h, w, d = grid.shape
     pad = k // 2
-    padded = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d))
+    padded = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d), dtype=grid.dtype)
     padded[..., pad:pad + h, pad:pad + w, :] = grid
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(-3, -2))
     # windows: (..., h, w, d, k, k) -> rows ordered window-row, window-col, channel
@@ -36,8 +44,8 @@ def unfold_grid_bwd(dout, shape, k):
     """
     *lead, h, w, d = shape
     pad = k // 2
-    d6 = np.asarray(dout, dtype=np.float64).reshape(*lead, h, w, k, k, d)
-    acc = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d))
+    d6 = as_float(dout).reshape(*lead, h, w, k, k, d)
+    acc = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d), dtype=d6.dtype)
     for dr in range(k):
         for dc in range(k):
             acc[..., dr:dr + h, dc:dc + w, :] += d6[..., dr, dc, :]

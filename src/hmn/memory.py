@@ -4,7 +4,9 @@ Each class owns a fixed contiguous range of slots. A write takes a batch
 of rows with their class ids and stores them in row order: each class's
 rows go to its cursor and wrap, so the newest capacity[c] embeddings for
 a class are always present. Slots never carry gradients; callers hand in
-plain arrays.
+plain arrays. A write copies the slot array before changing it, so an
+array handed out by ``filled_view`` keeps the slots it was read with:
+backward of a read taken before a write still sees the read's slots.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ class FrozenBankError(RuntimeError):
 
 
 class MemoryBank:
-    def __init__(self, num_classes, total_slots, dim):
+    def __init__(self, num_classes, total_slots, dim, dtype=np.float64):
         if total_slots < num_classes:
             raise ValueError(f"need at least one slot per class: K={total_slots} < C={num_classes}")
         if num_classes < 1 or dim < 1:
@@ -29,7 +31,7 @@ class MemoryBank:
         self.per_class_capacity[:extra] += 1
         self.class_start = np.zeros(self.num_classes, dtype=np.int64)
         self.class_start[1:] = np.cumsum(self.per_class_capacity)[:-1]
-        self.slots = np.zeros((self.total_slots, self.dim), dtype=np.float64)
+        self.slots = np.zeros((self.total_slots, self.dim), dtype=dtype)
         self.slot_class = np.repeat(
             np.arange(self.num_classes, dtype=np.int64), self.per_class_capacity)
         self.cursor = np.zeros(self.num_classes, dtype=np.int64)
@@ -44,20 +46,22 @@ class MemoryBank:
         """
         if self.frozen:
             raise FrozenBankError("write to a frozen bank")
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows, dtype=self.slots.dtype)
         cls = np.asarray(class_ids, dtype=np.int64).reshape(-1)
         if rows.shape != (len(cls), self.dim):
             raise ValueError(f"rows {rows.shape} do not match ({len(cls)}, {self.dim})")
         if len(cls) and not (0 <= cls.min() and cls.max() < self.num_classes):
             raise ValueError(f"class ids out of range [0, {self.num_classes})")
+        slots = self.slots.copy()
         for c in np.unique(cls):
             own = rows[cls == c]
             n, cap = len(own), self.per_class_capacity[c]
             # row j of n lands on ring position cursor + j; later rows overwrite
             kept = np.arange(max(n - cap, 0), n)
-            self.slots[self.class_start[c] + (self.cursor[c] + kept) % cap] = own[kept]
+            slots[self.class_start[c] + (self.cursor[c] + kept) % cap] = own[kept]
             self.cursor[c] = (self.cursor[c] + n) % cap
             self.filled[c] = min(self.filled[c] + n, cap)
+        self.slots = slots
 
     def freeze(self):
         self.frozen = True

@@ -1,8 +1,13 @@
 """Full classifier: patch embedding, block stack, attention pooling, head.
 
-Also the versioned binary checkpoint format. Parameters are stored as
-little-endian float32; loading widens back to float64, so a checkpoint
-saved again after loading is byte-identical (quantization is idempotent).
+A model computes in one dtype: float32 unless built with another (the
+finite-difference checks build float64). Parameters, β, bank slots,
+inputs, activations and gradients all hold it.
+
+Also the versioned binary checkpoint format. Parameters and slots are
+stored as little-endian float32. Loading builds a float32 model and takes
+the records as they are, so a float32 model's save→load round trip is
+exact, and a checkpoint saved again after loading is byte-identical.
 """
 
 import json
@@ -21,25 +26,26 @@ VERSION = 1
 
 
 class Model:
-    def __init__(self, cfg, rng=None):
+    def __init__(self, cfg, rng=None, dtype=np.float32):
         cfg.validate()
         self.cfg = cfg
+        self.dtype = np.dtype(dtype)
         # parameter draws come off this one stream in declaration order, so
         # a seed pins every weight
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         p, c_in, d_e = cfg.patch_size, cfg.in_channels, cfg.d_emb
         fan = p * p * c_in
-        self.patch_proj = ad.Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan), size=(fan, d_e)),
-                                    requires_grad=True)
-        self.patch_bias = ad.Tensor(np.zeros(d_e), requires_grad=True)
-        self.pos_embed = ad.Tensor(rng.normal(0.0, 0.02, size=(cfg.n_tokens, d_e)),
-                                   requires_grad=True)
-        self.blocks = [HMNBlock(cfg, rng) for _ in range(cfg.n_blocks)]
-        self.W_att = ad.Tensor(rng.normal(0.0, 1.0 / np.sqrt(d_e), size=(d_e, 1)),
-                               requires_grad=True)
+        self.patch_proj = self._param(rng.normal(0.0, 1.0 / np.sqrt(fan), size=(fan, d_e)))
+        self.patch_bias = self._param(np.zeros(d_e))
+        self.pos_embed = self._param(rng.normal(0.0, 0.02, size=(cfg.n_tokens, d_e)))
+        self.blocks = [HMNBlock(cfg, rng, self.dtype) for _ in range(cfg.n_blocks)]
+        self.W_att = self._param(rng.normal(0.0, 1.0 / np.sqrt(d_e), size=(d_e, 1)))
         # zero head makes the initial loss exactly ln(num_classes)
-        self.head_w = ad.Tensor(np.zeros((d_e, cfg.num_classes)), requires_grad=True)
-        self.head_b = ad.Tensor(np.zeros(cfg.num_classes), requires_grad=True)
+        self.head_w = self._param(np.zeros((d_e, cfg.num_classes)))
+        self.head_b = self._param(np.zeros(cfg.num_classes))
+
+    def _param(self, value):
+        return ad.Tensor(value.astype(self.dtype), requires_grad=True)
 
     def parameters(self):
         out = OrderedDict()
@@ -92,7 +98,7 @@ class Model:
             raise ValueError(f"mode must be train or eval, got {mode!r}")
         self.set_frozen(mode == "eval")
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
-        images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images, dtype=self.dtype)
         if images.ndim == 3:
             images = images[None]
         b = images.shape[0]
@@ -202,8 +208,8 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
 
 
 def load_checkpoint(path):
-    """-> (model, meta dict, rng or None). Rejects bad magic, version skew,
-    truncation, trailing bytes, duplicate records and inconsistent banks."""
+    """-> (float32 model, meta dict, rng or None). Rejects bad magic, version
+    skew, truncation, trailing bytes, duplicate records and inconsistent banks."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -237,7 +243,7 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint missing parameter {name!r}")
         if records[name].shape != t.value.shape:
             raise ValueError(f"parameter {name!r} shape mismatch")
-        t.value = np.ascontiguousarray(records[name], dtype=np.float64)
+        t.value = np.array(records[name], dtype=t.value.dtype)
     for bname, bank in model.banks().items():
         state = {}
         for field in ("slots", "cursor", "filled", "frozen"):

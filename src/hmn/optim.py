@@ -35,7 +35,8 @@ class Adam:
         A parameter with no grad this step (unreached by the loss) still
         decays but gets a zero moment update.
         """
-        lr = self.lr if lr is None else lr
+        # Python floats, so a float32 parameter's update stays float32
+        lr = float(self.lr if lr is None else lr)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
@@ -53,7 +54,8 @@ class Adam:
             p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
     def state_records(self):
-        """Named arrays for checkpoint embedding (moments quantize to f32)."""
+        """Named arrays for checkpoint embedding; moments hold their parameter's
+        dtype and are stored as f32."""
         out = [("opt.t", np.array([self.t], dtype=np.int64))]
         for name in self.params:
             out.append((f"opt.m.{name}", self.m[name]))

@@ -11,6 +11,7 @@ import hmn.model as model_mod
 from hmn.analysis import _captured_batches, hit_rate
 from hmn.config import RunConfig
 from hmn.data import load_dataset, standardize
+from hmn.memory import MemoryBank
 from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
 from hmn.train import evaluate
@@ -36,8 +37,8 @@ def fill_via_training_steps(cfg, model, rng, steps=2, batch=4):
         model.forward(imgs, mode="train", labels=labels, rng=rng)
     # the head starts at zero, which would blank the logits and make
     # output comparisons vacuous
-    model.head_w.value = rng.normal(0.0, 0.5, size=model.head_w.value.shape)
-    model.head_b.value = rng.normal(0.0, 0.5, size=model.head_b.value.shape)
+    for t in (model.head_w, model.head_b):
+        t.value = rng.normal(0.0, 0.5, size=t.value.shape).astype(model.dtype)
 
 
 # ------------------------------------------------------------------ patching
@@ -113,11 +114,15 @@ def test_pool_weights_sum_to_one(tmp_path, rng):
 # ---------------------------------------------------------------- invariants
 
 def test_fresh_model_loss_is_exactly_log_c(tmp_path, rng):
-    cfg, model = tiny_model(tmp_path, synth_classes=5, k_local=10, k_global=10)
-    logits = model.forward(std_images(cfg, 6, rng))
-    assert (logits.value == 0.0).all()
-    loss = ad.cross_entropy(logits, np.zeros(6, dtype=np.int64))
-    assert loss.value.item() == float(np.log(5.0))
+    cfg = make_tiny_cfg(tmp_path, synth_classes=5, k_local=10, k_global=10)
+    images = std_images(cfg, 6, rng)
+    # each dtype's own ln 5, exactly
+    for dtype in (np.float32, np.float64):
+        logits = Model(cfg, dtype=dtype).forward(images)
+        assert (logits.value == 0.0).all()
+        loss = ad.cross_entropy(logits, np.zeros(6, dtype=np.int64))
+        assert loss.value.dtype == dtype
+        assert loss.value.item() == float(np.log(dtype(5.0)))
 
 
 def test_eval_is_deterministic_and_pure(tmp_path, rng):
@@ -221,10 +226,8 @@ def test_checkpoint_round_trip_forward(tmp_path, rng):
     clone, extra, crng = load_checkpoint(path)
     assert extra == {"epoch": 3, "best_acc": 0.75}
     imgs = std_images(cfg, 3, rng)
-    # storage is float32, so the original is only f32-close ...
-    np.testing.assert_allclose(model.forward(imgs).value, clone.forward(imgs).value,
-                               rtol=1e-5, atol=1e-6)
-    # ... but two loads of the same file agree bitwise
+    # storage is float32, the model's own dtype, so the round trip is exact
+    np.testing.assert_array_equal(model.forward(imgs).value, clone.forward(imgs).value)
     clone2, _, _ = load_checkpoint(path)
     np.testing.assert_array_equal(clone.forward(imgs).value, clone2.forward(imgs).value)
     # the restored rng continues the saved stream
@@ -247,16 +250,20 @@ def test_checkpoint_restores_every_bank_in_its_block(tmp_path, rng):
         assert got.frozen and got.any_filled
 
 
-def test_checkpoint_exact_when_params_are_f32_representable(tmp_path, rng):
+def test_float32_checkpoint_round_trip_is_exact(tmp_path, rng):
     cfg, model = tiny_model(tmp_path / "m")
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
-    for t in model.parameters().values():
-        t.value = t.value.astype(np.float32).astype(np.float64)
-    for bank in model.banks().values():
-        bank.slots[:] = bank.slots.astype(np.float32).astype(np.float64)
     path = tmp_path / "exact.ckpt"
     save_checkpoint(model, path)
     clone, _, _ = load_checkpoint(path)
+    got = clone.parameters()
+    for name, t in model.parameters().items():
+        assert got[name].value.dtype == np.float32
+        np.testing.assert_array_equal(got[name].value, t.value)
+    got = clone.banks()
+    for name, bank in model.banks().items():
+        assert got[name].slots.dtype == np.float32
+        np.testing.assert_array_equal(got[name].slots, bank.slots)
     imgs = std_images(cfg, 3, rng)
     np.testing.assert_array_equal(model.forward(imgs).value, clone.forward(imgs).value)
 
@@ -344,6 +351,33 @@ def test_checkpoint_crash_mid_write_keeps_the_earlier_file(tmp_path, rng, monkey
         save_checkpoint(model, path, rng=rng)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def test_train_step_gradients_use_the_slots_the_forward_read(tmp_path, monkeypatch):
+    # with full banks, a train step's writes overwrite slots its reads
+    # weighted; deferring the writes past backward() must change nothing
+    grads, slots = [], []
+    for defer in (False, True):
+        cfg, model = tiny_model(tmp_path / "m", n_blocks=2)
+        rng = np.random.default_rng(5)
+        fill_via_training_steps(cfg, model, rng, steps=4)
+        assert all(np.array_equal(b.filled, b.per_class_capacity) for b in model.banks().values())
+        labels = np.array([0, 1, 1, 0])
+        pending = []
+        with monkeypatch.context() as m:
+            if defer:
+                m.setattr(MemoryBank, "write", lambda bank, *args: pending.append((bank, args)))
+            logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
+            ad.backward(ad.cross_entropy(logits, labels))
+        for bank, args in pending:
+            bank.write(*args)
+        grads.append({n: t.grad for n, t in model.parameters().items()})
+        slots.append([b.slots for b in model.banks().values()])
+    assert len(pending) == 4
+    for name, g in grads[0].items():
+        np.testing.assert_array_equal(g, grads[1][name], err_msg=name)
+    for a, b in zip(*slots):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_train_step_backward_releases_the_graph(tmp_path, rng):
