@@ -5,9 +5,10 @@ layernorm, gelu, neighborhood unfold, cross entropy, the small glue ops
 (add, bias, concat, reshape, row broadcast/reduce) and the two memory ops:
 memory_read, one Hopfield read (normalize, score, masked softmax, mix),
 and hopfield_update, one refinement step. Values are checked finite after
-every op. Matmuls whose left operand stacks rows from several images
-execute one GEMM per image group, so an image's activations never depend
-on what else is in the batch, down to the last bit. Inside a
+every op. Forward matmuls whose left operand stacks rows from several
+images execute one GEMM per image group, so an image's activations never
+depend on what else is in the batch, down to the last bit. Backwards never
+produce logits, so each gradient GEMM is one BLAS call over all rows. Inside a
 ``no_grad()`` scope ops still compute and check their values but record no
 graph, so inference holds no activations beyond the ones still referenced.
 backward() takes the graph apart as it walks it, so after a training step
@@ -151,10 +152,11 @@ def zero_grad(tensors):
 # ---------------------------------------------------------------- linear maps
 
 def matmul(a, b, groups=1):
-    """C = A·B with A's rows split into equal groups, one GEMM per group.
+    """C = A·B with A's rows split into equal groups, one forward GEMM per group.
 
     The right operand is shared across groups. groups must divide A's row
-    count; model code passes one group per image.
+    count; model code passes one group per image. Backward ignores the
+    groups: dA and dB are one GEMM each over all rows.
     """
     a, b = as_tensor(a), as_tensor(b)
     m, ka = a.value.shape
@@ -163,23 +165,15 @@ def matmul(a, b, groups=1):
         raise ValueError(f"matmul inner dims disagree: {a.value.shape} vs {b.value.shape}")
     if m % groups != 0:
         raise ValueError(f"{groups} groups do not divide {m} rows")
-    gs = m // groups
     av, bv = a.value, b.value
     # a stacked matmul runs one GEMM per leading index
-    out = np.matmul(av.reshape(groups, gs, ka), bv).reshape(m, n)
+    out = np.matmul(av.reshape(groups, m // groups, ka), bv).reshape(m, n)
 
     def bwd(dout):
         if a.requires_grad:
-            _accum(a, np.matmul(dout.reshape(groups, gs, n), bv.T).reshape(m, ka))
+            _accum(a, dout @ bv.T)
         if b.requires_grad:
-            # adding the per-group products in group order keeps weight
-            # gradients bit-identical; a stacked matmul then .sum(axis=0)
-            # holds every group's product at once and measured slower
-            db = np.zeros_like(bv)
-            for g in range(groups):
-                s = slice(g * gs, (g + 1) * gs)
-                db += av[s].T @ dout[s]
-            _accum(b, db)
+            _accum(b, av.T @ dout)
 
     return _node(out, (a, b), bwd, "matmul")
 
@@ -401,10 +395,10 @@ def memory_read(z, slots, mask, groups=1):
     m = np.matmul(alpha.reshape(groups, gs, k), slots).reshape(r, d)
 
     def bwd(dout):
-        da = np.matmul(dout.reshape(groups, gs, d), slots.T).reshape(r, k)
+        da = dout @ slots.T
         dlogits = alpha * (da - (da * alpha).sum(axis=1, keepdims=True))
         dlogits *= math.sqrt(d)
-        dzhat = np.matmul(dlogits.reshape(groups, gs, k), khat_t.T).reshape(r, d)
+        dzhat = dlogits @ khat_t.T
         inner = (dzhat * zhat).sum(axis=1, keepdims=True)
         denom = np.maximum(znorm, _EPS)
         _accum(z, np.where(znorm > _EPS, (dzhat - zhat * inner) / denom, dzhat / denom))

@@ -123,6 +123,7 @@ class Model:
 # ------------------------------------------------------------- checkpoint IO
 
 _DTYPES = {0: "<f4", 1: "<i8"}
+_BANK_FIELDS = ("slots", "cursor", "filled", "frozen")
 _CODES = {"<f4": 0, "<i8": 1}
 
 
@@ -168,18 +169,11 @@ def _rng_from_meta(meta):
 
 
 def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
-    records = []
-    for name, t in model.parameters().items():
-        records.append((name, t.value, "<f4"))
-    for bname, bank in model.banks().items():
-        st = bank.state_dict()
-        records.append((f"bank.{bname}.slots", st["slots"], "<f4"))
-        records.append((f"bank.{bname}.cursor", st["cursor"], "<i8"))
-        records.append((f"bank.{bname}.filled", st["filled"], "<i8"))
-        records.append((f"bank.{bname}.frozen", st["frozen"], "<i8"))
+    records = [(name, t.value) for name, t in model.parameters().items()]
+    records += [(f"bank.{bname}.{field}", arr) for bname, bank in model.banks().items()
+                for field, arr in bank.state_dict().items()]
     if optimizer is not None:
-        for name, arr in optimizer.state_records():
-            records.append((name, arr, "<f4" if arr.dtype.kind == "f" else "<i8"))
+        records += optimizer.state_records()
     meta = {"extra": extra or {}}
     if rng is not None:
         meta["rng"] = _rng_state_to_meta(rng)
@@ -196,8 +190,9 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
             fh.write(struct.pack("<Q", len(meta_blob)))
             fh.write(meta_blob)
             fh.write(struct.pack("<I", len(records)))
-            for name, arr, dtype in records:
-                fh.write(_pack_record(name, np.asarray(arr), dtype))
+            for name, arr in records:
+                arr = np.asarray(arr)
+                fh.write(_pack_record(name, arr, "<f4" if arr.dtype.kind == "f" else "<i8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -209,7 +204,8 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
 
 def load_checkpoint(path):
     """-> (float32 model, meta dict, rng or None). Rejects bad magic, version
-    skew, truncation, trailing bytes, duplicate records and inconsistent banks."""
+    skew, truncation, trailing bytes, duplicate or unknown records,
+    non-finite parameters and inconsistent banks."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -238,15 +234,23 @@ def load_checkpoint(path):
         raise ValueError(f"{len(blob) - r.pos} trailing bytes after last record")
 
     model = Model(cfg)
-    for name, t in model.parameters().items():
+    params, banks = model.parameters(), model.banks()
+    known = {"opt.t", *params, *(f"opt.{moment}.{name}" for moment in "mv" for name in params),
+             *(f"bank.{bname}.{field}" for bname in banks for field in _BANK_FIELDS)}
+    unknown = sorted(set(records) - known)
+    if unknown:
+        raise ValueError(f"unknown record {unknown[0]!r}")
+    for name, t in params.items():
         if name not in records:
             raise ValueError(f"checkpoint missing parameter {name!r}")
         if records[name].shape != t.value.shape:
             raise ValueError(f"parameter {name!r} shape mismatch")
+        if not np.all(np.isfinite(records[name])):
+            raise ValueError(f"parameter {name!r} has non-finite values")
         t.value = np.array(records[name], dtype=t.value.dtype)
-    for bname, bank in model.banks().items():
+    for bname, bank in banks.items():
         state = {}
-        for field in ("slots", "cursor", "filled", "frozen"):
+        for field in _BANK_FIELDS:
             key = f"bank.{bname}.{field}"
             if key not in records:
                 raise ValueError(f"checkpoint missing bank record {key!r}")

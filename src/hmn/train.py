@@ -68,6 +68,8 @@ def train(cfg, log=print):
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = prepare_datasets(cfg)
+    if len(train_ds) == 0:
+        raise ValueError("the training set is empty; nothing to train on")
     rng = np.random.default_rng(cfg.seed)
     model = Model(cfg, rng)
     params = model.parameters()
@@ -84,7 +86,7 @@ def train(cfg, log=print):
     last_grad_norm = 0.0
     last_lr = 0.0
     n = len(train_ds)
-    steps = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
+    steps = (n + cfg.batch_size - 1) // cfg.batch_size
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -94,8 +96,6 @@ def train(cfg, log=print):
         correct = 0
         for step_i in range(steps):
             idx = perm[step_i * cfg.batch_size:(step_i + 1) * cfg.batch_size]
-            if len(idx) == 0:
-                continue
             images = train_ds.images[idx]
             labels = train_ds.labels[idx]
             if cfg.augment:

@@ -489,3 +489,48 @@ def test_checkpoint_rejects_duplicate_record(tmp_path, rng):
     bad.write_bytes(doubled)
     with pytest.raises(ValueError, match="duplicate"):
         load_checkpoint(bad)
+
+
+def record_names(blob):
+    names = []
+    for start in record_table(blob)[2]:
+        nlen = struct.unpack_from("<H", blob, start)[0]
+        names.append(blob[start + 2:start + 2 + nlen].decode("utf-8"))
+    return names
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, rng, bad_value):
+    cfg, model, path = checkpointed(tmp_path, rng)
+    blob = path.read_bytes()
+    end = record_table(blob)[2][1]
+    name = record_names(blob)[0]
+    assert name in model.parameters()
+    # the last float of the first parameter record
+    bad = tmp_path / "non_finite.ckpt"
+    bad.write_bytes(blob[:end - 4] + struct.pack("<f", bad_value) + blob[end:])
+    with pytest.raises(ValueError, match=f"parameter {name!r} has non-finite"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name", ["bogus", "opt.m.not_a_param", "bank.nowhere.slots"])
+def test_checkpoint_rejects_unknown_record(tmp_path, rng, name):
+    cfg, model, path = checkpointed(tmp_path, rng)
+    blob = path.read_bytes()
+    count_at, count, _ = record_table(blob)
+    extra = model_mod._pack_record(name, np.zeros(3), "<f4")
+    bad = tmp_path / "unknown.ckpt"
+    bad.write_bytes(blob[:count_at] + struct.pack("<I", count + 1)
+                    + blob[count_at + 4:] + extra)
+    with pytest.raises(ValueError, match=f"unknown record {name!r}"):
+        load_checkpoint(bad)
+
+
+def test_final_checkpoint_with_optimizer_records_loads(trained_tiny):
+    cfg, summary, out = trained_tiny
+    path = out / "final.ckpt"
+    names = record_names(path.read_bytes())
+    assert "opt.t" in names
+    assert {n for n in names if n.startswith("opt.m.")}
+    model, extra, crng = load_checkpoint(path)
+    assert crng is not None and extra["epoch"] == cfg.epochs - 1

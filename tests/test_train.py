@@ -132,6 +132,13 @@ def test_near_zero_lr_keeps_chance_level_loss(tmp_path):
     assert abs(summary["train_loss"] - float(np.log(np.float32(2.0)))) < 1e-10
 
 
+def test_empty_training_set_is_rejected_before_the_first_epoch(tmp_path):
+    cfg = make_tiny_cfg(tmp_path, synth_train_per_class=0)
+    with pytest.raises(ValueError, match="training set is empty"):
+        train(cfg, log=lambda *_: None)
+    assert not os.path.exists(os.path.join(cfg.out_dir, "metrics.csv"))
+
+
 def test_divergence_reports_location(tmp_path):
     cfg = make_tiny_cfg(tmp_path, epochs=2, warmup_epochs=0, lr=1e150,
                         weight_decay=0.0)
