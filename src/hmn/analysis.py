@@ -5,6 +5,12 @@ image's class. Weight profiles: mean slot weighting for one class. The
 corruption suite measures accuracy and retrieval stability under gaussian
 noise, occlusion, and contrast changes. All analyses read frozen banks and
 write CSV plus SVG under an output directory.
+
+Every diagnostic runs over ``train.eval_batches``, the loop ``evaluate``
+uses, and works on whole batches: one stable ranking of each batch's
+retrieval weights, then array expressions over it. An empty dataset
+raises ``ValueError``. The per-image loop left in ``corrupt_dataset`` is
+the rng contract: one stream, drawn in image index order.
 """
 
 import dataclasses
@@ -12,10 +18,9 @@ import os
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data as data_mod
 from . import svg
-from .train import train as run_train
+from .train import eval_batches, evaluate, train as run_train
 
 _AXIS_FIELDS = {
     "T": ("t_steps", int),
@@ -102,45 +107,28 @@ def _last_bank(model, branch):
     return bank
 
 
-def _captured_batches(model, dataset, batch_size=64):
-    """Yield (labels, capture, logits) per eval batch with last-block weights.
+def _rank_slots(alpha):
+    """Slot ids by descending weight along the last axis.
 
-    The forwards record no autodiff graph; the scope closes before each
-    yield, so the caller's own code runs outside it.
-    """
-    cfg = model.cfg
-    for start in range(0, len(dataset), batch_size):
-        sl = slice(start, min(start + batch_size, len(dataset)))
-        x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
-        capture = {}
-        with ad.no_grad():
-            logits = model.forward(x, mode="eval", capture=capture)
-        yield dataset.labels[sl], capture, logits.value
-
-
-def _rank_slots(alpha_row):
-    # stable sort: ties go to the lower slot index
-    return np.argsort(-alpha_row, kind="stable")
+    The sort is stable, so ties go to the lower slot index."""
+    return np.argsort(-alpha, axis=-1, kind="stable")
 
 
 def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
-    """Yield (label, rows) per sample: its last-block retrieval weight rows.
+    """Yield (labels (n,), alpha (n, t, K)) per eval batch: last-block
+    retrieval weight rows.
 
-    The global branch has one row per image. The local branch gives the
-    token picked by the pooling weights (argmax), or every token with
-    all_tokens. Callers check the bank with ``_last_bank`` first.
+    The global branch has t=1. The local branch gives the token picked by
+    the pooling weights (argmax), t=1, or every token with all_tokens,
+    t=N. Callers check the bank with ``_last_bank`` first.
     """
-    n_tok = model.cfg.n_tokens
-    for labels, cap, _ in _captured_batches(model, dataset, batch_size):
+    for labels, _, cap in eval_batches(model, dataset, batch_size, capture=True):
         alpha = cap[f"{branch}_alpha"]
-        for i, label in enumerate(labels):
-            if branch == "global":
-                yield label, alpha[i:i + 1]
-            elif all_tokens:
-                yield label, alpha[i * n_tok:(i + 1) * n_tok]
-            else:
-                t = i * n_tok + int(np.argmax(cap["pool_weights"][i]))
-                yield label, alpha[t:t + 1]
+        alpha = alpha.reshape(len(labels), -1, alpha.shape[-1])
+        if branch == "local" and not all_tokens:
+            picked = cap["pool_weights"].argmax(axis=1)
+            alpha = alpha[np.arange(len(labels)), picked][:, None]
+        yield labels, alpha
 
 
 # ----------------------------------------------------------------- hit rate
@@ -156,19 +144,15 @@ def hit_rate(model, dataset, branch="global", topk=(1, 5), all_tokens=False,
     """
     _, slot_class, _ = _last_bank(model, branch).filled_view()
     hits = {k: 0.0 for k in topk}
-    total = 0
-    for label, rows in _sample_rows(model, dataset, branch, batch_size, all_tokens):
+    for labels, alpha in _sample_rows(model, dataset, branch, batch_size, all_tokens):
+        same = slot_class[_rank_slots(alpha)[..., :max(topk)]] == labels[:, None, None]
         for k in topk:
-            hit = 0.0
-            for row in rows:
-                order = _rank_slots(row)[:k]
-                hit += float(label in slot_class[order])
-            hits[k] += hit / len(rows)
-        total += 1
+            # per image: the share of its rows with a same-class slot in the top k
+            hits[k] += float(same[..., :k].any(axis=-1).mean(axis=1).sum())
     c = model.cfg.num_classes
-    report = {"branch": branch, "n": total, "all_tokens": bool(all_tokens)}
+    report = {"branch": branch, "n": len(dataset), "all_tokens": bool(all_tokens)}
     for k in topk:
-        report[f"top{k}_pct"] = 100.0 * hits[k] / max(total, 1)
+        report[f"top{k}_pct"] = 100.0 * hits[k] / len(dataset)
         report[f"chance_top{k}_pct"] = 100.0 * (1.0 - (1.0 - 1.0 / c) ** k)
     return report
 
@@ -204,11 +188,9 @@ def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
     subset = dataset.subset(idx)
     _, slot_class, _ = bank.filled_view()
     acc = np.zeros(bank.total_slots)
-    total = 0
-    for _, rows in _sample_rows(model, subset, branch, batch_size):
-        acc += rows[0]
-        total += 1
-    return acc / total, slot_class
+    for _, alpha in _sample_rows(model, subset, branch, batch_size):
+        acc += alpha[:, 0].sum(axis=0, dtype=np.float64)
+    return acc / len(subset), slot_class
 
 
 def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
@@ -227,20 +209,23 @@ def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
 
 # ------------------------------------------------------------- robustness
 
+def _with_identity(family, grid):
+    """(identity severity, grid with the identity severity first if absent)."""
+    ident = _IDENTITY[family]
+    grid = list(grid)
+    return ident, grid if ident in grid else [ident] + grid
+
+
 def robustness(models, dataset, grids=None, seed=1234, batch_size=64):
     """Accuracy per (model, family, severity); rows at the identity severity
     equal clean accuracy exactly. Returns a list of row dicts."""
-    from .train import evaluate
     grids = grids or DEFAULT_GRIDS
     rows = []
     for label, model in models:
         clean_acc = evaluate(model, dataset, batch_size)
         corrupted_accs = []
         for fi, (family, sevs) in enumerate(sorted(grids.items())):
-            grid = list(sevs)
-            ident = _IDENTITY[family]
-            if ident not in grid:
-                grid = [ident] + grid
+            ident, grid = _with_identity(family, sevs)
             for si, sev in enumerate(grid):
                 if sev == ident:
                     acc = clean_acc
@@ -287,54 +272,40 @@ def write_robustness(rows, out_dir):
 
 # ------------------------------------------------------------- consistency
 
-def _top1_and_top5(model, dataset, branch, batch_size):
-    """Per sample: (top1 slot id, top5 slot id set) at the last block.
-
-    The local branch scores the argmax-pooling token, mirroring hit_rate."""
-    top1 = np.empty(len(dataset), dtype=np.int64)
-    top5 = []
-    for pos, (_, rows) in enumerate(_sample_rows(model, dataset, branch, batch_size)):
-        order = _rank_slots(rows[0])
-        top1[pos] = order[0]
-        top5.append(set(int(s) for s in order[:5]))
-    return top1, top5
-
-
 def consistency(model, dataset, family="occlusion_px", grid=None, seed=4321,
                 batch_size=64, branch="global"):
     """Retrieval stability under corruption at the last block's bank.
 
     Per severity: does the corrupted top-1 slot sit in the clean top-5 set,
     and how close (cosine) is the corrupted top-1 prototype to the clean
-    one. Identical slots count as cosine exactly 1.
+    one. The same slot counts as cosine exactly 1; a zero slot as 0.
     """
-    slots = _last_bank(model, branch).slots
-    grid = list(CONSISTENCY_GRID_PX if grid is None else grid)
-    ident = _IDENTITY[family]
-    if ident not in grid:
-        grid = [ident] + grid
-    clean1, clean5 = _top1_and_top5(model, dataset, branch, batch_size)
+    slots = _last_bank(model, branch).slots.astype(np.float64)
+    ident, grid = _with_identity(family, CONSISTENCY_GRID_PX if grid is None else grid)
+
+    def top5(ds):
+        # the local branch scores the argmax-pooling token, as hit_rate does
+        return np.concatenate([_rank_slots(alpha[:, 0])[:, :5] for _, alpha
+                               in _sample_rows(model, ds, branch, batch_size)])
+
+    clean5 = top5(dataset)
+    clean1 = clean5[:, 0]
+    va = slots[clean1]
     rows = []
     for si, sev in enumerate(grid):
         if sev == ident:
             corr1 = clean1
         else:
-            cds = corrupt_dataset(dataset, family, sev, seed=[seed, si])
-            corr1, _ = _top1_and_top5(model, cds, branch, batch_size)
-        member = np.fromiter((int(corr1[i]) in clean5[i] for i in range(len(clean1))),
-                             dtype=np.float64)
-        cosines = np.empty(len(clean1))
-        for i in range(len(clean1)):
-            a, b = clean1[i], corr1[i]
-            if a == b:
-                cosines[i] = 1.0
-            else:
-                va, vb = slots[a], slots[b]
-                na, nb = np.sqrt((va ** 2).sum()), np.sqrt((vb ** 2).sum())
-                cosines[i] = float(va @ vb / (na * nb)) if na > 0 and nb > 0 else 0.0
+            corr1 = top5(corrupt_dataset(dataset, family, sev, seed=[seed, si]))[:, 0]
+        member = (clean5 == corr1[:, None]).any(axis=1)
+        vb = slots[corr1]
+        norms = np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1)
+        cos = np.divide((va * vb).sum(axis=1), norms, out=np.zeros(len(norms)),
+                        where=norms > 0)
+        cos[clean1 == corr1] = 1.0
         rows.append({"branch": branch, "family": family, "severity": sev,
                      "top5_consistency_pct": float(100.0 * member.mean()),
-                     "mean_top1_cosine": float(cosines.mean()), "n": len(clean1)})
+                     "mean_top1_cosine": float(cos.mean()), "n": len(clean1)})
     return rows
 
 

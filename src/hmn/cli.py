@@ -107,10 +107,8 @@ def cmd_analyze(args):
                                               args.out, args.branch_single)
         _emit({"outputs": list(paths)})
     elif args.what == "robustness":
-        models = []
-        for path in args.ckpt:
-            m, _, _ = load_checkpoint(path)
-            models.append((f"T={m.cfg.t_steps}", m))
+        models = [model] + [load_checkpoint(path)[0] for path in args.ckpt[1:]]
+        models = [(f"T={m.cfg.t_steps}", m) for m in models]
         grids = {f: analysis.DEFAULT_GRIDS[f] for f in args.families.split(",")}
         rows = analysis.robustness(models, test, grids=grids, seed=args.seed,
                                    batch_size=args.batch_size)

@@ -7,6 +7,10 @@ and, per epoch, the shuffle followed per batch by augmentation draws
 (row offset, column offset, flip; image index order) and per-block
 write-token sampling. Metrics land in metrics.csv; wall-clock goes to a
 separate timings.csv so the metrics file is byte-identical across reruns.
+
+``eval_batches`` is the one eval-mode batch loop under ``evaluate`` and
+every ``hmn.analysis`` diagnostic. An empty dataset raises ``ValueError``
+there, and ``train()`` rejects an empty training or test set up front.
 """
 
 import os
@@ -33,18 +37,31 @@ def prepare_datasets(cfg):
     return train, test
 
 
-def evaluate(model, dataset, batch_size=None):
-    """Top-1 accuracy in eval mode (banks frozen, no state touched, no graph)."""
+def eval_batches(model, dataset, batch_size=None, capture=False):
+    """Yield (labels, logits, capture) per eval batch, in dataset order.
+
+    capture holds the last-block retrieval and pooling weights, or is None.
+    The forwards record no autodiff graph; the scope closes before each
+    yield, so the caller's own code runs outside it.
+    """
+    if len(dataset) == 0:
+        raise ValueError("the dataset is empty; nothing to evaluate")
     cfg = model.cfg
     bsz = batch_size or cfg.batch_size
-    correct = 0
     for start in range(0, len(dataset), bsz):
         sl = slice(start, min(start + bsz, len(dataset)))
         x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
+        cap = {} if capture else None
         with ad.no_grad():
-            logits = model.forward(x, mode="eval")
-        correct += int((logits.value.argmax(axis=1) == dataset.labels[sl]).sum())
-    return correct / max(len(dataset), 1)
+            logits = model.forward(x, mode="eval", capture=cap)
+        yield dataset.labels[sl], logits.value, cap
+
+
+def evaluate(model, dataset, batch_size=None):
+    """Top-1 accuracy in eval mode (banks frozen, no state touched, no graph)."""
+    correct = sum(int((logits.argmax(axis=1) == labels).sum())
+                  for labels, logits, _ in eval_batches(model, dataset, batch_size))
+    return correct / len(dataset)
 
 
 def _fmt(x):
@@ -70,6 +87,8 @@ def train(cfg, log=print):
     train_ds, test_ds = prepare_datasets(cfg)
     if len(train_ds) == 0:
         raise ValueError("the training set is empty; nothing to train on")
+    if len(test_ds) == 0:
+        raise ValueError("the test set is empty; nothing to evaluate on")
     rng = np.random.default_rng(cfg.seed)
     model = Model(cfg, rng)
     params = model.parameters()

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hmn.autodiff as ad
 from hmn.analysis import (CONSISTENCY_GRID_PX, DEFAULT_GRIDS, _rank_slots,
                           consistency, corrupt, corrupt_dataset, hit_rate,
                           robustness, sweep, weight_profile, write_consistency,
                           write_hit_rate_csv, write_robustness, write_sweep,
                           write_weight_profile)
-from hmn.data import Dataset, load_dataset
+from hmn.data import Dataset, load_dataset, standardize
 from hmn.model import Model, load_checkpoint
 from hmn.train import evaluate
 
@@ -114,6 +115,18 @@ def test_corrupt_dataset_deterministic(rng):
 def test_rank_slots_stable_on_ties():
     assert _rank_slots(np.array([0.5, 0.5, 0.2])).tolist() == [0, 1, 2]
     assert _rank_slots(np.array([0.1, 0.7, 0.2])).tolist() == [1, 2, 0]
+    # ranks along the last axis, each row on its own, ties to the lower slot
+    rows = np.array([[0.2, 0.4, 0.2, 0.4],
+                     [0.3, 0.3, 0.3, 0.1],
+                     [0.1, 0.7, 0.1, 0.1],
+                     [0.25, 0.25, 0.25, 0.25]], dtype=np.float32)
+    want = [[1, 3, 0, 2], [0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 2, 3]]
+    assert _rank_slots(rows).tolist() == want
+    assert _rank_slots(np.stack([rows, rows[::-1]])).tolist() == [want, want[::-1]]
+    # rows long enough that an unstable sort would reorder the ties
+    wide = np.random.default_rng(3).integers(0, 4, size=(5, 200)).astype(np.float32)
+    want = [sorted(range(200), key=lambda j: -row[j]) for row in wide]
+    assert _rank_slots(wide).tolist() == want
 
 
 def test_hit_rate_report_structure(tiny_run):
@@ -152,6 +165,12 @@ def test_hit_rate_requires_frozen_filled_banks(tmp_path, tiny_run):
         hit_rate(fresh, test)
     with pytest.raises(ValueError, match="branch"):
         hit_rate(fresh, test, branch="both")
+
+
+def test_hit_rate_rejects_an_empty_dataset(tiny_run):
+    cfg, model, test = tiny_run
+    with pytest.raises(ValueError, match="empty"):
+        hit_rate(model, test.subset(np.arange(0)))
 
 
 def test_hit_rate_csv(tiny_run, tmp_path):
@@ -279,6 +298,116 @@ def test_consistency_files(tiny_run, tmp_path):
 
 def test_default_consistency_grid_is_pixel_sides():
     assert CONSISTENCY_GRID_PX == [4, 8, 12, 16, 20]
+
+
+# ------------------------------- batch-wide analyses vs a per-image reference
+
+# seven does not divide the tiny test set, so a batch boundary falls inside it
+REF_BATCH = 7
+
+
+def reference_rows(model, dataset, branch, all_tokens=False):
+    """Per image: (label, its last-block weight rows), from one forward over
+    the whole set and a plain loop over images."""
+    cfg, n_tok = model.cfg, model.cfg.n_tokens
+    cap = {}
+    with ad.no_grad():
+        model.forward(standardize(dataset.images, cfg.norm_mean, cfg.norm_std), capture=cap)
+    alpha = cap[f"{branch}_alpha"]
+    for i, label in enumerate(dataset.labels):
+        if branch == "global":
+            yield label, alpha[i:i + 1]
+        elif all_tokens:
+            yield label, alpha[i * n_tok:(i + 1) * n_tok]
+        else:
+            t = i * n_tok + int(np.argmax(cap["pool_weights"][i]))
+            yield label, alpha[t:t + 1]
+
+
+def reference_order(row):
+    return np.argsort(-row, kind="stable")
+
+
+def last_bank(model, branch):
+    last = model.blocks[-1]
+    return last.bank_local if branch == "local" else last.bank_global
+
+
+def reference_hit_pcts(model, dataset, branch, all_tokens, topk=(1, 5)):
+    slot_class = last_bank(model, branch).filled_view()[1]
+    hits = {k: 0.0 for k in topk}
+    for label, rows in reference_rows(model, dataset, branch, all_tokens):
+        for k in topk:
+            hit = 0.0
+            for row in rows:
+                hit += float(label in slot_class[reference_order(row)[:k]])
+            hits[k] += hit / len(rows)
+    return {f"top{k}_pct": 100.0 * hits[k] / len(dataset) for k in topk}
+
+
+@pytest.mark.parametrize("branch,all_tokens",
+                         [("global", False), ("local", False), ("local", True)])
+def test_hit_rate_matches_per_image_reference(tiny_run, branch, all_tokens):
+    cfg, model, test = tiny_run
+    report = hit_rate(model, test, branch=branch, all_tokens=all_tokens,
+                      batch_size=REF_BATCH)
+    want = reference_hit_pcts(model, test, branch, all_tokens)
+    got = {key: report[key] for key in want}
+    if all_tokens:
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("branch", ["global", "local"])
+def test_weight_profile_matches_per_image_reference(tiny_run, branch):
+    cfg, model, test = tiny_run
+    sub = test.subset(np.flatnonzero(test.labels == 1))
+    assert len(sub) > REF_BATCH
+    acc = np.zeros(last_bank(model, branch).total_slots)
+    for _, rows in reference_rows(model, sub, branch):
+        acc += rows[0]
+    profile, _ = weight_profile(model, test, 1, branch=branch, batch_size=REF_BATCH)
+    np.testing.assert_allclose(profile, acc / len(sub), rtol=1e-12)
+
+
+def reference_consistency(model, dataset, grid, seed, branch):
+    """(top-5 consistency %, mean top-1 cosine) per severity, image by image."""
+    slots = last_bank(model, branch).slots
+
+    def tops(ds):
+        orders = [reference_order(rows[0]) for _, rows in reference_rows(model, ds, branch)]
+        return [int(o[0]) for o in orders], [set(int(s) for s in o[:5]) for o in orders]
+
+    clean1, clean5 = tops(dataset)
+    out = []
+    for si, sev in enumerate(grid):
+        corr1 = clean1 if sev == 0 else tops(
+            corrupt_dataset(dataset, "occlusion_px", sev, seed=[seed, si]))[0]
+        member, cosines = [], []
+        for a, b, top5 in zip(clean1, corr1, clean5):
+            member.append(float(b in top5))
+            va, vb = slots[a], slots[b]
+            na, nb = np.sqrt((va ** 2).sum()), np.sqrt((vb ** 2).sum())
+            if a == b:
+                cosines.append(1.0)
+            else:
+                cosines.append(float(va @ vb / (na * nb)) if na > 0 and nb > 0 else 0.0)
+        out.append((100.0 * np.mean(member), np.mean(cosines)))
+    return out
+
+
+@pytest.mark.parametrize("branch", ["global", "local"])
+def test_consistency_matches_per_image_reference(tiny_run, branch):
+    cfg, model, test = tiny_run
+    rows = consistency(model, test, family="occlusion_px", grid=[2, 4, 6], seed=11,
+                       batch_size=REF_BATCH, branch=branch)
+    want = reference_consistency(model, test, [0, 2, 4, 6], 11, branch)
+    assert [r["top5_consistency_pct"] for r in rows] == [w[0] for w in want]
+    assert rows[0]["mean_top1_cosine"] == 1.0
+    np.testing.assert_allclose([r["mean_top1_cosine"] for r in rows],
+                               [w[1] for w in want], rtol=0, atol=1e-6)
 
 
 # -------------------------------------------------------------------- sweep

@@ -9,11 +9,10 @@ import pytest
 
 import hmn.autodiff as ad
 import hmn.gradcheck as gradcheck_mod
-from hmn.analysis import _captured_batches
 from hmn.data import load_dataset, standardize
 from hmn.model import Model
 from hmn.optim import Adam
-from hmn.train import evaluate
+from hmn.train import eval_batches, evaluate
 
 from conftest import make_tiny_cfg
 
@@ -57,7 +56,7 @@ def test_default_model_computes_in_float32(tmp_path, op_dtypes):
         assert t.value.dtype == np.float32, name
         assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
     evaluate(model, test)
-    for _, capture, logits in _captured_batches(model, test):
+    for _, logits, capture in eval_batches(model, test, capture=True):
         assert logits.dtype == np.float32
         for key, arr in capture.items():
             assert arr.dtype == np.float32, key

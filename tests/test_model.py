@@ -8,13 +8,13 @@ import pytest
 
 import hmn.autodiff as ad
 import hmn.model as model_mod
-from hmn.analysis import _captured_batches, hit_rate
+from hmn.analysis import hit_rate
 from hmn.config import RunConfig
 from hmn.data import load_dataset, standardize
 from hmn.memory import MemoryBank
 from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
-from hmn.train import evaluate
+from hmn.train import eval_batches, evaluate
 
 from conftest import make_tiny_cfg
 
@@ -287,7 +287,7 @@ def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, mo
     reports = [hit_rate(model, test, branch=b, all_tokens=a, batch_size=7) for b, a in cases]
     # the scope covers the forwards only, never the caller's loop body
     w = ad.Tensor(np.ones(2), requires_grad=True)
-    for _ in _captured_batches(model, test, batch_size=7):
+    for _ in eval_batches(model, test, batch_size=7, capture=True):
         assert ad.add(w, w).requires_grad
     # the same entry points with the scope switched off build the full graph
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)

@@ -139,6 +139,22 @@ def test_empty_training_set_is_rejected_before_the_first_epoch(tmp_path):
     assert not os.path.exists(os.path.join(cfg.out_dir, "metrics.csv"))
 
 
+def test_empty_test_set_is_rejected_before_the_first_epoch(tmp_path):
+    cfg = make_tiny_cfg(tmp_path, synth_test_per_class=0)
+    with pytest.raises(ValueError, match="test set is empty"):
+        train(cfg, log=lambda *_: None)
+    for name in ("metrics.csv", "best.ckpt", "final.ckpt"):
+        assert not os.path.exists(os.path.join(cfg.out_dir, name))
+
+
+def test_evaluate_rejects_an_empty_dataset(trained_tiny):
+    cfg, _, out_dir = trained_tiny
+    model, _, _ = load_checkpoint(os.path.join(out_dir, "final.ckpt"))
+    _, test = prepare_datasets(cfg)
+    with pytest.raises(ValueError, match="empty"):
+        evaluate(model, test.subset(np.arange(0)))
+
+
 def test_divergence_reports_location(tmp_path):
     cfg = make_tiny_cfg(tmp_path, epochs=2, warmup_epochs=0, lr=1e150,
                         weight_decay=0.0)
