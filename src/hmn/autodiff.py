@@ -1,18 +1,22 @@
 """Reverse-mode autodiff over float32 or float64 numpy arrays.
 
-Just enough ops to express the model: grouped matmul, row softmax,
-layernorm, gelu, neighborhood unfold, cross entropy, the small glue ops
-(add, bias, concat, reshape, row broadcast/reduce) and the two memory ops:
-memory_read, one Hopfield read (normalize, score, masked softmax, mix),
-and hopfield_update, one refinement step. Values are checked finite after
-every op. Forward matmuls whose left operand stacks rows from several
-images execute one GEMM per image group, so an image's activations never
-depend on what else is in the batch, down to the last bit. Backwards never
-produce logits, so each gradient GEMM is one BLAS call over all rows. Inside a
-``no_grad()`` scope ops still compute and check their values but record no
-graph, so inference holds no activations beyond the ones still referenced.
-backward() takes the graph apart as it walks it, so after a training step
-only the leaves' gradients remain.
+Just enough ops to express the model: matmul, row softmax, layernorm,
+gelu, neighborhood unfold, cross entropy, the small glue ops (broadcasting
+add, concat, reshape, row mean, per-image weighted sum) and the two memory
+ops: memory_read, one Hopfield read (normalize, score, masked softmax,
+mix), and hopfield_update, one refinement step. Values are checked finite
+after every op.
+
+Layout: activations carry a leading image axis, (B, N, D) for an image's N
+token rows. A forward matmul of a (G, m, k) left operand with a shared
+(k, n) right operand runs one GEMM per leading index, so an image's
+activations never depend on what else is in the batch, down to the last
+bit; a 2-D operand counts as one image. Row ops work on the last axis.
+Backwards never produce logits, so each gradient GEMM is one BLAS call over
+all rows. Inside a ``no_grad()`` scope ops still compute and check their
+values but record no graph, so inference holds no activations beyond the
+ones still referenced. backward() takes the graph apart as it walks it, so
+after a training step only the leaves' gradients remain.
 
 Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
@@ -151,85 +155,78 @@ def zero_grad(tensors):
 
 # ---------------------------------------------------------------- linear maps
 
-def matmul(a, b, groups=1):
-    """C = A·B with A's rows split into equal groups, one forward GEMM per group.
+def matmul(a, b):
+    """C = A·B for (m, k) or (G, m, k) A and a shared (k, n) B.
 
-    The right operand is shared across groups. groups must divide A's row
-    count; model code passes one group per image. Backward ignores the
-    groups: dA and dB are one GEMM each over all rows.
+    Forward runs one GEMM per leading index of A; model code stacks one
+    image per index. Backward ignores the stacking: dA and dB are one GEMM
+    each over all G·m rows.
     """
     a, b = as_tensor(a), as_tensor(b)
-    m, ka = a.value.shape
+    ka = a.value.shape[-1]
     kb, n = b.value.shape
-    if ka != kb:
-        raise ValueError(f"matmul inner dims disagree: {a.value.shape} vs {b.value.shape}")
-    if m % groups != 0:
-        raise ValueError(f"{groups} groups do not divide {m} rows")
+    if a.value.ndim not in (2, 3) or ka != kb:
+        raise ValueError(f"matmul dims disagree: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
-    # a stacked matmul runs one GEMM per leading index
-    out = np.matmul(av.reshape(groups, m // groups, ka), bv).reshape(m, n)
 
     def bwd(dout):
+        d2 = dout.reshape(-1, n)
         if a.requires_grad:
-            _accum(a, dout @ bv.T)
+            _accum(a, (d2 @ bv.T).reshape(av.shape))
         if b.requires_grad:
-            _accum(b, av.T @ dout)
+            _accum(b, av.reshape(-1, ka).T @ d2)
 
-    return _node(out, (a, b), bwd, "matmul")
+    return _node(np.matmul(av, bv), (a, b), bwd, "matmul")
 
 
-def group_weighted_sum(weights, rows, groups):
-    """out[g] = weights[g] · rows[g·n:(g+1)·n] for per-group row mixing.
+def group_weighted_sum(weights, rows):
+    """out[g] = weights[g] · rows[g] for per-image row mixing.
 
-    weights: (G, n); rows: (G·n, D). Unlike matmul, both operands vary by
-    group, which is what attention pooling needs.
+    weights: (G, n); rows: (G, n, D); out: (G, 1, D). Unlike matmul, both
+    operands vary by image, which is what attention pooling needs.
     """
     weights, rows = as_tensor(weights), as_tensor(rows)
-    gcount, n = weights.value.shape
-    if gcount != groups:
-        raise ValueError(f"weights rows {gcount} != groups {groups}")
-    total, d = rows.value.shape
-    if total != groups * n:
-        raise ValueError(f"rows {total} != groups*{n}")
     wv, rv = weights.value, rows.value
-    rv3 = rv.reshape(groups, n, d)
-    out = np.matmul(wv[:, None, :], rv3).reshape(groups, d)
+    if wv.ndim != 2 or rv.ndim != 3 or rv.shape[:2] != wv.shape:
+        raise ValueError(f"weights {wv.shape} do not fit rows {rv.shape}")
+    g, n = wv.shape
 
     def bwd(dout):
         if weights.requires_grad:
-            _accum(weights, np.matmul(rv3, dout[:, :, None]).reshape(groups, n))
+            _accum(weights, np.matmul(rv, dout.reshape(g, -1, 1)).reshape(g, n))
         if rows.requires_grad:
-            _accum(rows, (wv[:, :, None] * dout[:, None, :]).reshape(total, d))
+            _accum(rows, wv[:, :, None] * dout)
 
-    return _node(out, (weights, rows), bwd, "group_weighted_sum")
+    return _node(np.matmul(wv[:, None, :], rv), (weights, rows), bwd, "group_weighted_sum")
 
 
 # ---------------------------------------------------------------- elementwise
 
+def _unbroadcast(g, shape):
+    """Sum g back to an operand of ``shape`` that numpy broadcast to g.shape.
+
+    Missing leading axes fold into one and sum over it; size-1 axes then
+    sum with keepdims. A (D,) bias thus sums reshape(-1, D) over axis 0.
+    """
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.reshape(-1, *g.shape[lead:]).sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
 def add(a, b):
+    """a + b with numpy broadcasting; each gradient sums back to its operand."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"add shapes disagree: {a.value.shape} vs {b.value.shape}")
+    out = a.value + b.value
 
     def bwd(dout):
-        _accum(a, dout)
-        _accum(b, dout)
+        _accum(a, _unbroadcast(dout, a.value.shape))
+        _accum(b, _unbroadcast(dout, b.value.shape))
 
-    return _node(a.value + b.value, (a, b), bwd, "add")
-
-
-def add_bias(x, b):
-    """Add a (D,) bias to every row of (R, D) x."""
-    x, b = as_tensor(x), as_tensor(b)
-    if x.value.ndim != 2 or b.value.shape != (x.value.shape[1],):
-        raise ValueError(f"bias shape {b.value.shape} does not fit rows of {x.value.shape}")
-
-    def bwd(dout):
-        _accum(x, dout)
-        if b.requires_grad:
-            _accum(b, dout.sum(axis=0))
-
-    return _node(x.value + b.value, (x, b), bwd, "add_bias")
+    return _node(out, (a, b), bwd, "add")
 
 
 def gelu(x):
@@ -252,87 +249,60 @@ def gelu(x):
 # ---------------------------------------------------------------- row ops
 
 def softmax_rows(x):
-    """Row softmax with max-subtraction."""
+    """Softmax over the last axis, with max-subtraction."""
     x = as_tensor(x)
     xv = x.value
-    if xv.ndim != 2 or xv.shape[1] < 1:
-        raise ValueError(f"softmax_rows expects a nonempty 2-D input, got {xv.shape}")
-    mx = xv.max(axis=1, keepdims=True)
+    if xv.ndim < 1 or xv.shape[-1] < 1:
+        raise ValueError(f"softmax_rows expects a nonempty last axis, got {xv.shape}")
+    mx = xv.max(axis=-1, keepdims=True)
     e = np.exp(xv - mx)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(dout):
         # dx_j = a_j·(dout_j − Σ_t dout_t·a_t)
-        inner = (dout * out).sum(axis=1, keepdims=True)
+        inner = (dout * out).sum(axis=-1, keepdims=True)
         _accum(x, out * (dout - inner))
 
     return _node(out, (x,), bwd, "softmax_rows")
 
 
 def layernorm_rows(x, gain, bias, eps=1e-5):
-    """Per-row standardization with learnable per-feature affine."""
+    """Standardization over the last axis with learnable per-feature affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xv = x.value
-    d = xv.shape[1]
+    d = xv.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise ValueError("layernorm affine shape mismatch")
-    mu = xv.mean(axis=1, keepdims=True)
-    var = ((xv - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = xv.mean(axis=-1, keepdims=True)
+    var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
     s = np.sqrt(var + eps)
     xhat = (xv - mu) / s
     out = xhat * gain.value + bias.value
 
     def bwd(dout):
         if gain.requires_grad:
-            _accum(gain, (dout * xhat).sum(axis=0))
+            _accum(gain, (dout * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            _accum(bias, dout.sum(axis=0))
+            _accum(bias, dout.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             dxhat = dout * gain.value
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             _accum(x, (dxhat - m1 - xhat * m2) / s)
 
     return _node(out, (x, gain, bias), bwd, "layernorm_rows")
 
 
-def mean_rows(x, groups=1):
-    """Mean over each contiguous group of rows; (G·n, D) -> (G, D)."""
+def mean_rows(x):
+    """Mean over each image's rows; (G, n, D) -> (G, 1, D)."""
     x = as_tensor(x)
-    r, d = x.value.shape
-    if r % groups != 0:
-        raise ValueError(f"{groups} groups do not divide {r} rows")
-    n = r // groups
-    out = x.value.reshape(groups, n, d).mean(axis=1)
+    xv = x.value
+    n = xv.shape[-2]
 
     def bwd(dout):
-        _accum(x, np.repeat(dout / n, n, axis=0))
+        _accum(x, np.broadcast_to(dout / n, xv.shape))
 
-    return _node(out, (x,), bwd, "mean_rows")
-
-
-def repeat_rows_each(x, n):
-    """Repeat every row n times consecutively; (G, D) -> (G·n, D)."""
-    x = as_tensor(x)
-    g, d = x.value.shape
-    out = np.repeat(x.value, n, axis=0)
-
-    def bwd(dout):
-        _accum(x, dout.reshape(g, n, d).sum(axis=1))
-
-    return _node(out, (x,), bwd, "repeat_rows_each")
-
-
-def tile_rows(x, reps):
-    """Stack the whole (N, D) block reps times; (N, D) -> (reps·N, D)."""
-    x = as_tensor(x)
-    n, d = x.value.shape
-    out = np.tile(x.value, (reps, 1))
-
-    def bwd(dout):
-        _accum(x, dout.reshape(reps, n, d).sum(axis=0))
-
-    return _node(out, (x,), bwd, "tile_rows")
+    return _node(xv.mean(axis=-2, keepdims=True), (x,), bwd, "mean_rows")
 
 
 def concat_last_axis(a, b):
@@ -362,46 +332,47 @@ def reshape(x, shape):
 # ---------------------------------------------------------------- memory read
 
 def normalize_rows(x):
-    """(x / max(‖row‖, ε), ‖row‖) for an (R, D) array, so zero rows stay zero."""
-    norm = np.sqrt((x ** 2).sum(axis=1, keepdims=True))
+    """(x / max(‖row‖, ε), ‖row‖) over the last axis, so zero rows stay zero."""
+    norm = np.sqrt((x ** 2).sum(axis=-1, keepdims=True))
     return x / np.maximum(norm, _EPS), norm
 
 
-def memory_read(z, slots, mask, groups=1):
-    """Hopfield read of (R, D) queries from (K, D) constant slots -> (alpha, m).
+def memory_read(z, slots, mask):
+    """Hopfield read of (R, D) or (G, R, D) queries from (K, D) constant slots -> (alpha, m).
 
     alpha is the row softmax of √D·ẑ·k̂ᵀ over the slots the mask keeps (the
-    others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Rows
-    split into groups as in matmul. alpha carries no graph; m carries z's.
+    others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Each
+    leading index is its own pair of GEMMs, as in matmul. alpha carries no
+    graph; m carries z's.
     """
     z = as_tensor(z)
     zv = z.value
-    r, d = zv.shape
+    d = zv.shape[-1]
     k = slots.shape[0]
-    if r % groups != 0:
-        raise ValueError(f"{groups} groups do not divide {r} rows")
     if not mask.any():
         raise ValueError("memory_read: every slot is masked")
-    gs = r // groups
     zhat, znorm = normalize_rows(zv)
     khat_t = np.ascontiguousarray(normalize_rows(slots)[0].T)
-    alpha = np.matmul(zhat.reshape(groups, gs, d), khat_t).reshape(r, k)
+    alpha = np.matmul(zhat, khat_t)
     alpha *= math.sqrt(d)
     if not mask.all():
-        alpha[:, ~mask] = -np.inf  # exp gives exactly 0 there
-    alpha -= alpha.max(axis=1, keepdims=True)
+        alpha[..., ~mask] = -np.inf  # exp gives exactly 0 there
+    alpha -= alpha.max(axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    m = np.matmul(alpha.reshape(groups, gs, k), slots).reshape(r, d)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    m = np.matmul(alpha, slots)
 
     def bwd(dout):
-        da = dout @ slots.T
-        dlogits = alpha * (da - (da * alpha).sum(axis=1, keepdims=True))
+        # one GEMM per product over all rows
+        a2, zhat2, znorm2 = alpha.reshape(-1, k), zhat.reshape(-1, d), znorm.reshape(-1, 1)
+        da = dout.reshape(-1, d) @ slots.T
+        dlogits = a2 * (da - (da * a2).sum(axis=1, keepdims=True))
         dlogits *= math.sqrt(d)
         dzhat = dlogits @ khat_t.T
-        inner = (dzhat * zhat).sum(axis=1, keepdims=True)
-        denom = np.maximum(znorm, _EPS)
-        _accum(z, np.where(znorm > _EPS, (dzhat - zhat * inner) / denom, dzhat / denom))
+        inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
+        denom = np.maximum(znorm2, _EPS)
+        dz = np.where(znorm2 > _EPS, (dzhat - zhat2 * inner) / denom, dzhat / denom)
+        _accum(z, dz.reshape(zv.shape))
 
     return Tensor(alpha), _node(m, (z,), bwd, "memory_read")
 
@@ -429,23 +400,21 @@ def hopfield_update(z, m, beta):
 # ---------------------------------------------------------------- structured
 
 def unfold_tokens(x, h, w, k):
-    """Per-image k×k neighborhood gather over stacked token rows (G·h·w, D).
+    """Per-image k×k neighborhood gather over (G, h·w, D) tokens, or one (h·w, D) grid.
 
     Each image's h·w rows form a zero-padded grid; the output is
-    (G·h·w, k²·D) with windows flattened row-major: window rows, then
+    (G, h·w, k²·D) with windows flattened row-major: window rows, then
     window columns, then channels.
     """
     x = as_tensor(x)
-    r, d = x.value.shape
-    n = h * w
-    if r % n != 0:
-        raise ValueError(f"token rows {r} not a multiple of grid size {n}")
-    g = r // n
-    out = kernels.unfold_grid(x.value.reshape(g, h, w, d), k).reshape(r, k * k * d)
+    *lead, n, d = x.value.shape
+    if n != h * w:
+        raise ValueError(f"{n} token rows do not form a {h}x{w} grid")
+    grid = (*lead, h, w, d)
+    out = kernels.unfold_grid(x.value.reshape(grid), k)
 
     def bwd(dout):
-        dgrid = kernels.unfold_grid_bwd(dout.reshape(g, n, k * k * d), (g, h, w, d), k)
-        _accum(x, dgrid.reshape(r, d))
+        _accum(x, kernels.unfold_grid_bwd(dout, grid, k).reshape(x.value.shape))
 
     return _node(out, (x,), bwd, "unfold_tokens")
 

@@ -1,9 +1,11 @@
 """One model block: local and global memory branches fused into an MLP.
 
-Local branch: unfold each token's k×k neighborhood, project to the latent
-space, refine against the block's local bank, concat the refined and raw
-queries, project back. Global branch: mean-pool the image's tokens, same
-treatment against the global bank, broadcast to all tokens. The branch sum
+Tokens are (B, N, D_emb), one image per leading index. Local branch:
+unfold each token's k×k neighborhood, project to the latent space, refine
+against the block's local bank, concat the refined and raw queries,
+project back. Global branch: mean-pool the image's tokens into a
+(B, 1, D_emb) row, same treatment against the global bank; adding it to
+the local branch broadcasts it to all the image's tokens. The branch sum
 feeds a two-layer MLP whose output rides a skip connection from the block
 input. In train mode the detached queries are written to the banks after
 both branches have read, so retrieval always sees pre-batch state; each
@@ -65,50 +67,47 @@ class HMNBlock:
             names += ["norm_in_gain", "norm_in_bias", "norm_mlp_gain", "norm_mlp_bias"]
         return OrderedDict((f"{prefix}.{n}", getattr(self, n)) for n in names)
 
-    def _refine(self, q, bank, beta, t_steps, groups, capture, key):
+    def _refine(self, q, bank, beta, t_steps, capture, key):
         """Refined queries; with capture, also keep the retrieval weights.
 
-        The captured weights are the last refinement step's alpha. When
-        refinement never reads the bank (T=0 or β=0) a plain diagnostic
-        retrieval stands in; an empty bank captures None.
+        The captured weights are the last refinement step's alpha, one row
+        per query row ((B·N, K) local, (B, K) global). When refinement never
+        reads the bank (T=0 or β=0) a plain diagnostic retrieval stands in;
+        an empty bank captures None.
         """
-        z, alpha = refine_rows(q, bank, beta, t_steps, groups=groups)
+        z, alpha = refine_rows(q, bank, beta, t_steps)
         if capture is not None:
             if alpha is None:
-                alpha, _ = retrieve_rows(q.detach(), bank, groups=groups)
+                alpha, _ = retrieve_rows(q.detach(), bank)
                 alpha = None if alpha is None else alpha.value
-            capture[key] = alpha
+            capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
         return z
 
-    def _local_branch(self, x, groups, t_steps, mode, labels, rng, capture):
+    def _local_branch(self, x, t_steps, mode, labels, rng, capture):
         u = ad.unfold_tokens(x, self.h_p, self.w_p, self.cfg.k)
-        q = ad.add_bias(ad.matmul(u, self.W_loc_in, groups=groups), self.b_loc_in)
-        z = self._refine(q, self.bank_local, self.beta_local, t_steps, groups, capture,
-                         "local_alpha")
-        out = ad.add_bias(ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, groups=groups),
-                          self.b_loc_out)
+        q = ad.add(ad.matmul(u, self.W_loc_in), self.b_loc_in)
+        z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local_alpha")
+        out = ad.add(ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out), self.b_loc_out)
         writes = None
         if mode == "train":
             # one draw per image, in image order: the rng stream is part of
             # the determinism contract
             n, s = self.n_tokens, self.cfg.write_sample
-            picked = [i * n + np.sort(rng.choice(n, size=s, replace=False))
-                      for i in range(groups)]
-            writes = q.value[np.concatenate(picked)], np.repeat(labels, s)
+            picked = [q.value[i, np.sort(rng.choice(n, size=s, replace=False))]
+                      for i in range(len(q.value))]
+            writes = np.concatenate(picked), np.repeat(labels, s)
         return out, writes
 
-    def _global_branch(self, x, groups, t_steps, mode, labels, capture):
-        g = ad.mean_rows(x, groups=groups)
-        qg = ad.add_bias(ad.matmul(g, self.W_glob_in, groups=groups), self.b_glob_in)
-        zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, groups, capture,
+    def _global_branch(self, x, t_steps, mode, labels, capture):
+        g = ad.mean_rows(x)
+        qg = ad.add(ad.matmul(g, self.W_glob_in), self.b_glob_in)
+        zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, capture,
                           "global_alpha")
-        row = ad.add_bias(ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, groups=groups),
-                          self.b_glob_out)
-        out = ad.repeat_rows_each(row, self.n_tokens)
-        return out, (qg.value, labels) if mode == "train" else None
+        out = ad.add(ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out), self.b_glob_out)
+        return out, (qg.value[:, 0], labels) if mode == "train" else None
 
-    def forward(self, tokens, groups, t_steps, mode, labels=None, rng=None, capture=None):
-        """(B·N, D_emb) in, same shape out; writes banks in train mode."""
+    def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
+        """(B, N, D_emb) in, same shape out; writes banks in train mode."""
         if mode == "train":
             if labels is None:
                 raise ValueError("train mode needs one label per image for bank writes")
@@ -118,15 +117,15 @@ class HMNBlock:
             x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
         else:
             x = tokens
-        local, lwrites = self._local_branch(x, groups, t_steps, mode, labels, rng, capture)
-        glob, gwrites = self._global_branch(x, groups, t_steps, mode, labels, capture)
+        local, lwrites = self._local_branch(x, t_steps, mode, labels, rng, capture)
+        glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)
         f = ad.add(local, glob)
         if self.cfg.use_norm:
             y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
         else:
             y = f
-        hidden = ad.gelu(ad.add_bias(ad.matmul(y, self.W1, groups=groups), self.b1))
-        mlp_out = ad.add_bias(ad.matmul(hidden, self.W2, groups=groups), self.b2)
+        hidden = ad.gelu(ad.add(ad.matmul(y, self.W1), self.b1))
+        mlp_out = ad.add(ad.matmul(hidden, self.W2), self.b2)
         out = ad.add(tokens, mlp_out)
         if mode == "train":
             # reads above all saw the bank as it stood before this batch

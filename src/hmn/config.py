@@ -78,6 +78,11 @@ class RunConfig:
         return self
 
     def validate(self):
+        positives = ["patch_size", "d_emb", "d_lat", "n_blocks", "mlp_ratio",
+                     "lr", "epochs", "batch_size", "num_classes", "in_channels"]
+        for name in positives:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         h, w = self.image_size
         p = self.patch_size
         if h % p or w % p:
@@ -89,11 +94,6 @@ class RunConfig:
             raise ValueError(f"write_sample must be in [1, {n_tokens}], got {self.write_sample}")
         if self.t_steps < 0:
             raise ValueError(f"t_steps must be nonnegative, got {self.t_steps}")
-        positives = ["patch_size", "d_emb", "d_lat", "n_blocks", "mlp_ratio",
-                     "lr", "epochs", "batch_size", "num_classes", "in_channels"]
-        for name in positives:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.k_local < self.num_classes or self.k_global < self.num_classes:
             raise ValueError("memory banks need at least one slot per class")
         if not 0.0 < self.fraction <= 1.0:

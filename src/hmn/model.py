@@ -1,5 +1,10 @@
 """Full classifier: patch embedding, block stack, attention pooling, head.
 
+Activations keep one leading axis per image: (B, N, D) tokens through the
+blocks, (B, N) pooling weights, a (B, 1, D) pooled vector and (B, C)
+logits, so each image's matmuls are its own GEMMs and its logits do not
+depend on the rest of the batch.
+
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
 inputs, activations and gradients all hold it.
@@ -11,6 +16,7 @@ exact, and a checkpoint saved again after loading is byte-identical.
 """
 
 import json
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -77,14 +83,14 @@ class Model:
                 "total": int(learnable + slots)}
 
     def _patchify(self, images):
-        """(B, C, H, W) -> (B·N, P²·C); each patch flattened (C, P, P) row-major."""
+        """(B, C, H, W) -> (B, N, P²·C); each patch flattened (C, P, P) row-major."""
         b, c, h, w = images.shape
         p = self.cfg.patch_size
         if c != self.cfg.in_channels or (h, w) != tuple(self.cfg.image_size):
             raise ValueError(f"input shape {images.shape[1:]} does not match config")
         hp, wp = h // p, w // p
         x = images.reshape(b, c, hp, p, wp, p).transpose(0, 2, 4, 1, 3, 5)
-        return np.ascontiguousarray(x).reshape(b * hp * wp, c * p * p)
+        return np.ascontiguousarray(x).reshape(b, hp * wp, c * p * p)
 
     def forward(self, images, mode="eval", labels=None, rng=None,
                 t_override=None, capture=None):
@@ -92,7 +98,8 @@ class Model:
 
         eval mode freezes the banks and is pure; train mode thaws them and
         writes per-block queries under the given labels. capture, when a
-        dict, receives last-block retrieval weights and pooling weights.
+        dict, receives the last block's retrieval weights, local_alpha
+        (B·N, K_local) and global_alpha (B, K_global), and pool_weights (B, N).
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -102,19 +109,18 @@ class Model:
         if images.ndim == 3:
             images = images[None]
         b = images.shape[0]
-        n = self.cfg.n_tokens
-        tok = ad.add_bias(ad.matmul(ad.Tensor(self._patchify(images)),
-                                    self.patch_proj, groups=b), self.patch_bias)
-        tok = ad.add(tok, ad.tile_rows(self.pos_embed, b))
+        # tokens are (B, N, D): every matmul below runs one GEMM per image
+        tok = ad.matmul(ad.Tensor(self._patchify(images)), self.patch_proj)
+        tok = ad.add(ad.add(tok, self.patch_bias), self.pos_embed)
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
             cap = capture if (capture is not None and i == last) else None
-            tok = blk.forward(tok, groups=b, t_steps=t_steps, mode=mode,
-                              labels=labels, rng=rng, capture=cap)
-        scores = ad.reshape(ad.matmul(tok, self.W_att, groups=b), (b, n))
+            tok = blk.forward(tok, t_steps=t_steps, mode=mode, labels=labels, rng=rng,
+                              capture=cap)
+        scores = ad.reshape(ad.matmul(tok, self.W_att), (b, self.cfg.n_tokens))
         pool = ad.softmax_rows(scores)
-        v = ad.group_weighted_sum(pool, tok, groups=b)
-        logits = ad.add_bias(ad.matmul(v, self.head_w, groups=b), self.head_b)
+        v = ad.group_weighted_sum(pool, tok)
+        logits = ad.add(ad.reshape(ad.matmul(v, self.head_w), (b, -1)), self.head_b)
         if capture is not None:
             capture["pool_weights"] = pool.value.copy()
         return logits
@@ -123,8 +129,8 @@ class Model:
 # ------------------------------------------------------------- checkpoint IO
 
 _DTYPES = {0: "<f4", 1: "<i8"}
+_CODES = {dt: code for code, dt in _DTYPES.items()}
 _BANK_FIELDS = ("slots", "cursor", "filled", "frozen")
-_CODES = {"<f4": 0, "<i8": 1}
 
 
 def _pack_record(name, arr, dtype):
@@ -160,11 +166,15 @@ def _rng_state_to_meta(rng):
 
 
 def _rng_from_meta(meta):
+    """The rng saved by ``_rng_state_to_meta``; malformed metadata raises ValueError."""
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = {
-        "bit_generator": meta["bit_generator"],
-        "state": {"state": int(meta["state"]), "inc": int(meta["inc"])},
-        "has_uint32": int(meta["has_uint32"]), "uinteger": int(meta["uinteger"])}
+    try:
+        rng.bit_generator.state = {
+            "bit_generator": meta["bit_generator"],
+            "state": {"state": int(meta["state"]), "inc": int(meta["inc"])},
+            "has_uint32": int(meta["has_uint32"]), "uinteger": int(meta["uinteger"])}
+    except (KeyError, TypeError, OverflowError) as e:
+        raise ValueError(f"malformed rng metadata: {e!r}") from None
     return rng
 
 
@@ -225,7 +235,7 @@ def load_checkpoint(path):
             raise ValueError(f"unknown dtype code {code} in record {name!r}")
         shape = tuple(r.u("<Q") for _ in range(ndim))
         dt = np.dtype(_DTYPES[code])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: a flipped high bit cannot wrap around
         arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
         if name in records:
             raise ValueError(f"duplicate record {name!r}")

@@ -1,10 +1,11 @@
 """Content-addressable retrieval over a memory bank, with iterative refinement.
 
-Both functions take a batch of row queries; rows never interact.
-Retrieval is one autodiff.memory_read: normalize the queries and the
-filled slots, score by scaled dot product (factor √D restores the logits
-to roughly unit variance), softmax over filled slots only, then mix the
-raw (unnormalized) slots by those weights. Refinement nudges each row
+Both functions take row queries, (R, D) or stacked one image per leading
+index as (B, R, D); rows never interact. Retrieval is one
+autodiff.memory_read: normalize the queries and the filled slots, score
+by scaled dot product (factor √D restores the logits to roughly unit
+variance), softmax over filled slots only, then mix the raw
+(unnormalized) slots by those weights. Refinement nudges each row
 toward its retrieved prototype for T steps, one autodiff.hopfield_update
 each: z ← z + β·(m(z) − z). Gradients flow through the queries and β;
 slots are constants.
@@ -15,22 +16,23 @@ import numpy as np
 from . import autodiff as ad
 
 
-def retrieve_rows(z, bank, groups=1):
-    """(R, D) queries -> (alpha (R, K), m (R, D)) tensors; alpha carries no graph.
+def retrieve_rows(z, bank):
+    """(R, D) or (B, R, D) queries -> (alpha, m): alpha (..., R, K) with no
+    graph, m shaped as the queries.
 
     An empty bank returns (None, z), so refinement against it is a no-op.
     """
     z = ad.as_tensor(z)
-    if z.value.ndim != 2 or z.value.shape[1] != bank.dim:
+    if z.value.ndim not in (2, 3) or z.value.shape[-1] != bank.dim:
         raise ValueError(f"query shape {z.value.shape} does not match bank dim {bank.dim}")
     if not bank.any_filled:
         return None, z
     slots, _, mask = bank.filled_view()
-    return ad.memory_read(z, slots, mask, groups=groups)
+    return ad.memory_read(z, slots, mask)
 
 
-def refine_rows(z, bank, beta, T, groups=1):
-    """T refinement steps over (R, D) row queries; returns (z_final, alpha).
+def refine_rows(z, bank, beta, T):
+    """T refinement steps over (R, D) or (B, R, D) queries; returns (z_final, alpha).
 
     alpha is the last step's retrieval weights as an array, None when the
     bank is never read. T=0 or an exactly-zero β returns z unchanged
@@ -44,7 +46,7 @@ def refine_rows(z, bank, beta, T, groups=1):
     if T == 0 or float(beta.value.reshape(())) == 0.0:
         return z, None
     for _ in range(T):
-        alpha, m = retrieve_rows(z, bank, groups=groups)
+        alpha, m = retrieve_rows(z, bank)
         z = ad.hopfield_update(z, m, beta)
     return z, None if alpha is None else alpha.value
 

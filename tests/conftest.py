@@ -11,7 +11,9 @@ def rng():
 
 
 def total(t):
-    """The sum of an (R, C) tensor's entries as a (1, 1) loss: ones row · t · ones column."""
+    """The sum of a tensor's entries as a (1, 1) loss: ones row · t's (R, C) rows · ones column."""
+    if len(t.shape) != 2:
+        t = ad.reshape(t, (-1, t.shape[-1]))
     r, c = t.shape
     return ad.matmul(ad.matmul(ad.Tensor(np.ones((1, r))), t), ad.Tensor(np.ones((c, 1))))
 

@@ -72,19 +72,18 @@ def test_matmul_identity(rng):
 
 
 def test_matmul_grouped_value_matches_per_group(rng):
-    a = rng.standard_normal((6, 3))
+    a = rng.standard_normal((3, 2, 3))
     b = rng.standard_normal((3, 5))
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    out = ad.matmul(ta, tb, groups=3)
+    out = ad.matmul(ta, tb)
     dout = rng.standard_normal(out.shape)
     out._backward(dout)
     for g in range(3):
-        s = slice(2 * g, 2 * g + 2)
-        np.testing.assert_array_equal(out.value[s], a[s] @ b)
-    # backward does not depend on the grouping
-    ua, ub = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    ad.matmul(ua, ub, groups=1)._backward(dout)
-    np.testing.assert_array_equal(ta.grad, ua.grad)
+        np.testing.assert_array_equal(out.value[g], a[g] @ b)
+    # backward does not depend on the stacking
+    ua, ub = Tensor(a.reshape(6, 3), requires_grad=True), Tensor(b, requires_grad=True)
+    ad.matmul(ua, ub)._backward(dout.reshape(6, 5))
+    np.testing.assert_array_equal(ta.grad, ua.grad.reshape(3, 2, 3))
     np.testing.assert_array_equal(tb.grad, ub.grad)
 
 
@@ -93,32 +92,31 @@ def test_unfold_tokens_matches_per_image_kernel(rng):
     from hmn.kernels import unfold_grid, unfold_grid_bwd
     for groups, h, w, d, k in [(4, 3, 5, 2, 3), (3, 1, 1, 4, 3), (2, 4, 4, 3, 5)]:
         n = h * w
-        xv = rng.standard_normal((groups * n, d))
+        xv = rng.standard_normal((groups, n, d))
         x = Tensor(xv, requires_grad=True)
         out = ad.unfold_tokens(x, h, w, k)
         dout = rng.standard_normal(out.shape)
         out._backward(dout)
         for g in range(groups):
-            s = slice(g * n, (g + 1) * n)
-            np.testing.assert_array_equal(out.value[s], unfold_grid(xv[s].reshape(h, w, d), k))
+            np.testing.assert_array_equal(out.value[g], unfold_grid(xv[g].reshape(h, w, d), k))
             np.testing.assert_array_equal(
-                x.grad[s], unfold_grid_bwd(dout[s], (h, w, d), k).reshape(n, d))
+                x.grad[g], unfold_grid_bwd(dout[g], (h, w, d), k).reshape(n, d))
 
 
 def test_group_weighted_sum_matches_per_group(rng):
     """Values and both gradients equal the per-group products bit for bit."""
     for groups, n, d in [(4, 5, 3), (3, 1, 4), (2, 6, 1)]:
         wv = rng.standard_normal((groups, n))
-        rv = rng.standard_normal((groups * n, d))
+        rv = rng.standard_normal((groups, n, d))
         w, rows = Tensor(wv, requires_grad=True), Tensor(rv, requires_grad=True)
-        out = ad.group_weighted_sum(w, rows, groups)
+        out = ad.group_weighted_sum(w, rows)
+        assert out.shape == (groups, 1, d)
         dout = rng.standard_normal(out.shape)
         out._backward(dout)
         for g in range(groups):
-            s = slice(g * n, (g + 1) * n)
-            np.testing.assert_array_equal(out.value[g], wv[g] @ rv[s])
-            np.testing.assert_array_equal(w.grad[g], rv[s] @ dout[g])
-            np.testing.assert_array_equal(rows.grad[s], np.outer(wv[g], dout[g]))
+            np.testing.assert_array_equal(out.value[g, 0], wv[g] @ rv[g])
+            np.testing.assert_array_equal(w.grad[g], rv[g] @ dout[g, 0])
+            np.testing.assert_array_equal(rows.grad[g], np.outer(wv[g], dout[g, 0]))
 
 
 def test_softmax_uniform_rows():
@@ -240,17 +238,17 @@ def test_fd_matmul(rng):
 
 
 def test_fd_matmul_grouped(rng):
-    a = Tensor(rng.standard_normal((6, 3)))
+    a = Tensor(rng.standard_normal((2, 3, 3)))
     b = Tensor(rng.standard_normal((3, 4)))
     proj = Tensor(rng.standard_normal((4, 1)))
-    fd_check(lambda: scalarize(ad.matmul(a, b, groups=2), proj), [a, b])
+    fd_check(lambda: scalarize(ad.matmul(a, b), proj), [a, b])
 
 
 def test_fd_group_weighted_sum(rng):
     w = Tensor(rng.standard_normal((2, 3)))
-    rows = Tensor(rng.standard_normal((6, 4)))
+    rows = Tensor(rng.standard_normal((2, 3, 4)))
     proj = Tensor(rng.standard_normal((4, 1)))
-    fd_check(lambda: scalarize(ad.group_weighted_sum(w, rows, 2), proj), [w, rows])
+    fd_check(lambda: scalarize(ad.group_weighted_sum(w, rows), proj), [w, rows])
 
 
 def test_fd_elementwise_ops(rng):
@@ -258,6 +256,7 @@ def test_fd_elementwise_ops(rng):
     b = Tensor(rng.standard_normal((3, 4)))
     s = Tensor(np.array(0.7))
     s1 = Tensor(np.array([-0.4]))
+    x = Tensor(rng.standard_normal((2, 3, 4)))
     bias = Tensor(rng.standard_normal(4))
     proj = Tensor(rng.standard_normal((4, 1)))
 
@@ -265,7 +264,33 @@ def test_fd_elementwise_ops(rng):
     fd_check(lambda: scalarize(ad.hopfield_update(a, b, s), proj), [a, b, s])
     fd_check(lambda: scalarize(ad.hopfield_update(a, b, s1), proj), [a, b, s1])
     fd_check(lambda: scalarize(ad.hopfield_update(a, a, s), proj), [a, s])
-    fd_check(lambda: scalarize(ad.add_bias(a, bias), proj), [a, bias])
+    # a (D,) bias on (R, D) rows and on (B, N, D) tokens
+    fd_check(lambda: scalarize(ad.add(a, bias), proj), [a, bias])
+    fd_check(lambda: scalarize(ad.add(x, bias), proj), [x, bias])
+
+
+def test_add_broadcast_gradients_are_the_explicit_reductions(rng):
+    """add's gradient for each broadcast operand is, bit for bit, one fixed
+    sum: a (D,) bias sums reshape(-1, D) over axis 0, an (N, D) table sums
+    over images, a (B, 1, D) addend sums over tokens; other orders round
+    differently in float32."""
+    b, n, d = 64, 49, 8
+    dout = rng.standard_normal((b, n, d)).astype(np.float32)
+    cases = [((d,), dout.reshape(-1, d).sum(axis=0), dout.sum(axis=1).sum(axis=0)),
+             ((n, d), dout.sum(axis=0), dout.reshape(4, -1, n, d).sum(axis=1).sum(axis=0)),
+             ((b, 1, d), dout.sum(axis=1, keepdims=True),
+              dout.reshape(b, 7, -1, d).sum(axis=2).sum(axis=1, keepdims=True))]
+    for shape, want, other in cases:
+        for swap in (False, True):
+            x = Tensor(rng.standard_normal((b, n, d)).astype(np.float32), requires_grad=True)
+            y = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+            out = ad.add(y, x) if swap else ad.add(x, y)
+            np.testing.assert_array_equal(out.value, x.value + y.value)
+            out._backward(dout)
+            np.testing.assert_array_equal(x.grad, dout)
+            assert y.grad.dtype == np.float32 and y.grad.shape == shape
+            np.testing.assert_array_equal(y.grad, want)
+        assert not np.array_equal(want, other), shape
 
 
 def test_fd_gelu(rng):
@@ -289,9 +314,9 @@ def partly_filled_bank(rng, dim=3):
 def test_fd_memory_read(rng):
     slots, _, mask = partly_filled_bank(rng).filled_view()
     assert mask.any() and not mask.all()
-    z = Tensor(rng.standard_normal((4, 3)))
+    z = Tensor(rng.standard_normal((2, 2, 3)))
     proj = Tensor(rng.standard_normal((3, 1)))
-    fd_check(lambda: scalarize(ad.memory_read(z, slots, mask, groups=2)[1], proj), [z])
+    fd_check(lambda: scalarize(ad.memory_read(z, slots, mask)[1], proj), [z])
 
 
 def test_hopfield_update_backward_keeps_the_graph_order(rng):
@@ -317,12 +342,15 @@ def test_fd_layernorm(rng):
 
 def test_fd_row_shaping_ops(rng):
     x = Tensor(rng.standard_normal((6, 3)))
+    x3 = Tensor(rng.standard_normal((2, 3, 3)))
+    table = Tensor(rng.standard_normal((3, 3)))
     proj = Tensor(rng.standard_normal((3, 1)))
     proj6 = Tensor(rng.standard_normal((6, 1)))
 
-    fd_check(lambda: scalarize(ad.mean_rows(x, groups=2), proj), [x])
-    fd_check(lambda: scalarize(ad.repeat_rows_each(ad.mean_rows(x, groups=3), 2), proj), [x])
-    fd_check(lambda: scalarize(ad.tile_rows(x, 3), proj), [x])
+    fd_check(lambda: scalarize(ad.mean_rows(x3), proj), [x3])
+    # a (B, 1, D) per-image addend broadcast over tokens, and an (N, D) table over images
+    fd_check(lambda: scalarize(ad.add(x3, ad.mean_rows(x3)), proj), [x3])
+    fd_check(lambda: scalarize(ad.add(x3, table), proj), [x3, table])
     fd_check(lambda: scalarize(ad.concat_last_axis(x, x), proj6), [x])
     fd_check(lambda: scalarize(ad.reshape(x, (3, 6)), proj6), [x])
 
@@ -335,7 +363,7 @@ def test_fd_unfold(rng):
 
 def test_fd_unfold_tokens(rng):
     proj = Tensor(rng.standard_normal((9 * 2, 1)))
-    x = Tensor(rng.standard_normal((2 * 6, 2)))  # two 2x3 grids stacked
+    x = Tensor(rng.standard_normal((2, 6, 2)))  # two 2x3 grids stacked
     fd_check(lambda: scalarize(ad.unfold_tokens(x, 2, 3, 3), proj), [x])
 
 
@@ -352,14 +380,14 @@ def test_masked_softmax_exact_zeros_and_renormalization(rng):
     bank = partly_filled_bank(rng, dim=4)
     slots, _, mask = bank.filled_view()
     z = rng.standard_normal((6, 4))
-    alpha, m = retrieve_rows(Tensor(z), bank, groups=3)
-    out = alpha.value
+    alpha, m = retrieve_rows(Tensor(z.reshape(3, 2, 4)), bank)
+    out = alpha.value.reshape(6, -1)
     assert (out[:, ~mask] == 0.0).all()
     logits = 2.0 * ad.normalize_rows(z)[0] @ ad.normalize_rows(slots[mask])[0].T
     dense = ad.softmax_rows(Tensor(logits)).value
     np.testing.assert_allclose(out[:, mask], dense, rtol=1e-14)
     np.testing.assert_allclose(out.sum(axis=1), np.ones(6), rtol=1e-14)
-    np.testing.assert_allclose(m.value, dense @ slots[mask], rtol=1e-13)
+    np.testing.assert_allclose(m.value.reshape(6, 4), dense @ slots[mask], rtol=1e-13)
 
 
 def test_all_true_mask_is_the_unmasked_softmax(rng):
@@ -423,7 +451,7 @@ def test_shape_validation_errors(rng):
     with pytest.raises(ValueError):
         ad.matmul(a, Tensor(rng.standard_normal((4, 2))))
     with pytest.raises(ValueError):
-        ad.matmul(Tensor(rng.standard_normal((5, 2))), Tensor(rng.standard_normal((2, 2))), groups=2)
+        ad.matmul(Tensor(rng.standard_normal((2, 5, 2))), Tensor(rng.standard_normal((3, 2))))
     with pytest.raises(ValueError):
         ad.add(a, Tensor(rng.standard_normal((3, 2))))
     with pytest.raises(ValueError):
@@ -431,10 +459,14 @@ def test_shape_validation_errors(rng):
     with pytest.raises(ValueError):
         ad.hopfield_update(a, Tensor(rng.standard_normal((3, 2))), Tensor(np.array(0.5)))
     with pytest.raises(ValueError):
-        ad.memory_read(Tensor(rng.standard_normal((5, 3))), rng.standard_normal((4, 3)),
-                       np.ones(4, dtype=bool), groups=2)
+        ad.memory_read(Tensor(rng.standard_normal((2, 5, 3))), rng.standard_normal((4, 2)),
+                       np.ones(4, dtype=bool))
     with pytest.raises(ValueError):
-        ad.add_bias(a, Tensor(rng.standard_normal(2)))
+        ad.add(a, Tensor(rng.standard_normal(2)))
+    with pytest.raises(ValueError):
+        ad.group_weighted_sum(Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((2, 4, 3))))
+    with pytest.raises(ValueError):
+        ad.unfold_tokens(Tensor(rng.standard_normal((2, 5, 3))), 2, 3, 3)
     with pytest.raises(ValueError):
         ad.cross_entropy(Tensor(rng.standard_normal((2, 3))), np.array([0, 3]))
     with pytest.raises(ValueError):

@@ -48,14 +48,14 @@ def fill_banks(block, rng):
 
 
 def tokens_for(cfg, batch, rng):
-    return ad.Tensor(rng.standard_normal((batch * cfg.n_tokens, cfg.d_emb)))
+    return ad.Tensor(rng.standard_normal((batch, cfg.n_tokens, cfg.d_emb)))
 
 
 def test_shape_contract(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 3, rng)
-    out = block.forward(x, groups=3, t_steps=2, mode="eval")
+    out = block.forward(x, t_steps=2, mode="eval")
     assert out.value.shape == x.value.shape
 
 
@@ -63,10 +63,10 @@ def test_zero_steps_equals_zero_beta_bitwise(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    out_t0 = block.forward(x, groups=2, t_steps=0, mode="eval")
+    out_t0 = block.forward(x, t_steps=0, mode="eval")
     block.beta_local.value = np.array([0.0])
     block.beta_global.value = np.array([0.0])
-    out_b0 = block.forward(x, groups=2, t_steps=3, mode="eval")
+    out_b0 = block.forward(x, t_steps=3, mode="eval")
     np.testing.assert_array_equal(out_t0.value, out_b0.value)
 
 
@@ -84,18 +84,18 @@ def test_banks_not_read_on_short_circuit(rng, monkeypatch):
     monkeypatch.setattr(hmn.blocks, "retrieve_rows", spy)
 
     x = tokens_for(cfg, 2, rng)
-    block.forward(x, groups=2, t_steps=0, mode="eval")
+    block.forward(x, t_steps=0, mode="eval")
     assert calls == []
 
     block.beta_local.value = np.array([0.0])
     block.beta_global.value = np.array([0.0])
-    block.forward(x, groups=2, t_steps=3, mode="eval")
+    block.forward(x, t_steps=3, mode="eval")
     assert calls == []
 
     # sanity: a live retrieval path does hit the spy
     block.beta_local.value = np.array([0.2])
     block.beta_global.value = np.array([0.2])
-    block.forward(x, groups=2, t_steps=1, mode="eval")
+    block.forward(x, t_steps=1, mode="eval")
     assert len(calls) == 2  # one per branch
 
 
@@ -103,8 +103,8 @@ def test_empty_bank_forward_matches_zero_steps(rng):
     cfg, block = make_block()
     x = tokens_for(cfg, 2, rng)
     assert not block.bank_local.any_filled
-    out_live = block.forward(x, groups=2, t_steps=3, mode="eval")
-    out_t0 = block.forward(x, groups=2, t_steps=0, mode="eval")
+    out_live = block.forward(x, t_steps=3, mode="eval")
+    out_t0 = block.forward(x, t_steps=0, mode="eval")
     np.testing.assert_array_equal(out_live.value, out_t0.value)
 
 
@@ -114,7 +114,7 @@ def test_zeroed_mlp_makes_block_identity(rng):
     block.W2.value = np.zeros_like(block.W2.value)
     block.b2.value = np.zeros_like(block.b2.value)
     x = tokens_for(cfg, 2, rng)
-    out = block.forward(x, groups=2, t_steps=2, mode="eval")
+    out = block.forward(x, t_steps=2, mode="eval")
     np.testing.assert_array_equal(out.value, x.value)
 
 
@@ -122,7 +122,7 @@ def test_write_accounting(rng):
     cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
     labels = np.array([0, 1, 0])
     x = tokens_for(cfg, 3, rng)
-    block.forward(x, groups=3, t_steps=1, mode="train", labels=labels,
+    block.forward(x, t_steps=1, mode="train", labels=labels,
                   rng=np.random.default_rng(7))
     # 3 images * 2 sampled tokens, and one global write per image
     assert int(block.bank_local.filled.sum()) == 6
@@ -143,9 +143,9 @@ def test_train_forward_writes_each_bank_once(rng, monkeypatch):
 
     monkeypatch.setattr(hmn.memory.MemoryBank, "write", spy)
     x = tokens_for(cfg, 3, rng)
-    block.forward(x, groups=3, t_steps=1, mode="eval")
+    block.forward(x, t_steps=1, mode="eval")
     assert calls == []
-    block.forward(x, groups=3, t_steps=1, mode="train", labels=np.array([0, 1, 0]),
+    block.forward(x, t_steps=1, mode="train", labels=np.array([0, 1, 0]),
                   rng=np.random.default_rng(7))
     assert calls == [(block.bank_local, 6), (block.bank_global, 3)]
 
@@ -155,8 +155,8 @@ def test_reads_see_prebatch_bank_state(rng):
     output matches a no-retrieval forward even though writes then land."""
     cfg, block = make_block()
     x = tokens_for(cfg, 2, rng)
-    out_eval = block.forward(x, groups=2, t_steps=0, mode="eval")
-    out_train = block.forward(x, groups=2, t_steps=3, mode="train",
+    out_eval = block.forward(x, t_steps=0, mode="eval")
+    out_train = block.forward(x, t_steps=3, mode="train",
                               labels=np.array([0, 1]), rng=np.random.default_rng(3))
     np.testing.assert_array_equal(out_train.value, out_eval.value)
     assert block.bank_local.any_filled  # the writes did happen
@@ -166,32 +166,34 @@ def test_train_mode_requires_labels_and_rng(rng):
     cfg, block = make_block()
     x = tokens_for(cfg, 1, rng)
     with pytest.raises(ValueError):
-        block.forward(x, groups=1, t_steps=1, mode="train")
+        block.forward(x, t_steps=1, mode="train")
     with pytest.raises(ValueError):
-        block.forward(x, groups=1, t_steps=1, mode="train", labels=np.array([0]))
+        block.forward(x, t_steps=1, mode="train", labels=np.array([0]))
 
 
 def test_global_addend_uniform_within_image(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    out, _ = block._global_branch(x, groups=2, t_steps=2, mode="eval",
+    out, _ = block._global_branch(x, t_steps=2, mode="eval",
                                   labels=None, capture=None)
-    n = cfg.n_tokens
+    # one row per image, which the branch sum broadcasts to every token
+    assert out.shape == (2, 1, cfg.d_emb)
+    addend = ad.add(ad.Tensor(np.zeros(x.shape)), out).value
     for g in range(2):
-        rows = out.value[g * n:(g + 1) * n]
+        rows = addend[g]
         assert (rows == rows[0]).all()
 
 
 def test_global_branch_permutation_invariant_within_image(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
-    xv = rng.standard_normal((2 * cfg.n_tokens, cfg.d_emb))
+    xv = rng.standard_normal((2, cfg.n_tokens, cfg.d_emb))
     perm = xv.copy()
-    perm[:cfg.n_tokens] = xv[:cfg.n_tokens][::-1]
-    a, _ = block._global_branch(ad.Tensor(xv), groups=2, t_steps=1, mode="eval",
+    perm[0] = xv[0][::-1]
+    a, _ = block._global_branch(ad.Tensor(xv), t_steps=1, mode="eval",
                                 labels=None, capture=None)
-    b, _ = block._global_branch(ad.Tensor(perm), groups=2, t_steps=1, mode="eval",
+    b, _ = block._global_branch(ad.Tensor(perm), t_steps=1, mode="eval",
                                 labels=None, capture=None)
     np.testing.assert_allclose(a.value, b.value, atol=1e-12)
 
@@ -201,43 +203,43 @@ def test_capture_records_retrieval_weights(rng):
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
     capture = {}
-    block.forward(x, groups=2, t_steps=2, mode="eval", capture=capture)
+    block.forward(x, t_steps=2, mode="eval", capture=capture)
     assert capture["local_alpha"].shape == (2 * cfg.n_tokens, cfg.k_local)
     assert capture["global_alpha"].shape == (2, cfg.k_global)
     np.testing.assert_allclose(capture["global_alpha"].sum(axis=1), np.ones(2), rtol=1e-12)
 
     # T=0 still captures a diagnostic retrieval
     capture = {}
-    block.forward(x, groups=2, t_steps=0, mode="eval", capture=capture)
+    block.forward(x, t_steps=0, mode="eval", capture=capture)
     assert capture["global_alpha"].shape == (2, cfg.k_global)
 
     # empty banks capture None
     cfg2, fresh = make_block(seed=5)
     capture = {}
-    fresh.forward(x, groups=2, t_steps=2, mode="eval", capture=capture)
+    fresh.forward(x, t_steps=2, mode="eval", capture=capture)
     assert capture["local_alpha"] is None and capture["global_alpha"] is None
 
 
-def rerun_alpha(block, tokens, groups, t_steps):
+def rerun_alpha(block, tokens, t_steps):
     """Captured weights from a second, detached refinement of each branch's
     queries, stepped in plain numpy without the β=0 short-circuit: the last
     step's alpha, or a plain retrieval when no step read the bank."""
     cfg = block.cfg
     x = ad.layernorm_rows(tokens, block.norm_in_gain, block.norm_in_bias)
     u = ad.unfold_tokens(x, block.h_p, block.w_p, cfg.k)
-    q = ad.add_bias(ad.matmul(u, block.W_loc_in, groups=groups), block.b_loc_in)
-    g = ad.mean_rows(x, groups=groups)
-    qg = ad.add_bias(ad.matmul(g, block.W_glob_in, groups=groups), block.b_glob_in)
+    q = ad.add(ad.matmul(u, block.W_loc_in), block.b_loc_in)
+    g = ad.mean_rows(x)
+    qg = ad.add(ad.matmul(g, block.W_glob_in), block.b_glob_in)
     out = {}
     for key, query, bank, beta in (("local_alpha", q, block.bank_local, block.beta_local),
                                    ("global_alpha", qg, block.bank_global, block.beta_global)):
         z, alpha = query.detach(), None
         for _ in range(t_steps):
-            alpha, m = hmn.retrieval.retrieve_rows(z, bank, groups=groups)
+            alpha, m = hmn.retrieval.retrieve_rows(z, bank)
             z = ad.Tensor(z.value + float(beta.value) * (m.value - z.value))
         if alpha is None:
-            alpha, _ = hmn.retrieval.retrieve_rows(query.detach(), bank, groups=groups)
-        out[key] = None if alpha is None else alpha.value
+            alpha, _ = hmn.retrieval.retrieve_rows(query.detach(), bank)
+        out[key] = None if alpha is None else alpha.value.reshape(-1, alpha.shape[-1])
     return out
 
 
@@ -254,11 +256,11 @@ def test_capture_reuses_the_refinement_weights(rng, fill, t_steps, beta):
     block.beta_local.value = np.float64(beta)
     block.beta_global.value = np.float64(beta)
     x = tokens_for(cfg, 3, rng)
-    want = rerun_alpha(block, x, 3, t_steps)
+    want = rerun_alpha(block, x, t_steps)
     for scope in (ad.no_grad, contextlib.nullcontext):
         capture = {}
         with scope():
-            block.forward(x, groups=3, t_steps=t_steps, mode="eval", capture=capture)
+            block.forward(x, t_steps=t_steps, mode="eval", capture=capture)
         assert set(capture) == {"local_alpha", "global_alpha"}
         for key in capture:
             np.testing.assert_array_equal(capture[key], want[key])
@@ -276,7 +278,7 @@ def test_capture_leaves_outputs_and_gradients_unchanged(rng, t_steps, beta):
     runs = []
     for capture in (None, {}):
         ad.zero_grad(params)
-        out = block.forward(x, groups=2, t_steps=t_steps, mode="eval", capture=capture)
+        out = block.forward(x, t_steps=t_steps, mode="eval", capture=capture)
         ad.backward(total(ad.matmul(out, proj)))
         runs.append((out.value, [p.grad for p in params]))
     (plain, plain_grads), (captured, captured_grads) = runs
@@ -302,12 +304,12 @@ def test_block_gradients_match_finite_differences(rng):
     fill_banks(block, np.random.default_rng(9))
     block.bank_local.freeze()
     block.bank_global.freeze()
-    x = ad.Tensor(rng.standard_normal((2 * cfg.n_tokens, cfg.d_emb)))
+    x = ad.Tensor(rng.standard_normal((2, cfg.n_tokens, cfg.d_emb)))
     proj = ad.Tensor(rng.standard_normal((cfg.d_emb, 1)))
     params = list(block.parameters("b").values()) + [x]
 
     def build():
-        out = block.forward(x, groups=2, t_steps=2, mode="eval")
+        out = block.forward(x, t_steps=2, mode="eval")
         return total(ad.matmul(out, proj))
 
     assert ad.check_gradients(build, params, step=1e-6) < 1e-5

@@ -80,6 +80,7 @@ def test_load_config_non_object_root(tmp_path):
     ("d_emb", 0, "positive"),
     ("k_local", 1, "slot per class"),
     ("norm_mean", [0.5, 0.5], "per channel"),
+    ("patch_size", 0, "patch_size must be positive"),
 ])
 def test_validation_rejects(field, value, phrase):
     with pytest.raises(ValueError, match=phrase):

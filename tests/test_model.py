@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hmn.autodiff as ad
 import hmn.model as model_mod
@@ -56,7 +58,7 @@ def test_patchify_layout(tmp_path):
     for y in range(4):
         for x in range(4):
             img[0, 0, y, x] = 10 * y + x
-    rows = model._patchify(img)
+    rows = model._patchify(img)[0]
     assert rows.shape == (4, 4)
     # patches scan row-major over the grid; each is (C, P, P) flattened
     np.testing.assert_array_equal(rows[0], [0, 1, 10, 11])
@@ -71,7 +73,7 @@ def test_patchify_channel_major(tmp_path):
     img = np.zeros((1, 2, 4, 4))
     img[0, 0] = 1.0
     img[0, 1] = 2.0
-    rows = model._patchify(img)
+    rows = model._patchify(img)[0]
     np.testing.assert_array_equal(rows[0], [1, 1, 1, 1, 2, 2, 2, 2])
 
 
@@ -88,11 +90,11 @@ def test_input_shape_validation(tmp_path, rng):
 # ------------------------------------------------------------------- pooling
 
 def test_two_way_pool_oracle(rng):
-    rows = ad.Tensor(rng.standard_normal((2, 3)))
+    rows = ad.Tensor(rng.standard_normal((1, 2, 3)))
     weights = ad.softmax_rows(ad.Tensor(np.array([[1.0, 0.0]])))
-    pooled = ad.group_weighted_sum(weights, rows, groups=1)
-    want = POOL_E * rows.value[0] + (1.0 - POOL_E) * rows.value[1]
-    np.testing.assert_allclose(pooled.value[0], want, rtol=1e-12)
+    pooled = ad.group_weighted_sum(weights, rows)
+    want = POOL_E * rows.value[0, 0] + (1.0 - POOL_E) * rows.value[0, 1]
+    np.testing.assert_allclose(pooled.value[0, 0], want, rtol=1e-12)
 
 
 def test_zero_attention_pools_to_mean(tmp_path, rng):
@@ -534,3 +536,56 @@ def test_final_checkpoint_with_optimizer_records_loads(trained_tiny):
     assert {n for n in names if n.startswith("opt.m.")}
     model, extra, crng = load_checkpoint(path)
     assert crng is not None and extra["epoch"] == cfg.epochs - 1
+
+
+# ------------------------------------------------------------ loader fuzzing
+
+@pytest.fixture(scope="module")
+def fuzz_ckpt(tmp_path_factory):
+    """(directory, blob, non-float byte offsets) of a tiny checkpoint with rng and
+    optimizer records."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg, model = tiny_model(tmp / "m")
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    opt = Adam(model.parameters(), lr=1e-3, weight_decay=0.0)
+    labels = np.array([0, 1])
+    ad.backward(ad.cross_entropy(model.forward(std_images(cfg, 2, np.random.default_rng(1)),
+                                               mode="train", labels=labels,
+                                               rng=np.random.default_rng(2)), labels))
+    opt.step()
+    path = tmp / "fuzz.ckpt"
+    save_checkpoint(model, path, rng=np.random.default_rng(42), extra={"epoch": 1},
+                    optimizer=opt)
+    blob = path.read_bytes()
+    floats = np.zeros(len(blob), dtype=bool)
+    starts = record_table(blob)[2]
+    for start, end in zip(starts, starts[1:] + [len(blob)]):
+        nlen = struct.unpack_from("<H", blob, start)[0]
+        code, ndim = struct.unpack_from("<BB", blob, start + 2 + nlen)
+        if code == 0:
+            floats[start + 4 + nlen + 8 * ndim:end] = True
+    return tmp, blob, np.flatnonzero(~floats)
+
+
+def loads_or_raises_value_error(path, data):
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except ValueError:
+        pass
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_loader_fuzz_raises_only_value_error(fuzz_ckpt, data):
+    """A truncation to any length, or any single-bit flip outside the float
+    payloads (headers, config, metadata, record names, shapes, int records),
+    either loads or raises ValueError."""
+    tmp, blob, flippable = fuzz_ckpt
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    loads_or_raises_value_error(tmp / "cut.ckpt", blob[:cut])
+    pos = int(flippable[data.draw(st.integers(0, len(flippable) - 1), label="pos")])
+    bit = data.draw(st.integers(0, 7), label="bit")
+    flipped = bytearray(blob)
+    flipped[pos] ^= 1 << bit
+    loads_or_raises_value_error(tmp / "flip.ckpt", bytes(flipped))

@@ -157,13 +157,13 @@ def test_trace_energies_decrease_near_attractor():
 
 def test_refine_returns_the_last_alpha(rng):
     """alpha after T steps is the retrieval at the state after T − 1 steps."""
-    z = Tensor(rng.standard_normal((3, 2)))
+    z = Tensor(rng.standard_normal((3, 1, 2)))
     beta = Tensor(np.array([0.4]))
     bank = two_slot_bank()
     for t in (1, 2, 3):
-        before, _ = refine_rows(z, bank, beta, t - 1, groups=3)
-        want, _ = retrieve_rows(before, bank, groups=3)
-        _, alpha = refine_rows(z, bank, beta, t, groups=3)
+        before, _ = refine_rows(z, bank, beta, t - 1)
+        want, _ = retrieve_rows(before, bank)
+        _, alpha = refine_rows(z, bank, beta, t)
         np.testing.assert_array_equal(alpha, want.value)
     _, empty = refine_rows(z, MemoryBank(2, 4, 2), beta, 3)
     assert empty is None
@@ -173,24 +173,24 @@ def test_one_step_calls_compose_to_a_multi_step_call(rng):
     bank = MemoryBank(3, 9, 4)
     bank.write(rng.standard_normal((7, 4)), [0, 1, 2, 0, 1, 2, 0])
     beta = Tensor(np.array([0.35]))
-    z0 = Tensor(rng.standard_normal((6, 4)))
-    whole, whole_alpha = refine_rows(z0, bank, beta, 4, groups=3)
+    z0 = Tensor(rng.standard_normal((3, 2, 4)))
+    whole, whole_alpha = refine_rows(z0, bank, beta, 4)
     z = z0
     for _ in range(4):
-        z, alpha = refine_rows(z, bank, beta, 1, groups=3)
+        z, alpha = refine_rows(z, bank, beta, 1)
     np.testing.assert_array_equal(z.value, whole.value)
     np.testing.assert_array_equal(alpha, whole_alpha)
 
 
 def test_rows_refine_independently(rng):
-    """Stacked queries with per-row groups match single-row runs bitwise."""
+    """Queries stacked one row per leading index match single-row runs bitwise."""
     bank = two_slot_bank()
     beta = Tensor(np.array([0.4]))
     zs = rng.standard_normal((3, 2))
-    stacked, _ = refine_rows(Tensor(zs), bank, beta, 2, groups=3)
+    stacked, _ = refine_rows(Tensor(zs.reshape(3, 1, 2)), bank, beta, 2)
     for i in range(3):
-        single, _ = refine_rows(Tensor(zs[i:i + 1]), bank, beta, 2, groups=1)
-        np.testing.assert_array_equal(stacked.value[i], single.value[0])
+        single, _ = refine_rows(Tensor(zs[i:i + 1]), bank, beta, 2)
+        np.testing.assert_array_equal(stacked.value[i], single.value)
 
 
 def test_fd_gradients_through_refinement(rng):
@@ -198,11 +198,11 @@ def test_fd_gradients_through_refinement(rng):
     bank.write(rng.standard_normal((6, 3)), np.arange(6) % 2)
     proj = Tensor(rng.standard_normal((3, 1)))
     for t in (1, 2, 3):
-        z = Tensor(rng.standard_normal((2, 3)))
+        z = Tensor(rng.standard_normal((2, 1, 3)))
         beta = Tensor(np.array([0.35]))
 
         def build():
-            out, _ = refine_rows(z, bank, beta, t, groups=2)
+            out, _ = refine_rows(z, bank, beta, t)
             return total(ad.matmul(out, proj))
 
         assert ad.check_gradients(build, [z, beta], step=1e-6) < 1e-6, f"T={t}"
