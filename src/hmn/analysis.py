@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import svg
-from .train import eval_batches, evaluate, train as run_train
+from .train import _write_line, eval_batches, evaluate, train as run_train
 
 _AXIS_FIELDS = {
     "T": ("t_steps", int),
@@ -41,6 +41,7 @@ DEFAULT_GRIDS = {
     "contrast": [0.5, 0.75, 1.25, 1.5],
 }
 CONSISTENCY_GRID_PX = [4, 8, 12, 16, 20]
+HIT_TOPK = (1, 5)
 
 
 # ------------------------------------------------------------- corruptions
@@ -133,9 +134,8 @@ def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
 
 # ----------------------------------------------------------------- hit rate
 
-def hit_rate(model, dataset, branch="global", topk=(1, 5), all_tokens=False,
-             batch_size=64):
-    """Fraction of samples whose top-weighted slots share the sample class.
+def hit_rate(model, dataset, branch="global", all_tokens=False, batch_size=64):
+    """Fraction of samples whose top-1 and top-5 weighted slots share the sample class.
 
     The local branch scores the token picked by the pooling weights
     (argmax), or averages over every token with all_tokens. Chance
@@ -143,33 +143,36 @@ def hit_rate(model, dataset, branch="global", topk=(1, 5), all_tokens=False,
     independent-draw approximation, reported as indicative only.
     """
     _, slot_class, _ = _last_bank(model, branch).filled_view()
-    hits = {k: 0.0 for k in topk}
+    hits = {k: 0.0 for k in HIT_TOPK}
     for labels, alpha in _sample_rows(model, dataset, branch, batch_size, all_tokens):
-        same = slot_class[_rank_slots(alpha)[..., :max(topk)]] == labels[:, None, None]
-        for k in topk:
+        same = slot_class[_rank_slots(alpha)[..., :max(HIT_TOPK)]] == labels[:, None, None]
+        for k in HIT_TOPK:
             # per image: the share of its rows with a same-class slot in the top k
             hits[k] += float(same[..., :k].any(axis=-1).mean(axis=1).sum())
     c = model.cfg.num_classes
     report = {"branch": branch, "n": len(dataset), "all_tokens": bool(all_tokens)}
-    for k in topk:
+    for k in HIT_TOPK:
         report[f"top{k}_pct"] = 100.0 * hits[k] / len(dataset)
         report[f"chance_top{k}_pct"] = 100.0 * (1.0 - (1.0 - 1.0 / c) ** k)
     return report
 
 
-def _write_lines(path, lines):
-    """One newline-terminated line per entry, LF endings on every platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(path, fields, rows):
+    """Header line, then one line per row: a dict keyed by the fields or a
+    sequence of values in field order. Floats print as repr(float(v)),
+    every other value as str(v)."""
+    lines = [",".join(fields)]
+    for row in rows:
+        values = [row[f] for f in fields] if isinstance(row, dict) else row
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in values))
+    _write_line(path, "\n".join(lines), mode="w")
 
 
 def write_hit_rate_csv(report, path):
-    rows = ["branch,metric,value"]
-    for key in sorted(report):
-        if key.endswith("_pct"):
-            rows.append(f"{report['branch']},{key},{repr(report[key])}")
-    rows.append(f"{report['branch']},n,{report['n']}")
-    _write_lines(path, rows)
+    branch = report["branch"]
+    rows = [(branch, key, report[key]) for key in sorted(report) if key.endswith("_pct")]
+    _write_csv(path, ["branch", "metric", "value"], rows + [(branch, "n", report["n"])])
 
 
 # ------------------------------------------------------------ weight profile
@@ -195,10 +198,8 @@ def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
 
 def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
     csv_path = os.path.join(out_dir, f"weights_{branch}_class{class_id}.csv")
-    rows = ["slot_id,slot_class,mean_alpha"]
-    for i, (sc, val) in enumerate(zip(slot_class, profile)):
-        rows.append(f"{i},{int(sc)},{repr(float(val))}")
-    _write_lines(csv_path, rows)
+    _write_csv(csv_path, ["slot_id", "slot_class", "mean_alpha"],
+               zip(range(len(profile)), slot_class, profile))
     svg_path = os.path.join(out_dir, f"weights_{branch}_class{class_id}.svg")
     svg.render_svg([(list(range(len(profile))), list(profile))],
                    [f"class {class_id}"], svg_path,
@@ -244,17 +245,10 @@ def robustness(models, dataset, grids=None, seed=1234, batch_size=64):
 
 def write_robustness(rows, out_dir):
     csv_path = os.path.join(out_dir, "robustness.csv")
-    lines = ["model,t_steps,family,severity,accuracy,n"]
-    for r in rows:
-        lines.append(f"{r['model']},{r['t_steps']},{r['family']},{r['severity']},"
-                     f"{repr(float(r['accuracy']))},{r['n']}")
-    _write_lines(csv_path, lines)
+    _write_csv(csv_path, ["model", "t_steps", "family", "severity", "accuracy", "n"], rows)
     paths = [csv_path]
     families = sorted({r["family"] for r in rows if r["family"] != "all"})
-    models = []
-    for r in rows:
-        if r["model"] not in models:
-            models.append(r["model"])
+    models = list(dict.fromkeys(r["model"] for r in rows))
     for family in families:
         series, labels = [], []
         for m in models:
@@ -311,11 +305,8 @@ def consistency(model, dataset, family="occlusion_px", grid=None, seed=4321,
 
 def write_consistency(rows, out_dir):
     csv_path = os.path.join(out_dir, "consistency.csv")
-    lines = ["branch,family,severity,top5_consistency_pct,mean_top1_cosine,n"]
-    for r in rows:
-        lines.append(f"{r['branch']},{r['family']},{r['severity']},"
-                     f"{repr(r['top5_consistency_pct'])},{repr(r['mean_top1_cosine'])},{r['n']}")
-    _write_lines(csv_path, lines)
+    _write_csv(csv_path, ["branch", "family", "severity", "top5_consistency_pct",
+                          "mean_top1_cosine", "n"], rows)
     xs = [float(r["severity"]) for r in rows]
     p1 = os.path.join(out_dir, "consistency_top5.svg")
     svg.render_svg([(xs, [r["top5_consistency_pct"] for r in rows])], ["top-5 consistency"],
@@ -360,26 +351,18 @@ def sweep(base_cfg, axis, values, seeds=None, out_root=None, log=print):
 def write_sweep(runs, out_root):
     os.makedirs(out_root, exist_ok=True)
     csv_path = os.path.join(out_root, "sweep.csv")
-    lines = ["axis,value,seed,final_test_acc,best_test_acc"]
-    for r in runs:
-        lines.append(f"{r['axis']},{r['value']},{r['seed']},"
-                     f"{repr(r['final_test_acc'])},{repr(r['best_test_acc'])}")
-    _write_lines(csv_path, lines)
-    values = []
-    for r in runs:
-        if r["value"] not in values:
-            values.append(r["value"])
+    _write_csv(csv_path, ["axis", "value", "seed", "final_test_acc", "best_test_acc"], runs)
+    values = list(dict.fromkeys(r["value"] for r in runs))
     sum_path = os.path.join(out_root, "summary.csv")
-    lines = ["axis,value,n_seeds,mean_final,std_final,mean_best,std_best"]
-    means = []
+    summary, means = [], []
     for v in values:
         finals = [r["final_test_acc"] for r in runs if r["value"] == v]
         bests = [r["best_test_acc"] for r in runs if r["value"] == v]
-        lines.append(f"{runs[0]['axis']},{v},{len(finals)},{repr(float(np.mean(finals)))},"
-                     f"{repr(float(np.std(finals)))},{repr(float(np.mean(bests)))},"
-                     f"{repr(float(np.std(bests)))}")
+        summary.append((runs[0]["axis"], v, len(finals), np.mean(finals), np.std(finals),
+                        np.mean(bests), np.std(bests)))
         means.append(float(np.mean(finals)))
-    _write_lines(sum_path, lines)
+    _write_csv(sum_path, ["axis", "value", "n_seeds", "mean_final", "std_final",
+                          "mean_best", "std_best"], summary)
     svg_path = os.path.join(out_root, "sweep.svg")
     svg.render_svg([([float(v) for v in values], means)], ["mean final accuracy"],
                    svg_path, title=f"Sweep over {runs[0]['axis']}",

@@ -266,8 +266,8 @@ def softmax_rows(x):
     return _node(out, (x,), bwd, "softmax_rows")
 
 
-def layernorm_rows(x, gain, bias, eps=1e-5):
-    """Standardization over the last axis with learnable per-feature affine."""
+def layernorm_rows(x, gain, bias):
+    """Standardization over the last axis (ε = 1e-5) with learnable per-feature affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xv = x.value
     d = xv.shape[-1]
@@ -275,7 +275,7 @@ def layernorm_rows(x, gain, bias, eps=1e-5):
         raise ValueError("layernorm affine shape mismatch")
     mu = xv.mean(axis=-1, keepdims=True)
     var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + 1e-5)
     xhat = (xv - mu) / s
     out = xhat * gain.value + bias.value
 

@@ -51,35 +51,32 @@ class HMNBlock:
         self.b1 = _vec(0.0, r * d_e, dtype)
         self.W2 = _linear(rng, r * d_e, d_e, dtype)
         self.b2 = _vec(0.0, d_e, dtype)
-        if cfg.use_norm:
-            self.norm_in_gain = _vec(1.0, d_e, dtype)
-            self.norm_in_bias = _vec(0.0, d_e, dtype)
-            self.norm_mlp_gain = _vec(1.0, d_e, dtype)
-            self.norm_mlp_bias = _vec(0.0, d_e, dtype)
+        self.norm_in_gain = _vec(1.0, d_e, dtype)
+        self.norm_in_bias = _vec(0.0, d_e, dtype)
+        self.norm_mlp_gain = _vec(1.0, d_e, dtype)
+        self.norm_mlp_bias = _vec(0.0, d_e, dtype)
         self.bank_local = MemoryBank(cfg.num_classes, cfg.k_local, d_l, dtype)
         self.bank_global = MemoryBank(cfg.num_classes, cfg.k_global, d_l, dtype)
 
     def parameters(self, prefix):
         names = ["W_loc_in", "b_loc_in", "W_loc_out", "b_loc_out",
                  "W_glob_in", "b_glob_in", "W_glob_out", "b_glob_out",
-                 "beta_local", "beta_global", "W1", "b1", "W2", "b2"]
-        if self.cfg.use_norm:
-            names += ["norm_in_gain", "norm_in_bias", "norm_mlp_gain", "norm_mlp_bias"]
+                 "beta_local", "beta_global", "W1", "b1", "W2", "b2",
+                 "norm_in_gain", "norm_in_bias", "norm_mlp_gain", "norm_mlp_bias"]
         return OrderedDict((f"{prefix}.{n}", getattr(self, n)) for n in names)
 
     def _refine(self, q, bank, beta, t_steps, capture, key):
         """Refined queries; with capture, also keep the retrieval weights.
 
         The captured weights are the last refinement step's alpha, one row
-        per query row ((B·N, K) local, (B, K) global). When refinement never
-        reads the bank (T=0 or β=0) a plain diagnostic retrieval stands in;
-        an empty bank captures None.
+        per query row ((B·N, K) local, (B, K) global). When refinement skips
+        the bank at T=0 or β=0, a plain diagnostic retrieval of a filled
+        bank stands in; an empty bank captures None.
         """
         z, alpha = refine_rows(q, bank, beta, t_steps)
         if capture is not None:
-            if alpha is None:
-                alpha, _ = retrieve_rows(q.detach(), bank)
-                alpha = None if alpha is None else alpha.value
+            if alpha is None and bank.any_filled:
+                alpha = retrieve_rows(q.detach(), bank)[0].value
             capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
         return z
 
@@ -113,17 +110,11 @@ class HMNBlock:
                 raise ValueError("train mode needs one label per image for bank writes")
             if rng is None:
                 raise ValueError("train mode needs an rng for write-token sampling")
-        if self.cfg.use_norm:
-            x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
-        else:
-            x = tokens
+        x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
         local, lwrites = self._local_branch(x, t_steps, mode, labels, rng, capture)
         glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)
         f = ad.add(local, glob)
-        if self.cfg.use_norm:
-            y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
-        else:
-            y = f
+        y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
         hidden = ad.gelu(ad.add(ad.matmul(y, self.W1), self.b1))
         mlp_out = ad.add(ad.matmul(hidden, self.W2), self.b2)
         out = ad.add(tokens, mlp_out)

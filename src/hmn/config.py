@@ -31,7 +31,6 @@ class RunConfig:
     k_global: int = 200
     t_steps: int = 1
     beta_init: float = 0.2
-    use_norm: bool = True
     write_sample: int = 4
     # optimizer
     lr: float = 1e-3

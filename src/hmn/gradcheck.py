@@ -30,12 +30,14 @@ def tiny_config(**overrides):
     return config_from_dict(d)
 
 
-def model_gradcheck(t_steps=1, seed=0, step=1e-5, floor=1e-6, batch=4):
+def model_gradcheck(t_steps=1, seed=0):
     """Worst relative error between backward() and finite differences.
 
-    Checks every learnable parameter of the tiny model with memory
-    retrieval active (banks pre-filled, frozen during the check).
+    Checks every learnable parameter of the tiny model on a batch of 4
+    with memory retrieval active (banks pre-filled, frozen during the
+    check), at step 1e-5 and relative-error floor 1e-6.
     """
+    batch = 4
     cfg = tiny_config(t_steps=int(t_steps))
     rng = np.random.default_rng(seed)
     model = Model(cfg, rng, dtype=np.float64)
@@ -55,4 +57,4 @@ def model_gradcheck(t_steps=1, seed=0, step=1e-5, floor=1e-6, batch=4):
     def build():
         return ad.cross_entropy(model.forward(x_fix, mode="eval"), y_fix)
 
-    return ad.check_gradients(build, list(params.values()), step=step, floor=floor)
+    return ad.check_gradients(build, list(params.values()), step=1e-5, floor=1e-6)

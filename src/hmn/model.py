@@ -94,7 +94,7 @@ class Model:
 
     def forward(self, images, mode="eval", labels=None, rng=None,
                 t_override=None, capture=None):
-        """Logits for a standardized image batch.
+        """(B, C) logits for a standardized (B, C, H, W) image batch.
 
         eval mode freezes the banks and is pure; train mode thaws them and
         writes per-block queries under the given labels. capture, when a
@@ -103,11 +103,11 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
+        images = np.asarray(images, dtype=self.dtype)
+        if images.ndim != 4:
+            raise ValueError(f"expected a (B, C, H, W) batch, got shape {images.shape}")
         self.set_frozen(mode == "eval")
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
-        images = np.asarray(images, dtype=self.dtype)
-        if images.ndim == 3:
-            images = images[None]
         b = images.shape[0]
         # tokens are (B, N, D): every matmul below runs one GEMM per image
         tok = ad.matmul(ad.Tensor(self._patchify(images)), self.patch_proj)

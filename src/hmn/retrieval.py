@@ -20,13 +20,11 @@ def retrieve_rows(z, bank):
     """(R, D) or (B, R, D) queries -> (alpha, m): alpha (..., R, K) with no
     graph, m shaped as the queries.
 
-    An empty bank returns (None, z), so refinement against it is a no-op.
+    An empty bank raises ValueError: there is no slot to read.
     """
     z = ad.as_tensor(z)
     if z.value.ndim not in (2, 3) or z.value.shape[-1] != bank.dim:
         raise ValueError(f"query shape {z.value.shape} does not match bank dim {bank.dim}")
-    if not bank.any_filled:
-        return None, z
     slots, _, mask = bank.filled_view()
     return ad.memory_read(z, slots, mask)
 
@@ -35,20 +33,21 @@ def refine_rows(z, bank, beta, T):
     """T refinement steps over (R, D) or (B, R, D) queries; returns (z_final, alpha).
 
     alpha is the last step's retrieval weights as an array, None when the
-    bank is never read. T=0 or an exactly-zero β returns z unchanged
-    without reading the bank: the update would add 0·(m − z), so skipping
-    it matches the read-free T=0 path bit for bit (β gets no gradient).
+    bank is never read. T=0, an exactly-zero β or an empty bank returns z
+    unchanged without reading the bank: there the update would add
+    0·(m − z) or has nothing to read, so z passes through with no node
+    recorded (β gets no gradient).
     """
     z = ad.as_tensor(z)
     beta = ad.as_tensor(beta)
     if T < 0:
         raise ValueError(f"negative step count {T}")
-    if T == 0 or float(beta.value.reshape(())) == 0.0:
+    if T == 0 or float(beta.value.reshape(())) == 0.0 or not bank.any_filled:
         return z, None
     for _ in range(T):
         alpha, m = retrieve_rows(z, bank)
         z = ad.hopfield_update(z, m, beta)
-    return z, None if alpha is None else alpha.value
+    return z, alpha.value
 
 
 def variance_probe(dim, n, seed=0):

@@ -94,9 +94,7 @@ def train(cfg, log=print):
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    with open(os.path.join(cfg.out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_json() + "\n")
-
+    _write_line(os.path.join(cfg.out_dir, "config.json"), cfg.to_json(), mode="w")
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     timings_path = os.path.join(cfg.out_dir, "timings.csv")
     _write_line(metrics_path, "epoch,train_loss,train_acc,test_acc,lr", mode="w")

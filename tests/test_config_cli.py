@@ -1,6 +1,7 @@
 """Config loading/validation and the command-line entry point."""
 
 import dataclasses
+import glob
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from hmn.cli import main
 from hmn.config import RunConfig, config_from_dict, load_config
+from hmn.model import Model
 
 from conftest import make_tiny_cfg
 
@@ -39,8 +41,22 @@ def test_unknown_dataset():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ValueError, match="unknown config keys: dropout"):
-        config_from_dict({"dataset": "synth_blobs", "dropout": 0.1})
+    for key, value in (("dropout", 0.1), ("use_norm", True)):
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
+            config_from_dict({"dataset": "synth_blobs", key: value})
+
+
+def test_shipped_configs_load_and_build():
+    """Every config under configs/ loads and builds its model; no data is read."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = sorted(glob.glob(os.path.join(root, "configs", "*.json")))
+    assert [os.path.basename(p) for p in paths] == [
+        "fashion_desk.json", "synth_desk.json", "synth_smoke.json"]
+    for path in paths:
+        cfg = load_config(path)
+        model = Model(cfg)
+        assert len(model.blocks) == cfg.n_blocks
+        assert len(model.parameters()) == 6 + 18 * cfg.n_blocks
 
 
 def test_load_config_round_trip(tmp_path):

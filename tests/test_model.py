@@ -85,6 +85,8 @@ def test_input_shape_validation(tmp_path, rng):
         model.forward(rng.standard_normal((1, 1, 8, 12)))
     with pytest.raises(ValueError):
         model.forward(rng.standard_normal((1, 1, 8, 8)), mode="predict")
+    with pytest.raises(ValueError, match="batch"):
+        model.forward(rng.standard_normal((1, 8, 8)))  # one image, no batch axis
 
 
 # ------------------------------------------------------------------- pooling
@@ -175,12 +177,6 @@ def test_desk_shape_batch_independence_without_graph(tmp_path, rng):
     np.testing.assert_array_equal(mixed[:3], whole.value[2:])
     np.testing.assert_array_equal(mixed[3:], whole.value[:2][::-1])
     np.testing.assert_array_equal(alone[0], whole.value[4])
-
-
-def test_single_image_promoted_to_batch(tmp_path, rng):
-    cfg, model = tiny_model(tmp_path)
-    img = std_images(cfg, 1, rng)
-    np.testing.assert_array_equal(model.forward(img[0]).value, model.forward(img).value)
 
 
 def test_t_override(tmp_path, rng):

@@ -66,11 +66,23 @@ def test_refine_one_step_oracle():
 def test_empty_bank_returns_query(rng):
     bank = MemoryBank(2, 4, 3)
     z = row(rng.standard_normal(3))
-    alpha, m = retrieve_rows(z, bank)
-    assert alpha is None and m is z
+    with pytest.raises(ValueError, match="every slot is masked"):
+        retrieve_rows(z, bank)
     out, alpha = refine_rows(z, bank, Tensor(np.array([0.5])), 2)
-    np.testing.assert_array_equal(out.value, z.value)
-    assert alpha is None
+    assert out is z and alpha is None
+
+
+def test_refine_against_an_empty_bank_passes_gradients_through(rng):
+    """An empty bank is skipped like T=0: no node is recorded, z gets the
+    upstream gradient exactly and β gets none."""
+    z = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    beta = Tensor(np.array([0.35]), requires_grad=True)
+    out, alpha = refine_rows(z, MemoryBank(2, 4, 4), beta, 3)
+    assert out is z and alpha is None
+    dout = rng.standard_normal((z.value.size, 1))
+    ad.backward(ad.matmul(ad.reshape(out, (1, -1)), Tensor(dout)))
+    np.testing.assert_array_equal(z.grad, dout.reshape(z.value.shape))
+    assert beta.grad is None
 
 
 def test_alpha_invariant_to_query_scale(rng):
