@@ -22,6 +22,26 @@ Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
 rule of ``kernels.as_float``). Constants inside ops are Python floats,
 which never widen a float32 array; a numpy float64 scalar would.
+
+In-place rule: gelu, layernorm_rows and memory_read's backward write their
+intermediates into buffers they reuse (``out=``, ``*=``) instead of
+allocating one per expression. Each runs the same numpy operations on the
+same operands in the same order as the plain expression in its comment, so
+every output bit is the same; only the operands of a single + or × may
+swap. Regrouping, multiplying by a reciprocal or dropping a softmax's max
+subtraction would change bits and is not done here. A buffer is reused
+only when nothing reads it later: forward values handed to callers (the
+op outputs and memory_read's alpha) are never overwritten.
+
+Hand-over rule: ``_accum`` stores a first gradient as the bits of
+zeros + g, so −0.0 arrives as +0.0. A backward that built g itself and
+reads it no more hands it over (``own=True``) and g is stored, turned to
++0.0 in place: matmul's dA and dB, gelu, layernorm_rows' dx, memory_read,
+unfold_tokens, softmax_rows and cross_entropy. Gradients that pass dout
+on, whole or as a view (add, reshape, concat_last_axis, mean_rows and
+both of hopfield_update's), are copied, because one dout may reach two
+parents, or be a read-only broadcast, and a stored gradient is later
+added into in place.
 """
 
 import contextlib
@@ -97,13 +117,15 @@ def _node(value, parents, bwd, name):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, own=False):
+    """Add g into t.grad. The first write stores the bits of zeros + g
+    (−0.0 becomes +0.0): a fresh copy, since g may be a dout or a view of
+    one that other parents also receive; with own=True, g itself, which
+    the calling backward built and reads no more."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a fresh array with the bits of zeros + g (−0.0 becomes +0.0); never
-        # g itself, since one dout may be handed to two parents
-        t.grad = np.add(g, 0.0)
+        t.grad = np.add(g, 0.0, out=g) if own else np.add(g, 0.0)
     else:
         t.grad += g
 
@@ -172,9 +194,9 @@ def matmul(a, b):
     def bwd(dout):
         d2 = dout.reshape(-1, n)
         if a.requires_grad:
-            _accum(a, (d2 @ bv.T).reshape(av.shape))
+            _accum(a, (d2 @ bv.T).reshape(av.shape), own=True)
         if b.requires_grad:
-            _accum(b, av.reshape(-1, ka).T @ d2)
+            _accum(b, av.reshape(-1, ka).T @ d2, own=True)
 
     return _node(np.matmul(av, bv), (a, b), bwd, "matmul")
 
@@ -234,14 +256,35 @@ def gelu(x):
     x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
     xv = x.value
-    # xv ** 3 would take the slow general pow path
-    inner = c * (xv + 0.044715 * (xv * xv * xv))
-    t = np.tanh(inner)
-    out = 0.5 * xv * (1.0 + t)
+    # t = tanh(c·(xv + 0.044715·(xv·xv·xv))), out = 0.5·xv·(1 + t); xv ** 3
+    # would take the slow general pow path
+    t = xv * xv
+    t *= xv
+    t *= 0.044715
+    t += xv
+    t *= c
+    np.tanh(t, out=t)
+    out = np.multiply(xv, 0.5)
+    out *= np.add(t, 1.0)
 
     def bwd(dout):
-        dinner = c * (1.0 + 3 * 0.044715 * xv ** 2)
-        _accum(x, dout * (0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t ** 2) * dinner))
+        # dout·(0.5·(1 + t) + 0.5·xv·(1 − t²)·c·(1 + 3·0.044715·xv²)),
+        # finished in t's buffer, which nothing reads after this
+        u = np.square(t)
+        np.subtract(1.0, u, out=u)
+        h = np.multiply(xv, 0.5)
+        h *= u
+        np.square(xv, out=u)
+        u *= 3 * 0.044715
+        u += 1.0
+        u *= c
+        h *= u
+        dx = t
+        dx += 1.0
+        dx *= 0.5
+        dx += h
+        dx *= dout
+        _accum(x, dx, own=True)
 
     return _node(out, (x,), bwd, "gelu")
 
@@ -261,7 +304,7 @@ def softmax_rows(x):
     def bwd(dout):
         # dx_j = a_j·(dout_j − Σ_t dout_t·a_t)
         inner = (dout * out).sum(axis=-1, keepdims=True)
-        _accum(x, out * (dout - inner))
+        _accum(x, out * (dout - inner), own=True)
 
     return _node(out, (x,), bwd, "softmax_rows")
 
@@ -274,21 +317,33 @@ def layernorm_rows(x, gain, bias):
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise ValueError("layernorm affine shape mismatch")
     mu = xv.mean(axis=-1, keepdims=True)
-    var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = xv - mu
+    out = np.square(xhat)  # the squares' buffer then takes the output
+    var = out.mean(axis=-1, keepdims=True)
     s = np.sqrt(var + 1e-5)
-    xhat = (xv - mu) / s
-    out = xhat * gain.value + bias.value
+    xhat /= s
+    np.multiply(xhat, gain.value, out=out)
+    out += bias.value
 
     def bwd(dout):
+        prod = None
         if gain.requires_grad:
-            _accum(gain, (dout * xhat).reshape(-1, d).sum(axis=0))
+            prod = dout * xhat
+            _accum(gain, prod.reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accum(bias, dout.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
-            dxhat = dout * gain.value
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, (dxhat - m1 - xhat * m2) / s)
+            # (dxhat − mean(dxhat) − xhat·mean(dxhat·xhat)) / s, with
+            # dxhat = dout·gain; xhat's buffer is free once it is read
+            dx = dout * gain.value
+            m1 = dx.mean(axis=-1, keepdims=True)
+            prod = np.multiply(dx, xhat, out=prod)
+            m2 = prod.mean(axis=-1, keepdims=True)
+            dx -= m1
+            np.multiply(xhat, m2, out=xhat)
+            dx -= xhat
+            dx /= s
+            _accum(x, dx, own=True)
 
     return _node(out, (x, gain, bias), bwd, "layernorm_rows")
 
@@ -365,14 +420,18 @@ def memory_read(z, slots, mask):
     def bwd(dout):
         # one GEMM per product over all rows
         a2, zhat2, znorm2 = alpha.reshape(-1, k), zhat.reshape(-1, d), znorm.reshape(-1, 1)
+        # dlogits = √D·a2·(da − Σ_k da·a2), in two R×K buffers
         da = dout.reshape(-1, d) @ slots.T
-        dlogits = a2 * (da - (da * a2).sum(axis=1, keepdims=True))
+        dlogits = np.multiply(da, a2)
+        inner = dlogits.sum(axis=1, keepdims=True)
+        np.subtract(da, inner, out=dlogits)
+        dlogits *= a2
         dlogits *= math.sqrt(d)
         dzhat = dlogits @ khat_t.T
         inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
         denom = np.maximum(znorm2, _EPS)
         dz = np.where(znorm2 > _EPS, (dzhat - zhat2 * inner) / denom, dzhat / denom)
-        _accum(z, dz.reshape(zv.shape))
+        _accum(z, dz.reshape(zv.shape), own=True)
 
     return Tensor(alpha), _node(m, (z,), bwd, "memory_read")
 
@@ -414,7 +473,7 @@ def unfold_tokens(x, h, w, k):
     out = kernels.unfold_grid(x.value.reshape(grid), k)
 
     def bwd(dout):
-        _accum(x, kernels.unfold_grid_bwd(dout, grid, k).reshape(x.value.shape))
+        _accum(x, kernels.unfold_grid_bwd(dout, grid, k).reshape(x.value.shape), own=True)
 
     return _node(out, (x,), bwd, "unfold_tokens")
 
@@ -439,7 +498,7 @@ def cross_entropy(logits, labels):
     def bwd(dout):
         d = probs.copy()
         d[np.arange(bsz), labels] -= 1.0
-        _accum(logits, d * (dout.item() / bsz))
+        _accum(logits, d * (dout.item() / bsz), own=True)
 
     return _node(out, (logits,), bwd, "cross_entropy")
 

@@ -31,6 +31,14 @@ def _vec(value, n, dtype):
     return ad.Tensor(np.full(n, float(value), dtype=dtype), requires_grad=True)
 
 
+def check_train_inputs(labels, rng):
+    """Raise ValueError unless a train-mode forward has what its bank writes need."""
+    if labels is None:
+        raise ValueError("train mode needs one label per image for bank writes")
+    if rng is None:
+        raise ValueError("train mode needs an rng for write-token sampling")
+
+
 class HMNBlock:
     def __init__(self, cfg, rng, dtype=np.float64):
         self.cfg = cfg
@@ -106,10 +114,7 @@ class HMNBlock:
     def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
         """(B, N, D_emb) in, same shape out; writes banks in train mode."""
         if mode == "train":
-            if labels is None:
-                raise ValueError("train mode needs one label per image for bank writes")
-            if rng is None:
-                raise ValueError("train mode needs an rng for write-token sampling")
+            check_train_inputs(labels, rng)
         x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
         local, lwrites = self._local_branch(x, t_steps, mode, labels, rng, capture)
         glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)

@@ -3,9 +3,9 @@
 Both kernels take grids shaped (..., H, W, D): any leading axes (one per
 image, say) ride along, and a plain (H, W, D) grid is the case with none.
 The gather only copies and zero-pads, and the adjoint adds the k² window
-shifts in ascending (dr, dc) order, so every grid in a batch gets the same
-bits it would get on its own. Both compute in their input's dtype by the
-rule of ``as_float``.
+shifts into a zeroed output grid in ascending (dr, dc) order, so every
+grid in a batch gets the same bits it would get on its own. Both compute
+in their input's dtype by the rule of ``as_float``.
 """
 
 import numpy as np
@@ -45,8 +45,19 @@ def unfold_grid_bwd(dout, shape, k):
     *lead, h, w, d = shape
     pad = k // 2
     d6 = as_float(dout).reshape(*lead, h, w, k, k, d)
-    acc = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d), dtype=d6.dtype)
+    acc = np.zeros(shape, dtype=d6.dtype)
     for dr in range(k):
+        rows, src_rows = _shifted(dr - pad, h)
         for dc in range(k):
-            acc[..., dr:dr + h, dc:dc + w, :] += d6[..., dr, dc, :]
-    return acc[..., pad:pad + h, pad:pad + w, :].copy()
+            cols, src_cols = _shifted(dc - pad, w)
+            acc[..., rows, cols, :] += d6[..., src_rows, src_cols, dr, dc, :]
+    return acc
+
+
+def _shifted(s, n):
+    """(destination, source) slices of a length-n axis for window offset s:
+    window cell i reads grid cell i + s, and offsets past the edge read the
+    zero padding, which the adjoint drops."""
+    lo = max(s, 0)
+    hi = max(min(n, n + s), lo)
+    return slice(lo, hi), slice(lo - s, hi - s)

@@ -24,7 +24,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import HMNBlock
+from .blocks import HMNBlock, check_train_inputs
 from .config import config_from_dict
 
 MAGIC = b"HMN1"
@@ -106,11 +106,15 @@ class Model:
         images = np.asarray(images, dtype=self.dtype)
         if images.ndim != 4:
             raise ValueError(f"expected a (B, C, H, W) batch, got shape {images.shape}")
-        self.set_frozen(mode == "eval")
+        # every check runs before the banks change state
+        patches = self._patchify(images)
+        if mode == "train":
+            check_train_inputs(labels, rng)
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
+        self.set_frozen(mode == "eval")
         b = images.shape[0]
         # tokens are (B, N, D): every matmul below runs one GEMM per image
-        tok = ad.matmul(ad.Tensor(self._patchify(images)), self.patch_proj)
+        tok = ad.matmul(ad.Tensor(patches), self.patch_proj)
         tok = ad.add(ad.add(tok, self.patch_bias), self.pos_embed)
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):

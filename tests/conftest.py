@@ -18,6 +18,13 @@ def total(t):
     return ad.matmul(ad.matmul(ad.Tensor(np.ones((1, r))), t), ad.Tensor(np.ones((c, 1))))
 
 
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bit patterns, so −0.0 and +0.0 differ."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.uint32 if want.dtype == np.float32 else np.uint64
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
 def make_tiny_cfg(tmp_dir, **overrides):
     """Small synthetic-data config that trains in about a second."""
     base = dict(

@@ -7,6 +7,7 @@ are closed forms worked out by hand.
 """
 
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -20,7 +21,7 @@ from hmn.autodiff import Tensor
 from hmn.memory import MemoryBank
 from hmn.retrieval import retrieve_rows
 
-from conftest import total
+from conftest import assert_same_bits, total
 
 
 def numeric_grad(build, param, step=1e-6):
@@ -215,6 +216,15 @@ def test_first_gradient_write_is_a_fresh_copy(rng):
     np.testing.assert_array_equal(b.grad, np.zeros((2, 2)))
 
 
+def test_handed_over_gradient_is_stored_itself():
+    g = np.array([[-0.0, 1.5, -2.25]])
+    want = np.zeros((1, 3)) + g
+    t = Tensor(np.zeros((1, 3)), requires_grad=True)
+    ad._accum(t, g, own=True)
+    assert t.grad is g and not np.signbit(g[0, 0])
+    np.testing.assert_array_equal(t.grad, want)
+
+
 def test_backward_releases_the_graph_and_keeps_leaf_grads(rng):
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
@@ -226,6 +236,130 @@ def test_backward_releases_the_graph_and_keeps_leaf_grads(rng):
         assert node._parents == () and node._backward is None and node.grad is None
     assert x.grad is not None and w.grad is not None
     assert x._parents == () and w._parents == ()
+
+
+# ------------------------------------------------------ in-place kernel bits
+# gelu, layernorm_rows and memory_read's backward compute in reused buffers.
+# The references below are the allocating expressions they replaced; values
+# and gradients must match them bit for bit, signed zeros included, and a
+# first gradient write turns −0.0 into +0.0.
+
+def first_write(g):
+    return np.add(g, 0.0)
+
+
+def edge_values(rng, shape, dtype, big):
+    """Normal draws with ±0.0, ±1e-8 and ±big spread through them."""
+    v = rng.standard_normal(shape)
+    flat = v.reshape(-1)
+    special = np.array([0.0, -0.0, 1e-8, -1e-8, big, -big])
+    picks = rng.choice(flat.size, size=2 * special.size, replace=False)
+    flat[picks] = np.tile(special, 2)
+    return v.astype(dtype)
+
+
+def reference_gelu(xv, dout):
+    c = math.sqrt(2.0 / math.pi)
+    inner = c * (xv + 0.044715 * (xv * xv * xv))
+    t = np.tanh(inner)
+    out = 0.5 * xv * (1.0 + t)
+    dinner = c * (1.0 + 3 * 0.044715 * xv ** 2)
+    return out, dout * (0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t ** 2) * dinner)
+
+
+def reference_layernorm(xv, gv, bv, dout):
+    d = xv.shape[-1]
+    mu = xv.mean(axis=-1, keepdims=True)
+    var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
+    s = np.sqrt(var + 1e-5)
+    xhat = (xv - mu) / s
+    out = xhat * gv + bv
+    dgain = (dout * xhat).reshape(-1, d).sum(axis=0)
+    dbias = dout.reshape(-1, d).sum(axis=0)
+    dxhat = dout * gv
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return out, dgain, dbias, (dxhat - m1 - xhat * m2) / s
+
+
+def reference_memory_read(zv, slots, mask, dout):
+    d, k = zv.shape[-1], slots.shape[0]
+
+    def unit(x):
+        norm = np.sqrt((x ** 2).sum(axis=-1, keepdims=True))
+        return x / np.maximum(norm, 1e-12), norm
+
+    zhat, znorm = unit(zv)
+    khat_t = np.ascontiguousarray(unit(slots)[0].T)
+    alpha = np.matmul(zhat, khat_t)
+    alpha *= math.sqrt(d)
+    alpha[..., ~mask] = -np.inf
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    m = np.matmul(alpha, slots)
+    a2, zhat2, znorm2 = alpha.reshape(-1, k), zhat.reshape(-1, d), znorm.reshape(-1, 1)
+    da = dout.reshape(-1, d) @ slots.T
+    dlogits = a2 * (da - (da * a2).sum(axis=1, keepdims=True))
+    dlogits *= math.sqrt(d)
+    dzhat = dlogits @ khat_t.T
+    inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
+    denom = np.maximum(znorm2, 1e-12)
+    dz = np.where(znorm2 > 1e-12, (dzhat - zhat2 * inner) / denom, dzhat / denom)
+    return alpha, m, dz.reshape(zv.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_keeps_the_bits_of_the_allocating_form(rng, dtype):
+    xv = edge_values(rng, (3, 7, 16), dtype, big=1e3)
+    dout = edge_values(rng, xv.shape, dtype, big=1e3)
+    x = Tensor(xv.copy(), requires_grad=True)
+    out = ad.gelu(x)
+    out._backward(dout)
+    want_out, want_dx = reference_gelu(xv, dout)
+    assert want_out.dtype == dtype and want_dx.dtype == dtype
+    assert_same_bits(out.value, want_out)
+    assert_same_bits(x.grad, first_write(want_dx))
+    assert_same_bits(x.value, xv)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layernorm_keeps_the_bits_of_the_allocating_form(rng, dtype):
+    xv = edge_values(rng, (3, 7, 16), dtype, big=1e6)
+    xv[0, 0] = 0.0  # a constant row: var 0, s = √ε
+    xv[0, 1] = np.array([1e-8, -1e-8] * 8, dtype=dtype)
+    gv = edge_values(rng, (16,), dtype, big=1e3)
+    bv = edge_values(rng, (16,), dtype, big=1e3)
+    dout = edge_values(rng, xv.shape, dtype, big=1e3)
+    x, gain, bias = (Tensor(v.copy(), requires_grad=True) for v in (xv, gv, bv))
+    out = ad.layernorm_rows(x, gain, bias)
+    out._backward(dout)
+    want_out, want_dgain, want_dbias, want_dx = reference_layernorm(xv, gv, bv, dout)
+    assert want_out.dtype == dtype and want_dx.dtype == dtype
+    assert_same_bits(out.value, want_out)
+    assert_same_bits(gain.grad, first_write(want_dgain))
+    assert_same_bits(bias.grad, first_write(want_dbias))
+    assert_same_bits(x.grad, first_write(want_dx))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_memory_read_backward_keeps_the_bits_of_the_allocating_form(rng, dtype):
+    zv = edge_values(rng, (2, 9, 8), dtype, big=1e3)
+    zv[0, 0] = 0.0  # zero query: the ε branch of the norm
+    zv[1, 2] = np.array([1e-8, -1e-8] * 4, dtype=dtype)
+    slots = edge_values(rng, (12, 8), dtype, big=1e3)
+    slots[3] = 0.0
+    mask = np.ones(12, dtype=bool)
+    mask[[1, 5, 6]] = False
+    dout = edge_values(rng, zv.shape, dtype, big=1e3)
+    z = Tensor(zv.copy(), requires_grad=True)
+    alpha, m = ad.memory_read(z, slots, mask)
+    m._backward(dout)
+    want_alpha, want_m, want_dz = reference_memory_read(zv, slots, mask, dout)
+    assert want_dz.dtype == dtype
+    assert_same_bits(alpha.value, want_alpha)
+    assert_same_bits(m.value, want_m)
+    assert_same_bits(z.grad, first_write(want_dz))
 
 
 # ----------------------------------------------------------------- FD per op

@@ -12,6 +12,8 @@ import pytest
 
 from hmn.kernels import unfold_grid, unfold_grid_bwd
 
+from conftest import assert_same_bits
+
 
 def oracle_unfold(grid, k):
     h, w, d = grid.shape
@@ -122,6 +124,32 @@ def test_backward_matches_oracle(rng):
             np.testing.assert_allclose(got[i], oracle_unfold_bwd(dout[i], h, w, d, k),
                                        rtol=1e-12)
             np.testing.assert_array_equal(got[i], unfold_grid_bwd(dout[i], (h, w, d), k))
+
+
+def padded_unfold_bwd(dout, shape, k):
+    """The adjoint accumulated on a zero-padded grid, shifts in ascending
+    (dr, dc) order, then cropped: the same sums per cell as unfold_grid_bwd."""
+    *lead, h, w, d = shape
+    pad = k // 2
+    d6 = dout.reshape(*lead, h, w, k, k, d)
+    acc = np.zeros((*lead, h + 2 * pad, w + 2 * pad, d), dtype=dout.dtype)
+    for dr in range(k):
+        for dc in range(k):
+            acc[..., dr:dr + h, dc:dc + w, :] += d6[..., dr, dc, :]
+    return acc[..., pad:pad + h, pad:pad + w, :]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_keeps_the_bits_of_the_padded_accumulation(rng, dtype):
+    # windows wider than the grid included: offsets past both edges
+    for shape, k in [((3, 7, 7, 4), 3), ((2, 1, 1, 3), 3), ((2, 2, 3, 2), 7), ((4, 3, 6, 1), 5)]:
+        h, w, d = shape[-3:]
+        dout = rng.standard_normal((*shape[:-3], h * w, k * k * d)).astype(dtype)
+        dout.reshape(-1)[::5] = -0.0
+        got = unfold_grid_bwd(dout, shape, k)
+        want = padded_unfold_bwd(dout, shape, k)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, want)
 
 
 def test_backward_is_adjoint(rng):

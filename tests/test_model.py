@@ -89,6 +89,22 @@ def test_input_shape_validation(tmp_path, rng):
         model.forward(rng.standard_normal((1, 8, 8)))  # one image, no batch axis
 
 
+@pytest.mark.parametrize("frozen", [True, False])
+def test_rejected_forward_leaves_the_banks_frozen_state(tmp_path, rng, frozen):
+    cfg, model = tiny_model(tmp_path)
+    model.set_frozen(frozen)
+    good, bad = std_images(cfg, 2, rng), rng.standard_normal((2, 1, 8, 12))
+    labels = np.array([0, 1])
+    calls = [dict(images=bad, mode="train", labels=labels, rng=rng),
+             dict(images=bad, mode="eval"),
+             dict(images=good, mode="train", rng=rng),
+             dict(images=good, mode="train", labels=labels)]
+    for kwargs in calls:
+        with pytest.raises(ValueError):
+            model.forward(**kwargs)
+        assert all(b.frozen == frozen for b in model.banks().values()), kwargs["mode"]
+
+
 # ------------------------------------------------------------------- pooling
 
 def test_two_way_pool_oracle(rng):
@@ -398,6 +414,36 @@ def test_train_step_backward_releases_the_graph(tmp_path, rng):
         assert t._parents == () and t._backward is None and t.grad is None
     for name, p in params.items():
         assert p.grad is not None and p.grad.shape == p.value.shape, name
+
+
+def test_train_step_leaf_gradients_are_separate_arrays(tmp_path, monkeypatch):
+    # backwards hand the gradients they build to _accum without a copy; the
+    # leaf grads must still be distinct arrays with no −0.0, and hold the
+    # bits of a step that copies every first write
+    def train_step():
+        cfg, model = tiny_model(tmp_path / "m", n_blocks=2)
+        rng = np.random.default_rng(5)
+        fill_via_training_steps(cfg, model, rng)
+        labels = np.array([0, 1, 1, 0])
+        logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
+        ad.backward(ad.cross_entropy(logits, labels))
+        return model
+
+    model = train_step()
+    grads = {n: t.grad for n, t in model.parameters().items()}
+    held = [t.value for t in model.parameters().values()]
+    held += [b.slots for b in model.banks().values()]
+    names = list(grads)
+    for i, name in enumerate(names):
+        g = grads[name]
+        assert not (np.signbit(g) & (g == 0)).any(), name
+        assert not any(np.shares_memory(g, grads[other]) for other in names[i + 1:]), name
+        assert not any(np.shares_memory(g, arr) for arr in held), name
+    accum = ad._accum
+    monkeypatch.setattr(ad, "_accum", lambda t, g, own=False: accum(t, g))
+    copied = train_step().parameters()
+    for name, g in grads.items():
+        assert g.tobytes() == copied[name].grad.tobytes(), name
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path, rng):
