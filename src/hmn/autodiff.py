@@ -1,11 +1,12 @@
 """Reverse-mode autodiff over float32 or float64 numpy arrays.
 
-Just enough ops to express the model: matmul, row softmax, layernorm,
-gelu, neighborhood unfold, cross entropy, the small glue ops (broadcasting
-add, concat, reshape, row mean, per-image weighted sum) and the two memory
-ops: memory_read, one Hopfield read (normalize, score, masked softmax,
-mix), and hopfield_update, one refinement step. Values are checked finite
-after every op.
+Just enough ops to express the model: matmul (with an optional bias), row
+softmax, layernorm, gelu, unfold_matmul (neighborhood unfold and
+projection), cross entropy, the small glue ops (broadcasting add, concat,
+reshape, row mean, per-image weighted sum) and the two memory ops:
+memory_read, one Hopfield read (normalize, score, masked softmax, mix),
+and hopfield_update, one refinement step. Values are checked finite after
+every op.
 
 Layout: activations carry a leading image axis, (B, N, D) for an image's N
 token rows. A forward matmul of a (G, m, k) left operand with a shared
@@ -36,12 +37,20 @@ op outputs and memory_read's alpha) are never overwritten.
 Hand-over rule: ``_accum`` stores a first gradient as the bits of
 zeros + g, so −0.0 arrives as +0.0. A backward that built g itself and
 reads it no more hands it over (``own=True``) and g is stored, turned to
-+0.0 in place: matmul's dA and dB, gelu, layernorm_rows' dx, memory_read,
-unfold_tokens, softmax_rows and cross_entropy. Gradients that pass dout
-on, whole or as a view (add, reshape, concat_last_axis, mean_rows and
-both of hopfield_update's), are copied, because one dout may reach two
-parents, or be a read-only broadcast, and a stored gradient is later
-added into in place.
++0.0 in place: matmul's dA, dB and dbias, gelu, layernorm_rows' dx,
+memory_read, unfold_matmul, softmax_rows and cross_entropy. A node's dout
+is its own gradient, private to it, so add hands dout itself (or its sum)
+to the first operand once the second has taken a copy or a sum. Gradients
+that pass dout on, whole or as a view (reshape, concat_last_axis,
+mean_rows and both of hopfield_update's), are copied, because one dout may
+reach two parents, or be a read-only broadcast, and a stored gradient is
+later added into in place.
+
+Retention rule: a node keeps what its backward cannot cheaply rebuild from
+what the graph holds anyway. matmul adds its bias in place into the GEMM's
+result, the same bits as a separate add, so no pre-bias array lives in the
+graph; unfold_matmul drops its (R, k²·D) unfold once the GEMM has read it
+and rebuilds it from its input, a pure copy with the same bits, for dW.
 """
 
 import contextlib
@@ -177,12 +186,14 @@ def zero_grad(tensors):
 
 # ---------------------------------------------------------------- linear maps
 
-def matmul(a, b):
-    """C = A·B for (m, k) or (G, m, k) A and a shared (k, n) B.
+def matmul(a, b, bias=None):
+    """C = A·B (+ bias) for (m, k) or (G, m, k) A, a shared (k, n) B and an (n,) bias.
 
     Forward runs one GEMM per leading index of A; model code stacks one
-    image per index. Backward ignores the stacking: dA and dB are one GEMM
-    each over all G·m rows.
+    image per index. The bias is added in place into the GEMM's result, the
+    same bits as a separate add, so no pre-bias array is kept. Backward
+    ignores the stacking: dA and dB are one GEMM each over all G·m rows,
+    and dbias one column sum.
     """
     a, b = as_tensor(a), as_tensor(b)
     ka = a.value.shape[-1]
@@ -190,6 +201,12 @@ def matmul(a, b):
     if a.value.ndim not in (2, 3) or ka != kb:
         raise ValueError(f"matmul dims disagree: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
+    out = np.matmul(av, bv)
+    parents = (a, b)
+    if bias is not None:
+        bias = _bias_for(bias, n)
+        out += bias.value
+        parents = (a, b, bias)
 
     def bwd(dout):
         d2 = dout.reshape(-1, n)
@@ -197,8 +214,22 @@ def matmul(a, b):
             _accum(a, (d2 @ bv.T).reshape(av.shape), own=True)
         if b.requires_grad:
             _accum(b, av.reshape(-1, ka).T @ d2, own=True)
+        _accum_bias(bias, d2)
 
-    return _node(np.matmul(av, bv), (a, b), bwd, "matmul")
+    return _node(out, parents, bwd, "matmul")
+
+
+def _bias_for(bias, n):
+    bias = as_tensor(bias)
+    if bias.value.shape != (n,):
+        raise ValueError(f"bias shape {bias.value.shape} does not fit {n} output columns")
+    return bias
+
+
+def _accum_bias(bias, d2):
+    """dbias from (R, n) output gradient rows: what _unbroadcast sums for an (n,) operand."""
+    if bias is not None and bias.requires_grad:
+        _accum(bias, d2.sum(axis=0), own=True)
 
 
 def group_weighted_sum(weights, rows):
@@ -228,7 +259,7 @@ def _unbroadcast(g, shape):
     """Sum g back to an operand of ``shape`` that numpy broadcast to g.shape.
 
     Missing leading axes fold into one and sum over it; size-1 axes then
-    sum with keepdims. A (D,) bias thus sums reshape(-1, D) over axis 0.
+    sum with keepdims. A (D,) operand thus sums reshape(-1, D) over axis 0.
     """
     lead = g.ndim - len(shape)
     if lead:
@@ -245,8 +276,11 @@ def add(a, b):
     out = a.value + b.value
 
     def bwd(dout):
-        _accum(a, _unbroadcast(dout, a.value.shape))
-        _accum(b, _unbroadcast(dout, b.value.shape))
+        # b first, taking a copy unless it sums; dout is this node's own
+        # gradient, so a may then keep it (or its sum) as it is
+        gb = _unbroadcast(dout, b.value.shape)
+        _accum(b, gb, own=gb is not dout)
+        _accum(a, _unbroadcast(dout, a.value.shape), own=True)
 
     return _node(out, (a, b), bwd, "add")
 
@@ -458,24 +492,42 @@ def hopfield_update(z, m, beta):
 
 # ---------------------------------------------------------------- structured
 
-def unfold_tokens(x, h, w, k):
-    """Per-image k×k neighborhood gather over (G, h·w, D) tokens, or one (h·w, D) grid.
+def unfold_matmul(x, h, w, k, weight, bias):
+    """Per-image k×k neighborhood gather of (G, h·w, D) tokens, or one (h·w, D)
+    grid, projected: unfold(x)·weight + bias, (G, h·w, n) out.
 
-    Each image's h·w rows form a zero-padded grid; the output is
-    (G, h·w, k²·D) with windows flattened row-major: window rows, then
-    window columns, then channels.
+    Each image's h·w rows form a zero-padded grid whose windows flatten
+    row-major (window rows, window columns, channels) into (h·w, k²·D) rows,
+    one GEMM per image against the (k²·D, n) weight. The unfolded rows are
+    dropped once the GEMM has read them: backward rebuilds them from x for
+    dW, a pure copy with the same bits, rather than keeping them alive.
     """
-    x = as_tensor(x)
-    *lead, n, d = x.value.shape
-    if n != h * w:
-        raise ValueError(f"{n} token rows do not form a {h}x{w} grid")
+    x, weight = as_tensor(x), as_tensor(weight)
+    xv, wv = x.value, weight.value
+    *lead, rows, d = xv.shape
+    if rows != h * w:
+        raise ValueError(f"{rows} token rows do not form a {h}x{w} grid")
+    kd, n = wv.shape
+    if kd != k * k * d:
+        raise ValueError(f"weight rows {kd} do not fit a {k}x{k} window of width {d}")
+    bias = _bias_for(bias, n)
     grid = (*lead, h, w, d)
-    out = kernels.unfold_grid(x.value.reshape(grid), k)
+    out = np.matmul(kernels.unfold_grid(xv.reshape(grid), k), wv)
+    out += bias.value
 
     def bwd(dout):
-        _accum(x, kernels.unfold_grid_bwd(dout, grid, k).reshape(x.value.shape), own=True)
+        # one (R, k²·D) array at a time: the rebuilt unfold, then dU
+        d2 = dout.reshape(-1, n)
+        if weight.requires_grad:
+            u = kernels.unfold_grid(xv.reshape(grid), k).reshape(-1, kd)
+            _accum(weight, u.T @ d2, own=True)
+            del u
+        _accum_bias(bias, d2)
+        if x.requires_grad:
+            du = (d2 @ wv.T).reshape(*lead, rows, kd)
+            _accum(x, kernels.unfold_grid_bwd(du, grid, k).reshape(xv.shape), own=True)
 
-    return _node(out, (x,), bwd, "unfold_tokens")
+    return _node(out, (x, weight, bias), bwd, "unfold_matmul")
 
 
 def cross_entropy(logits, labels):

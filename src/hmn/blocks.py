@@ -1,16 +1,18 @@
 """One model block: local and global memory branches fused into an MLP.
 
 Tokens are (B, N, D_emb), one image per leading index. Local branch:
-unfold each token's k×k neighborhood, project to the latent space, refine
-against the block's local bank, concat the refined and raw queries,
+unfold each token's k×k neighborhood and project it to the latent space
+(one op, ``unfold_matmul``, which keeps no unfolded copy for backward),
+refine against the block's local bank, concat the refined and raw queries,
 project back. Global branch: mean-pool the image's tokens into a
 (B, 1, D_emb) row, same treatment against the global bank; adding it to
 the local branch broadcasts it to all the image's tokens. The branch sum
 feeds a two-layer MLP whose output rides a skip connection from the block
-input. In train mode the detached queries are written to the banks after
-both branches have read, so retrieval always sees pre-batch state; each
-bank gets one batched write per forward. Parameters, β and bank slots all
-hold the block's dtype.
+input. Every linear map adds its bias inside its ``matmul``. In train
+mode the detached queries are written to the banks after both branches
+have read, so retrieval always sees pre-batch state; each bank gets one
+batched write per forward. Parameters, β and bank slots all hold the
+block's dtype.
 """
 
 from collections import OrderedDict
@@ -89,10 +91,9 @@ class HMNBlock:
         return z
 
     def _local_branch(self, x, t_steps, mode, labels, rng, capture):
-        u = ad.unfold_tokens(x, self.h_p, self.w_p, self.cfg.k)
-        q = ad.add(ad.matmul(u, self.W_loc_in), self.b_loc_in)
+        q = ad.unfold_matmul(x, self.h_p, self.w_p, self.cfg.k, self.W_loc_in, self.b_loc_in)
         z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local_alpha")
-        out = ad.add(ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out), self.b_loc_out)
+        out = ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, self.b_loc_out)
         writes = None
         if mode == "train":
             # one draw per image, in image order: the rng stream is part of
@@ -105,10 +106,10 @@ class HMNBlock:
 
     def _global_branch(self, x, t_steps, mode, labels, capture):
         g = ad.mean_rows(x)
-        qg = ad.add(ad.matmul(g, self.W_glob_in), self.b_glob_in)
+        qg = ad.matmul(g, self.W_glob_in, self.b_glob_in)
         zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, capture,
                           "global_alpha")
-        out = ad.add(ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out), self.b_glob_out)
+        out = ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, self.b_glob_out)
         return out, (qg.value[:, 0], labels) if mode == "train" else None
 
     def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
@@ -120,8 +121,8 @@ class HMNBlock:
         glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)
         f = ad.add(local, glob)
         y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
-        hidden = ad.gelu(ad.add(ad.matmul(y, self.W1), self.b1))
-        mlp_out = ad.add(ad.matmul(hidden, self.W2), self.b2)
+        hidden = ad.gelu(ad.matmul(y, self.W1, self.b1))
+        mlp_out = ad.matmul(hidden, self.W2, self.b2)
         out = ad.add(tokens, mlp_out)
         if mode == "train":
             # reads above all saw the bank as it stood before this batch

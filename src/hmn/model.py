@@ -114,8 +114,8 @@ class Model:
         self.set_frozen(mode == "eval")
         b = images.shape[0]
         # tokens are (B, N, D): every matmul below runs one GEMM per image
-        tok = ad.matmul(ad.Tensor(patches), self.patch_proj)
-        tok = ad.add(ad.add(tok, self.patch_bias), self.pos_embed)
+        tok = ad.matmul(ad.Tensor(patches), self.patch_proj, self.patch_bias)
+        tok = ad.add(tok, self.pos_embed)
         last = len(self.blocks) - 1
         for i, blk in enumerate(self.blocks):
             cap = capture if (capture is not None and i == last) else None
@@ -124,7 +124,7 @@ class Model:
         scores = ad.reshape(ad.matmul(tok, self.W_att), (b, self.cfg.n_tokens))
         pool = ad.softmax_rows(scores)
         v = ad.group_weighted_sum(pool, tok)
-        logits = ad.add(ad.reshape(ad.matmul(v, self.head_w), (b, -1)), self.head_b)
+        logits = ad.reshape(ad.matmul(v, self.head_w, self.head_b), (b, -1))
         if capture is not None:
             capture["pool_weights"] = pool.value.copy()
         return logits

@@ -88,20 +88,25 @@ def test_matmul_grouped_value_matches_per_group(rng):
     np.testing.assert_array_equal(tb.grad, ub.grad)
 
 
-def test_unfold_tokens_matches_per_image_kernel(rng):
-    """A stacked batch unfolds and back-propagates exactly as image by image."""
+def test_unfold_matmul_matches_per_image_kernel(rng):
+    """A stacked batch projects exactly as image by image, and dx scatters
+    each image's rows of dU back onto its own grid."""
     from hmn.kernels import unfold_grid, unfold_grid_bwd
     for groups, h, w, d, k in [(4, 3, 5, 2, 3), (3, 1, 1, 4, 3), (2, 4, 4, 3, 5)]:
-        n = h * w
+        n, kd = h * w, k * k * d
         xv = rng.standard_normal((groups, n, d))
+        wv, bv = rng.standard_normal((kd, 3)), rng.standard_normal(3)
         x = Tensor(xv, requires_grad=True)
-        out = ad.unfold_tokens(x, h, w, k)
+        out = ad.unfold_matmul(x, h, w, k, Tensor(wv), Tensor(bv))
         dout = rng.standard_normal(out.shape)
         out._backward(dout)
+        du = (dout.reshape(-1, 3) @ wv.T).reshape(groups, n, kd)
         for g in range(groups):
-            np.testing.assert_array_equal(out.value[g], unfold_grid(xv[g].reshape(h, w, d), k))
+            alone = ad.unfold_matmul(Tensor(xv[g]), h, w, k, Tensor(wv), Tensor(bv))
+            np.testing.assert_array_equal(out.value[g], alone.value)
+            np.testing.assert_array_equal(out.value[g], unfold_grid(xv[g].reshape(h, w, d), k) @ wv + bv)
             np.testing.assert_array_equal(
-                x.grad[g], unfold_grid_bwd(dout[g], (h, w, d), k).reshape(n, d))
+                x.grad[g], unfold_grid_bwd(du[g], (h, w, d), k).reshape(n, d))
 
 
 def test_group_weighted_sum_matches_per_group(rng):
@@ -214,6 +219,31 @@ def test_first_gradient_write_is_a_fresh_copy(rng):
     assert not np.signbit(a.grad).any() and not np.signbit(b.grad).any()
     a.grad += 1.0
     np.testing.assert_array_equal(b.grad, np.zeros((2, 2)))
+
+
+def test_add_hands_dout_to_its_first_operand(rng):
+    # dout is the add node's own gradient: the second operand copies it (or
+    # sums it) first, then the first operand keeps it as it is
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    dout = rng.standard_normal((2, 3))
+    ad.add(a, b)._backward(dout)
+    assert a.grad is dout
+    assert not np.shares_memory(b.grad, dout)
+    np.testing.assert_array_equal(b.grad, dout)
+    # a summed first operand keeps its sum; the second still copies
+    bias = Tensor(rng.standard_normal(3), requires_grad=True)
+    c = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    dout = rng.standard_normal((2, 3))
+    ad.add(bias, c)._backward(dout)
+    assert not np.shares_memory(c.grad, dout) and not np.shares_memory(bias.grad, dout)
+    np.testing.assert_array_equal(bias.grad, dout.sum(axis=0))
+    # one tensor as both operands: its copy, then dout added in
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    dout = rng.standard_normal((2, 3))
+    ad.add(x, x)._backward(dout.copy())
+    assert_same_bits(x.grad, first_write(dout) + dout)
+    np.testing.assert_array_equal(x.grad, 2 * dout)
 
 
 def test_handed_over_gradient_is_stored_itself():
@@ -362,6 +392,63 @@ def test_memory_read_backward_keeps_the_bits_of_the_allocating_form(rng, dtype):
     assert_same_bits(z.grad, first_write(want_dz))
 
 
+# The fused ops replaced a graph of separate nodes: matmul(a, w, bias) the
+# add of a bias to a matmul, and unfold_matmul also the unfold before it.
+# Values and gradients must keep that graph's bits: the matmul node's
+# gradient was the add's first write of dout, and dU the matmul's.
+
+def reference_unfold_matmul(xv, grid, k, wv, bv, dout):
+    from hmn.kernels import unfold_grid, unfold_grid_bwd
+    n = wv.shape[1]
+    u = unfold_grid(xv.reshape(grid), k)
+    out = np.matmul(u, wv) + bv
+    d2 = first_write(dout).reshape(-1, n)
+    du = first_write((d2 @ wv.T).reshape(u.shape))
+    dx = unfold_grid_bwd(du, grid, k).reshape(xv.shape)
+    return out, dx, u.reshape(-1, wv.shape[0]).T @ d2, dout.reshape(-1, n).sum(axis=0)
+
+
+LEADS = [(3,), (1,), ()]  # G=3, G=1 and a plain (h·w, D) grid
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unfold_matmul_keeps_the_bits_of_the_separate_ops(rng, dtype, lead):
+    h, w, d, k, n = 4, 5, 6, 3, 12
+    grid = (*lead, h, w, d)
+    xv = edge_values(rng, (*lead, h * w, d), dtype, big=1e3)
+    wv = edge_values(rng, (k * k * d, n), dtype, big=1e3)
+    bv = edge_values(rng, (n,), dtype, big=1e3)
+    dout = edge_values(rng, (*lead, h * w, n), dtype, big=1e3)
+    x, weight, bias = (Tensor(v.copy(), requires_grad=True) for v in (xv, wv, bv))
+    out = ad.unfold_matmul(x, h, w, k, weight, bias)
+    out._backward(dout.copy())
+    want_out, want_dx, want_dw, want_db = reference_unfold_matmul(xv, grid, k, wv, bv, dout)
+    assert want_out.dtype == dtype and want_dx.dtype == dtype
+    assert_same_bits(out.value, want_out)
+    assert_same_bits(x.grad, first_write(want_dx))
+    assert_same_bits(weight.grad, first_write(want_dw))
+    assert_same_bits(bias.grad, first_write(want_db))
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_bias_keeps_the_bits_of_a_separate_add(rng, dtype, lead):
+    m, kk, n = 9, 6, 12
+    av = edge_values(rng, (*lead, m, kk), dtype, big=1e3)
+    wv = edge_values(rng, (kk, n), dtype, big=1e3)
+    bv = edge_values(rng, (n,), dtype, big=1e3)
+    dout = edge_values(rng, (*lead, m, n), dtype, big=1e3)
+    a, weight, bias = (Tensor(v.copy(), requires_grad=True) for v in (av, wv, bv))
+    out = ad.matmul(a, weight, bias)
+    out._backward(dout.copy())
+    d2 = first_write(dout).reshape(-1, n)
+    assert_same_bits(out.value, np.matmul(av, wv) + bv)
+    assert_same_bits(a.grad, first_write((d2 @ wv.T).reshape(av.shape)))
+    assert_same_bits(weight.grad, first_write(av.reshape(-1, kk).T @ d2))
+    assert_same_bits(bias.grad, first_write(dout.reshape(-1, n).sum(axis=0)))
+
+
 # ----------------------------------------------------------------- FD per op
 
 def test_fd_matmul(rng):
@@ -374,8 +461,10 @@ def test_fd_matmul(rng):
 def test_fd_matmul_grouped(rng):
     a = Tensor(rng.standard_normal((2, 3, 3)))
     b = Tensor(rng.standard_normal((3, 4)))
+    bias = Tensor(rng.standard_normal(4))
     proj = Tensor(rng.standard_normal((4, 1)))
     fd_check(lambda: scalarize(ad.matmul(a, b), proj), [a, b])
+    fd_check(lambda: scalarize(ad.matmul(a, b, bias), proj), [a, b, bias])
 
 
 def test_fd_group_weighted_sum(rng):
@@ -491,14 +580,22 @@ def test_fd_row_shaping_ops(rng):
 
 def test_fd_unfold(rng):
     grid = Tensor(rng.standard_normal((4 * 3, 2)))  # one 4x3 grid
-    proj = Tensor(rng.standard_normal((9 * 2, 1)))
-    fd_check(lambda: scalarize(ad.unfold_tokens(grid, 4, 3, 3), proj), [grid])
+    weight = Tensor(rng.standard_normal((9 * 2, 3)))
+    bias = Tensor(rng.standard_normal(3))
+    proj = Tensor(rng.standard_normal((3, 1)))
+    # the loss is linear in each operand, so a wide step adds no truncation
+    # error and keeps round-off off the small weight gradients
+    fd_check(lambda: scalarize(ad.unfold_matmul(grid, 4, 3, 3, weight, bias), proj),
+             [grid, weight, bias], step=1e-4)
 
 
-def test_fd_unfold_tokens(rng):
-    proj = Tensor(rng.standard_normal((9 * 2, 1)))
+def test_fd_unfold_matmul(rng):
     x = Tensor(rng.standard_normal((2, 6, 2)))  # two 2x3 grids stacked
-    fd_check(lambda: scalarize(ad.unfold_tokens(x, 2, 3, 3), proj), [x])
+    weight = Tensor(rng.standard_normal((9 * 2, 3)))
+    bias = Tensor(rng.standard_normal(3))
+    proj = Tensor(rng.standard_normal((3, 1)))
+    fd_check(lambda: scalarize(ad.unfold_matmul(x, 2, 3, 3, weight, bias), proj),
+             [x, weight, bias], step=1e-4)
 
 
 def test_fd_cross_entropy(rng):
@@ -600,7 +697,18 @@ def test_shape_validation_errors(rng):
     with pytest.raises(ValueError):
         ad.group_weighted_sum(Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((2, 4, 3))))
     with pytest.raises(ValueError):
-        ad.unfold_tokens(Tensor(rng.standard_normal((2, 5, 3))), 2, 3, 3)
+        ad.matmul(a, Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal(3)))
+    with pytest.raises(ValueError):
+        ad.matmul(a, Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((1, 4))))
+    weight, bias = Tensor(rng.standard_normal((27, 4))), Tensor(rng.standard_normal(4))
+    with pytest.raises(ValueError):
+        ad.unfold_matmul(Tensor(rng.standard_normal((2, 5, 3))), 2, 3, 3, weight, bias)
+    with pytest.raises(ValueError):
+        ad.unfold_matmul(Tensor(rng.standard_normal((2, 6, 3))), 2, 3, 3,
+                         Tensor(rng.standard_normal((18, 4))), bias)
+    with pytest.raises(ValueError):
+        ad.unfold_matmul(Tensor(rng.standard_normal((2, 6, 3))), 2, 3, 3, weight,
+                         Tensor(rng.standard_normal(3)))
     with pytest.raises(ValueError):
         ad.cross_entropy(Tensor(rng.standard_normal((2, 3))), np.array([0, 3]))
     with pytest.raises(ValueError):

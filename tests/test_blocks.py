@@ -233,10 +233,9 @@ def rerun_alpha(block, tokens, t_steps):
     step's alpha, or a plain retrieval when no step read the bank."""
     cfg = block.cfg
     x = ad.layernorm_rows(tokens, block.norm_in_gain, block.norm_in_bias)
-    u = ad.unfold_tokens(x, block.h_p, block.w_p, cfg.k)
-    q = ad.add(ad.matmul(u, block.W_loc_in), block.b_loc_in)
+    q = ad.unfold_matmul(x, block.h_p, block.w_p, cfg.k, block.W_loc_in, block.b_loc_in)
     g = ad.mean_rows(x)
-    qg = ad.add(ad.matmul(g, block.W_glob_in), block.b_glob_in)
+    qg = ad.matmul(g, block.W_glob_in, block.b_glob_in)
     out = {}
     for key, query, bank, beta in (("local_alpha", q, block.bank_local, block.beta_local),
                                    ("global_alpha", qg, block.bank_global, block.beta_global)):

@@ -62,7 +62,7 @@ def test_default_model_computes_in_float32(tmp_path, op_dtypes):
             assert arr.dtype == np.float32, key
     for name, bank in model.banks().items():
         assert bank.any_filled and bank.slots.dtype == np.float32, name
-    assert {"gelu", "memory_read", "hopfield_update", "unfold_tokens",
+    assert {"gelu", "memory_read", "hopfield_update", "unfold_matmul",
             "layernorm_rows", "cross_entropy"} <= set(op_dtypes)
     assert other_dtypes(op_dtypes, np.float32) == {}
 

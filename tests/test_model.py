@@ -407,13 +407,36 @@ def test_train_step_backward_releases_the_graph(tmp_path, rng):
             nodes[id(t)] = t
             stack.extend(t._parents)
     params = model.parameters()
-    assert len(nodes) > 50
+    assert len(nodes) > 40
     ad.zero_grad(params.values())
     ad.backward(loss)
     for t in nodes.values():
         assert t._parents == () and t._backward is None and t.grad is None
     for name, p in params.items():
         assert p.grad is not None and p.grad.shape == p.value.shape, name
+
+
+def test_train_graph_keeps_no_unfold_and_no_pre_bias_values(tmp_path, rng):
+    # the local projection rebuilds its unfold in backward, and every bias
+    # is added inside its matmul, so neither array lives in the graph
+    cfg, model = tiny_model(tmp_path / "m", n_blocks=2)
+    fill_via_training_steps(cfg, model, rng)
+    labels = np.array([0, 1, 1, 0])
+    logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
+    loss = ad.cross_entropy(logits, labels)
+    vectors = [p for p in model.parameters().values() if p.value.ndim == 1]
+    seen, stack, adds = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        assert t.value.shape[-1] != cfg.k * cfg.k * cfg.d_emb, t
+        if t._backward is not None and t._backward.__qualname__.startswith("add."):
+            adds += 1
+            assert not any(p is v for p in t._parents for v in vectors)
+        stack.extend(t._parents)
+    assert adds > 0
 
 
 def test_train_step_leaf_gradients_are_separate_arrays(tmp_path, monkeypatch):
