@@ -338,7 +338,6 @@ def sweep(base_cfg, axis, values, seeds=None, out_root=None, log=print):
         for seed in seeds:
             cfg = dataclasses.replace(base_cfg, **{field: v}, seed=int(seed),
                                       out_dir=os.path.join(out_root, f"{axis}={v}_seed={seed}"))
-            cfg.validate()
             log(f"sweep {axis}={v} seed={seed}")
             summary = run_train(cfg, log=lambda *_: None)
             runs.append({"axis": axis, "value": v, "seed": int(seed),

@@ -12,10 +12,11 @@ import sys
 
 from . import analysis
 from .config import load_config
+from .data import load_dataset
 from .gradcheck import model_gradcheck
 from .model import Model, load_checkpoint
 from .retrieval import variance_probe
-from .train import evaluate, prepare_datasets as _prepare, train as run_train
+from .train import evaluate, train as run_train
 
 
 def _emit(obj):
@@ -24,15 +25,13 @@ def _emit(obj):
 
 def _load_eval_data(model, data_dir):
     cfg = dataclasses.replace(model.cfg, data_dir=data_dir or model.cfg.data_dir)
-    cfg.validate()
-    _, test = _prepare(cfg)
-    return test
+    return load_dataset(cfg)[1]
 
 
 def cmd_train(args):
     cfg = load_config(args.config)
     if args.out:
-        cfg.out_dir = args.out
+        cfg = dataclasses.replace(cfg, out_dir=args.out)
     summary = run_train(cfg)
     _emit(summary)
     return 0
@@ -84,6 +83,9 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
+    if args.what != "robustness" and len(args.ckpt) > 1:
+        raise ValueError(f"{args.what} reads one --ckpt, got {len(args.ckpt)}; "
+                         "only robustness compares several")
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
     os.makedirs(args.out, exist_ok=True)

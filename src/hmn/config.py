@@ -1,24 +1,46 @@
-"""Run configuration: one flat record covering architecture, optimizer, data.
+"""Run configuration: one flat, frozen record covering architecture, optimizer, data.
 
-Loaded from UTF-8 JSON. Unknown keys are rejected so typos fail loudly.
-Dataset-dependent fields (image size, channels, class count, normalization
-constants) may be left null and are filled in by resolve().
+Loaded from UTF-8 JSON. Unknown keys are rejected so typos fail loudly. A
+RunConfig is checked when it is built, and ``dataclasses.replace`` checks
+the new one again, so a config that exists is valid and its fields cannot
+be reassigned. What the dataset fixes (channel count, class count,
+normalization constants) is a read-only property, not a field.
+``image_size`` is a field that only ``synth_blobs`` may choose; null
+means the dataset's size.
 """
 
 import dataclasses
 import json
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
-# per-dataset (image_size, channels, classes, mean, std); the normalization
-# constants are fixed here rather than recomputed so runs are reproducible
+_Dataset = namedtuple("_Dataset", "image_size in_channels num_classes norm_mean norm_std")
+
+# the normalization constants are fixed here rather than recomputed so runs
+# are reproducible; synth_blobs takes its class count from synth_classes
 _DATASET_INFO = {
-    "cifar10": ((32, 32), 3, 10, [0.4914, 0.4822, 0.4465], [0.2470, 0.2435, 0.2616]),
-    "fashion_mnist": ((28, 28), 1, 10, [0.2860], [0.3530]),
-    "synth_blobs": ((16, 16), 1, None, [0.5], [0.5]),
+    "cifar10": _Dataset((32, 32), 3, 10, (0.4914, 0.4822, 0.4465), (0.2470, 0.2435, 0.2616)),
+    "fashion_mnist": _Dataset((28, 28), 1, 10, (0.2860,), (0.3530,)),
+    "synth_blobs": _Dataset((16, 16), 1, None, (0.5,), (0.5,)),
 }
 
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
-@dataclass
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _has_type(v, kind):
+    if kind is int:
+        return _is_int(v)
+    if kind is float:
+        return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+    return isinstance(v, kind)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     # architecture
     patch_size: int = 4
@@ -44,11 +66,7 @@ class RunConfig:
     fraction: float = 1.0
     imbalance_ratio: float = 1.0
     augment: bool = True
-    num_classes: int = None
     image_size: list = None
-    in_channels: int = None
-    norm_mean: list = None
-    norm_std: list = None
     synth_classes: int = 2
     synth_train_per_class: int = 200
     synth_test_per_class: int = 50
@@ -57,28 +75,27 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/default"
 
-    def resolve(self):
-        """Fill dataset-dependent nulls and validate; returns self."""
+    def __post_init__(self):
+        """Fill image_size and check every value; raises ValueError naming the field."""
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if f.name != "image_size" and not _has_type(v, f.type):
+                raise ValueError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
         if self.dataset not in _DATASET_INFO:
             raise ValueError(f"unknown dataset {self.dataset!r}; choose from {sorted(_DATASET_INFO)}")
-        size, chans, classes, mean, std = _DATASET_INFO[self.dataset]
-        if self.image_size is None:
-            self.image_size = list(size)
-        if self.in_channels is None:
-            self.in_channels = chans
-        if self.num_classes is None:
-            self.num_classes = classes if classes is not None else self.synth_classes
-        if self.norm_mean is None:
-            self.norm_mean = list(mean)
-        if self.norm_std is None:
-            self.norm_std = list(std)
-        self.image_size = [int(v) for v in self.image_size]
-        self.validate()
-        return self
+        size = list(_DATASET_INFO[self.dataset].image_size)
+        image_size = size if self.image_size is None else self.image_size
+        if not (isinstance(image_size, (list, tuple)) and len(image_size) == 2
+                and all(_is_int(s) and s > 0 for s in image_size)):
+            raise ValueError(f"image_size must be two positive integers, got {image_size!r}")
+        if self.dataset != "synth_blobs" and list(image_size) != size:
+            raise ValueError(f"{self.dataset} images are {size[0]}x{size[1]}; "
+                             f"image_size must be null or {size}, got {image_size!r}")
+        # the one write after construction; the dataclass is frozen
+        object.__setattr__(self, "image_size", list(image_size))
 
-    def validate(self):
         positives = ["patch_size", "d_emb", "d_lat", "n_blocks", "mlp_ratio",
-                     "lr", "epochs", "batch_size", "num_classes", "in_channels"]
+                     "lr", "epochs", "batch_size", "num_classes"]
         for name in positives:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -105,8 +122,27 @@ class RunConfig:
             raise ValueError(f"synth_noise must be nonnegative, got {self.synth_noise}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if len(self.norm_mean) != self.in_channels or len(self.norm_std) != self.in_channels:
-            raise ValueError("normalization constants must have one entry per channel")
+
+    def resolve(self):
+        """Returns self: a RunConfig is complete and checked when it is built."""
+        return self
+
+    @property
+    def num_classes(self):
+        classes = _DATASET_INFO[self.dataset].num_classes
+        return self.synth_classes if classes is None else classes
+
+    @property
+    def in_channels(self):
+        return _DATASET_INFO[self.dataset].in_channels
+
+    @property
+    def norm_mean(self):
+        return list(_DATASET_INFO[self.dataset].norm_mean)
+
+    @property
+    def norm_std(self):
+        return list(_DATASET_INFO[self.dataset].norm_std)
 
     @property
     def grid_shape(self):
@@ -135,7 +171,7 @@ def config_from_dict(d):
     unknown = sorted(set(d) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return RunConfig(**d).resolve()
+    return RunConfig(**d)
 
 
 def load_config(path):

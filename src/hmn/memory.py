@@ -11,6 +11,9 @@ backward of a read taken before a write still sees the read's slots.
 
 import numpy as np
 
+# the records of a bank's checkpoint state, in the order they are saved
+BANK_STATE_FIELDS = ("slots", "cursor", "filled", "frozen")
+
 
 class FrozenBankError(RuntimeError):
     pass
@@ -84,12 +87,9 @@ class MemoryBank:
 
     # checkpoint plumbing; arrays are copied on both paths
     def state_dict(self):
-        return {
-            "slots": self.slots.copy(),
-            "cursor": self.cursor.copy(),
-            "filled": self.filled.copy(),
-            "frozen": np.array([1 if self.frozen else 0], dtype=np.int64),
-        }
+        frozen = np.array([1 if self.frozen else 0], dtype=np.int64)
+        return dict(zip(BANK_STATE_FIELDS,
+                        (self.slots.copy(), self.cursor.copy(), self.filled.copy(), frozen)))
 
     def load_state(self, state):
         """Restore state_dict's slots, ring state and frozen flag in place.
@@ -98,7 +98,7 @@ class MemoryBank:
         and changes nothing.
         """
         slots, cursor, filled, frozen = (
-            np.asarray(state[k]) for k in ("slots", "cursor", "filled", "frozen"))
+            np.asarray(state[k]) for k in BANK_STATE_FIELDS)
         cap = self.per_class_capacity
         if slots.shape != self.slots.shape:
             raise ValueError("bank state shape mismatch")

@@ -26,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .blocks import HMNBlock, check_train_inputs
 from .config import config_from_dict
+from .memory import BANK_STATE_FIELDS
 
 MAGIC = b"HMN1"
 VERSION = 1
@@ -33,7 +34,6 @@ VERSION = 1
 
 class Model:
     def __init__(self, cfg, rng=None, dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         # parameter draws come off this one stream in declaration order, so
@@ -134,7 +134,6 @@ class Model:
 
 _DTYPES = {0: "<f4", 1: "<i8"}
 _CODES = {dt: code for code, dt in _DTYPES.items()}
-_BANK_FIELDS = ("slots", "cursor", "filled", "frozen")
 
 
 def _pack_record(name, arr, dtype):
@@ -250,7 +249,7 @@ def load_checkpoint(path):
     model = Model(cfg)
     params, banks = model.parameters(), model.banks()
     known = {"opt.t", *params, *(f"opt.{moment}.{name}" for moment in "mv" for name in params),
-             *(f"bank.{bname}.{field}" for bname in banks for field in _BANK_FIELDS)}
+             *(f"bank.{bname}.{field}" for bname in banks for field in BANK_STATE_FIELDS)}
     unknown = sorted(set(records) - known)
     if unknown:
         raise ValueError(f"unknown record {unknown[0]!r}")
@@ -264,7 +263,7 @@ def load_checkpoint(path):
         t.value = np.array(records[name], dtype=t.value.dtype)
     for bname, bank in banks.items():
         state = {}
-        for field in _BANK_FIELDS:
+        for field in BANK_STATE_FIELDS:
             key = f"bank.{bname}.{field}"
             if key not in records:
                 raise ValueError(f"checkpoint missing bank record {key!r}")

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def lr_at(epoch_fraction, cfg):
     """Learning rate at a fractional epoch position in [0, epochs].
@@ -19,11 +21,9 @@ def lr_at(epoch_fraction, cfg):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, weight_decay=0.0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {n: np.zeros_like(p.value) for n, p in self.params.items()}
@@ -38,7 +38,7 @@ class Adam:
         # Python floats, so a float32 parameter's update stays float32
         lr = float(self.lr if lr is None else lr)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -51,7 +51,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
 
     def state_records(self):
         """Named arrays for checkpoint embedding; moments hold their parameter's

@@ -82,7 +82,6 @@ def train(cfg, log=print):
     checkpoints carry frozen banks (the eval pass freezes them) and the
     final one embeds optimizer state.
     """
-    cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = prepare_datasets(cfg)
     if len(train_ds) == 0:

@@ -30,7 +30,6 @@ def make_tiny_cfg(tmp_dir, **overrides):
     base = dict(
         dataset="synth_blobs",
         image_size=[8, 8],
-        in_channels=1,
         patch_size=4,
         d_emb=8,
         d_lat=6,
@@ -53,7 +52,7 @@ def make_tiny_cfg(tmp_dir, **overrides):
         out_dir=str(tmp_dir),
     )
     base.update(overrides)
-    return RunConfig(**base).resolve()
+    return RunConfig(**base)
 
 
 @pytest.fixture

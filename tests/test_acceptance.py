@@ -60,9 +60,9 @@ _desk = {}
 def desk_run(tmp_path_factory):
     """Train the bundled desk recipe once and share it across criteria."""
     if "summary" not in _desk:
-        cfg = load_config(CONFIG_DIR / "fashion_desk.json")
-        cfg.data_dir = DATA_DIR
-        cfg.out_dir = str(tmp_path_factory.mktemp("desk") / "run")
+        cfg = dataclasses.replace(load_config(CONFIG_DIR / "fashion_desk.json"),
+                                  data_dir=DATA_DIR,
+                                  out_dir=str(tmp_path_factory.mktemp("desk") / "run"))
         _desk["cfg"] = cfg
         _desk["summary"] = train(cfg, log=lambda *_: None)
     return _desk["cfg"], _desk["summary"]
@@ -187,8 +187,8 @@ def test_structural_equivalences(capfd, tmp_path, rng):
 # ------------------------------------------------------------- criterion 5a
 
 def test_synthetic_smoke_accuracy(capfd, tmp_path):
-    cfg = load_config(CONFIG_DIR / "synth_smoke.json")
-    cfg.out_dir = str(tmp_path / "run")
+    cfg = dataclasses.replace(load_config(CONFIG_DIR / "synth_smoke.json"),
+                              out_dir=str(tmp_path / "run"))
     t0 = time.perf_counter()
     summary = train(cfg, log=lambda *_: None)
     dt = time.perf_counter() - t0

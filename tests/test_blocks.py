@@ -19,7 +19,6 @@ def block_cfg(**overrides):
     base = dict(
         dataset="synth_blobs",
         image_size=[4, 4],
-        in_channels=1,
         patch_size=2,
         d_emb=4,
         d_lat=3,
@@ -33,7 +32,7 @@ def block_cfg(**overrides):
         synth_classes=2,
     )
     base.update(overrides)
-    return RunConfig(**base).resolve()
+    return RunConfig(**base)
 
 
 def make_block(seed=0, **overrides):

@@ -22,7 +22,7 @@ def write_cfg(path, cfg):
 # ------------------------------------------------------------------- config
 
 def test_resolve_fills_dataset_fields():
-    cfg = RunConfig(dataset="synth_blobs", synth_classes=3).resolve()
+    cfg = RunConfig(dataset="synth_blobs", synth_classes=3)
     assert cfg.image_size == [16, 16]
     assert cfg.in_channels == 1
     assert cfg.num_classes == 3
@@ -30,14 +30,67 @@ def test_resolve_fills_dataset_fields():
 
 
 def test_resolve_keeps_explicit_overrides():
-    cfg = RunConfig(dataset="synth_blobs", image_size=[8, 8], num_classes=2).resolve()
+    cfg = RunConfig(dataset="synth_blobs", image_size=[8, 8])
     assert cfg.image_size == [8, 8]
-    assert cfg.num_classes == 2
+
+
+@pytest.mark.parametrize("dataset,size,channels,mean,std", [
+    ("cifar10", [32, 32], 3, [0.4914, 0.4822, 0.4465], [0.2470, 0.2435, 0.2616]),
+    ("fashion_mnist", [28, 28], 1, [0.2860], [0.3530]),
+])
+def test_real_datasets_fix_their_facts(dataset, size, channels, mean, std):
+    cfg = RunConfig(dataset=dataset, synth_classes=3)
+    assert cfg.image_size == size
+    assert (cfg.in_channels, cfg.num_classes) == (channels, 10)
+    assert (cfg.norm_mean, cfg.norm_std) == (mean, std)
+    assert RunConfig(dataset=dataset, image_size=size).image_size == size
+
+
+def test_dataset_facts_are_not_settable():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert len(fields) == 28
+    for key in ("num_classes", "in_channels", "norm_mean", "norm_std"):
+        assert key not in fields
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
+            config_from_dict({"dataset": "synth_blobs", key: None})
+
+
+def test_config_is_frozen_and_replace_checks_again():
+    cfg = RunConfig(dataset="synth_blobs")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k = 5
+    with pytest.raises(ValueError, match="odd"):
+        dataclasses.replace(cfg, k=4)
+    assert dataclasses.replace(cfg, k=5).k == 5
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "8"),
+    ("epochs", 8.0),
+    ("epochs", True),
+    ("lr", "0.001"),
+    ("lr", float("nan")),
+    ("augment", 1),
+    ("dataset", None),
+    ("image_size", 28),
+    ("image_size", [28]),
+    ("image_size", [16.0, 16.0]),
+    ("image_size", [0, 16]),
+])
+def test_wrong_typed_values_name_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        config_from_dict({"dataset": "synth_blobs", field: value})
+
+
+def test_values_keep_their_json_form():
+    cfg = config_from_dict({"dataset": "synth_blobs", "lr": 1, "image_size": (8, 8)})
+    assert cfg.lr == 1 and cfg.image_size == [8, 8]
+    assert '"image_size":[8,8]' in cfg.to_json() and '"lr":1,' in cfg.to_json()
 
 
 def test_unknown_dataset():
     with pytest.raises(ValueError, match="unknown dataset"):
-        RunConfig(dataset="imagenet").resolve()
+        RunConfig(dataset="imagenet")
 
 
 def test_unknown_keys_rejected():
@@ -95,18 +148,18 @@ def test_load_config_non_object_root(tmp_path):
     ("weight_decay", -1e-4, "weight_decay"),
     ("d_emb", 0, "positive"),
     ("k_local", 1, "slot per class"),
-    ("norm_mean", [0.5, 0.5], "per channel"),
+    ("dataset", "fashion_mnist", "fashion_mnist images are 28x28"),
     ("patch_size", 0, "patch_size must be positive"),
 ])
 def test_validation_rejects(field, value, phrase):
     with pytest.raises(ValueError, match=phrase):
-        RunConfig(dataset="synth_blobs", synth_classes=2,
-                  **{field: value}).resolve()
+        RunConfig(**{"dataset": "synth_blobs", "synth_classes": 2,
+                     "image_size": [16, 16], field: value})
 
 
 def test_canonical_json_excludes_locations():
-    a = RunConfig(dataset="synth_blobs", out_dir="runs/a", data_dir="/x").resolve()
-    b = RunConfig(dataset="synth_blobs", out_dir="runs/b", data_dir="/y").resolve()
+    a = RunConfig(dataset="synth_blobs", out_dir="runs/a", data_dir="/x")
+    b = RunConfig(dataset="synth_blobs", out_dir="runs/b", data_dir="/y")
     assert a.to_json() == b.to_json()
     assert "out_dir" not in a.to_json()
     # canonical form is stable: sorted keys, no whitespace
@@ -115,7 +168,7 @@ def test_canonical_json_excludes_locations():
 
 
 def test_grid_properties():
-    cfg = RunConfig(dataset="synth_blobs", patch_size=4).resolve()
+    cfg = RunConfig(dataset="synth_blobs", patch_size=4)
     assert cfg.grid_shape == (4, 4)
     assert cfg.n_tokens == 16
 
@@ -246,6 +299,28 @@ def test_cli_bad_config_error(capsys, tmp_path):
     rec = json.loads(err.strip())
     assert rec["error"] == "ValueError"
     assert "JSON" in rec["message"]
+
+
+def test_cli_wrong_typed_config_error(capsys, tmp_path):
+    p = tmp_path / "typed.json"
+    p.write_text(json.dumps({"dataset": "synth_blobs", "epochs": "8"}))
+    rc, out, err = run_cli(capsys, "train", "--config", str(p))
+    assert rc == 1 and out == ""
+    rec = json.loads(err.strip())
+    assert rec["error"] == "ValueError"
+    assert rec["message"].startswith("epochs must be an integer")
+
+
+@pytest.mark.parametrize("what", ["hit-rate", "weights", "consistency"])
+def test_cli_analyze_rejects_extra_checkpoints(capsys, trained_tiny, tmp_path, what):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "diag")
+    rc, out, err = run_cli(capsys, "analyze", what, "--ckpt", ckpt,
+                           "--ckpt", str(tmp_path / "nonexistent.ckpt"), "--out", dest)
+    assert rc == 1 and out == ""
+    rec = json.loads(err.strip())
+    assert rec["error"] == "ValueError" and "one --ckpt" in rec["message"]
+    assert not os.path.exists(dest)
 
 
 def test_cli_unknown_command_exits_nonzero(capsys):

@@ -195,7 +195,7 @@ def test_nearest_template_classifies_noisy_synth():
 
 def test_load_dataset_synth_train_test_disjoint_noise():
     cfg = RunConfig(dataset="synth_blobs", synth_classes=2,
-                    synth_train_per_class=5, synth_test_per_class=5).resolve()
+                    synth_train_per_class=5, synth_test_per_class=5)
     train, test = load_dataset(cfg)
     assert not np.array_equal(train.images[:5], test.images[:5])
 

@@ -46,9 +46,9 @@ def fill_via_training_steps(cfg, model, rng, steps=2, batch=4):
 # ------------------------------------------------------------------ patching
 
 def test_token_counts():
-    c32 = RunConfig(dataset="cifar10", patch_size=4).resolve()
+    c32 = RunConfig(dataset="cifar10", patch_size=4)
     assert c32.n_tokens == 64
-    c28 = RunConfig(dataset="fashion_mnist", patch_size=4).resolve()
+    c28 = RunConfig(dataset="fashion_mnist", patch_size=4)
     assert c28.n_tokens == 49
 
 
@@ -67,14 +67,16 @@ def test_patchify_layout(tmp_path):
     np.testing.assert_array_equal(rows[3], [22, 23, 32, 33])
 
 
-def test_patchify_channel_major(tmp_path):
-    cfg, model = tiny_model(tmp_path, image_size=[4, 4], patch_size=2, in_channels=2,
-                            norm_mean=[0.5, 0.5], norm_std=[0.5, 0.5])
-    img = np.zeros((1, 2, 4, 4))
-    img[0, 0] = 1.0
-    img[0, 1] = 2.0
+def test_patchify_channel_major():
+    cfg = RunConfig(dataset="cifar10", patch_size=16, d_emb=8, d_lat=6, n_blocks=1,
+                    k_local=10, k_global=10)
+    model = Model(cfg)
+    img = np.zeros((1, 3, 32, 32))
+    for c in range(3):
+        img[0, c] = c + 1.0
     rows = model._patchify(img)[0]
-    np.testing.assert_array_equal(rows[0], [1, 1, 1, 1, 2, 2, 2, 2])
+    assert rows.shape == (4, 3 * 16 * 16)
+    np.testing.assert_array_equal(rows[0], np.repeat([1.0, 2.0, 3.0], 16 * 16))
 
 
 def test_input_shape_validation(tmp_path, rng):
@@ -179,7 +181,7 @@ def test_desk_shape_batch_independence_without_graph(tmp_path, rng):
     # train step so retrieval runs its masked softmax
     cfg = RunConfig(dataset="synth_blobs", image_size=[28, 28], synth_classes=10,
                     d_emb=64, d_lat=64, n_blocks=4, k=3, k_local=500, k_global=200,
-                    write_sample=4, out_dir=str(tmp_path)).resolve()
+                    write_sample=4, out_dir=str(tmp_path))
     model = Model(cfg, np.random.default_rng(0))
     fill_via_training_steps(cfg, model, np.random.default_rng(5), steps=1, batch=6)
     for bank in model.banks().values():

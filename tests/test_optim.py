@@ -10,7 +10,7 @@ from hmn.optim import Adam, lr_at
 
 def sched_cfg(lr=0.1, warmup=5, epochs=60):
     return RunConfig(dataset="synth_blobs", lr=lr, warmup_epochs=warmup,
-                     epochs=epochs).resolve()
+                     epochs=epochs)
 
 
 def test_schedule_endpoints():
