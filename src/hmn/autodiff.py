@@ -24,15 +24,18 @@ gradient included, and every other input computes in float64 (the dtype
 rule of ``kernels.as_float``). Constants inside ops are Python floats,
 which never widen a float32 array; a numpy float64 scalar would.
 
-In-place rule: gelu, layernorm_rows and memory_read's backward write their
+In-place rule: gelu, layernorm_rows and memory_read write their
 intermediates into buffers they reuse (``out=``, ``*=``) instead of
 allocating one per expression. Each runs the same numpy operations on the
 same operands in the same order as the plain expression in its comment, so
 every output bit is the same; only the operands of a single + or × may
-swap. Regrouping, multiplying by a reciprocal or dropping a softmax's max
-subtraction would change bits and is not done here. A buffer is reused
-only when nothing reads it later: forward values handed to callers (the
-op outputs and memory_read's alpha) are never overwritten.
+swap. Regrouping or multiplying by a reciprocal would change bits and is
+not done to save a buffer. memory_read's softmax has no max subtraction:
+its logits are cosines scaled by √D, so they are bounded and exp cannot
+overflow (see memory_read). softmax_rows, which pools over unbounded
+attention logits, keeps its max pass. A buffer is reused only when
+nothing reads it later: forward values handed to callers (the op outputs
+and memory_read's alpha) are never overwritten.
 
 Hand-over rule: ``_accum`` stores a first gradient as the bits of
 zeros + g, so −0.0 arrives as +0.0. A backward that built g itself and
@@ -433,6 +436,16 @@ def memory_read(z, slots, mask):
     others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Each
     leading index is its own pair of GEMMs, as in matmul. alpha carries no
     graph; m carries z's.
+
+    √D is folded into the K×D unit slots once, so the logits GEMM already
+    carries it. The softmax is exp, row sum and divide in place, with no
+    max subtraction: a logit is at most √D, so the row sum is at most
+    K·e^√D, which float32 holds while √D + ln K < 88 (``RunConfig`` checks
+    that bound), and the smallest weight e^−√D stays above 0. Backward
+    takes the softmax's Σₖ αₖ·dαₖ as the R×D product dout·m (dα =
+    dout·slotsᵀ and m = α·slots) and reuses dα's buffer, so the R×K work
+    is 3 elementwise passes forward (4 while the bank is partly filled)
+    and 2 backward.
     """
     z = as_tensor(z)
     zv = z.value
@@ -441,31 +454,33 @@ def memory_read(z, slots, mask):
     if not mask.any():
         raise ValueError("memory_read: every slot is masked")
     zhat, znorm = normalize_rows(zv)
-    khat_t = np.ascontiguousarray(normalize_rows(slots)[0].T)
-    alpha = np.matmul(zhat, khat_t)
-    alpha *= math.sqrt(d)
+    keys = normalize_rows(slots)[0]
+    keys *= math.sqrt(d)
+    keys_t = np.ascontiguousarray(keys.T)
+    alpha = np.matmul(zhat, keys_t)
     if not mask.all():
         alpha[..., ~mask] = -np.inf  # exp gives exactly 0 there
-    alpha -= alpha.max(axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    total = alpha.sum(axis=-1, keepdims=True)
+    # past the bound an inf sum would turn every weight into 0, not nan
+    _finite("memory_read", total)
+    alpha /= total
     m = np.matmul(alpha, slots)
 
     def bwd(dout):
         # one GEMM per product over all rows
-        a2, zhat2, znorm2 = alpha.reshape(-1, k), zhat.reshape(-1, d), znorm.reshape(-1, 1)
-        # dlogits = √D·a2·(da − Σ_k da·a2), in two R×K buffers
-        da = dout.reshape(-1, d) @ slots.T
-        dlogits = np.multiply(da, a2)
-        inner = dlogits.sum(axis=1, keepdims=True)
-        np.subtract(da, inner, out=dlogits)
-        dlogits *= a2
-        dlogits *= math.sqrt(d)
-        dzhat = dlogits @ khat_t.T
+        d2, zhat2, znorm2 = dout.reshape(-1, d), zhat.reshape(-1, d), znorm.reshape(-1, 1)
+        # dlogits = α·(dα − Σₖ αₖ·dαₖ), finished in dα's buffer
+        inner = (d2 * m.reshape(-1, d)).sum(axis=1, keepdims=True)
+        dlogits = d2 @ slots.T
+        dlogits -= inner
+        dlogits *= alpha.reshape(-1, k)
+        dzhat = dlogits @ keys_t.T
+        # a row at or under ε is z/ε, linear: no projection off ẑ
         inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
-        denom = np.maximum(znorm2, _EPS)
-        dz = np.where(znorm2 > _EPS, (dzhat - zhat2 * inner) / denom, dzhat / denom)
-        _accum(z, dz.reshape(zv.shape), own=True)
+        dzhat -= zhat2 * np.where(znorm2 > _EPS, inner, 0.0)
+        dzhat /= np.maximum(znorm2, _EPS)
+        _accum(z, dzhat.reshape(zv.shape), own=True)
 
     return Tensor(alpha), _node(m, (z,), bwd, "memory_read")
 

@@ -6,7 +6,8 @@ the new one again, so a config that exists is valid and its fields cannot
 be reassigned. What the dataset fixes (channel count, class count,
 normalization constants) is a read-only property, not a field.
 ``image_size`` is a field that only ``synth_blobs`` may choose; null
-means the dataset's size.
+means the dataset's size. It is stored as a tuple, so a checked config
+cannot be changed through it, and written to JSON as a list.
 """
 
 import dataclasses
@@ -66,7 +67,7 @@ class RunConfig:
     fraction: float = 1.0
     imbalance_ratio: float = 1.0
     augment: bool = True
-    image_size: list = None
+    image_size: tuple = None
     synth_classes: int = 2
     synth_train_per_class: int = 200
     synth_test_per_class: int = 50
@@ -83,19 +84,20 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
         if self.dataset not in _DATASET_INFO:
             raise ValueError(f"unknown dataset {self.dataset!r}; choose from {sorted(_DATASET_INFO)}")
-        size = list(_DATASET_INFO[self.dataset].image_size)
+        size = _DATASET_INFO[self.dataset].image_size
         image_size = size if self.image_size is None else self.image_size
         if not (isinstance(image_size, (list, tuple)) and len(image_size) == 2
                 and all(_is_int(s) and s > 0 for s in image_size)):
             raise ValueError(f"image_size must be two positive integers, got {image_size!r}")
-        if self.dataset != "synth_blobs" and list(image_size) != size:
+        if self.dataset != "synth_blobs" and tuple(image_size) != size:
             raise ValueError(f"{self.dataset} images are {size[0]}x{size[1]}; "
-                             f"image_size must be null or {size}, got {image_size!r}")
+                             f"image_size must be null or {list(size)}, got {image_size!r}")
         # the one write after construction; the dataclass is frozen
-        object.__setattr__(self, "image_size", list(image_size))
+        object.__setattr__(self, "image_size", tuple(image_size))
 
         positives = ["patch_size", "d_emb", "d_lat", "n_blocks", "mlp_ratio",
-                     "lr", "epochs", "batch_size", "num_classes"]
+                     "lr", "epochs", "batch_size", "num_classes",
+                     "synth_train_per_class", "synth_test_per_class"]
         for name in positives:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -112,6 +114,13 @@ class RunConfig:
             raise ValueError(f"t_steps must be nonnegative, got {self.t_steps}")
         if self.k_local < self.num_classes or self.k_global < self.num_classes:
             raise ValueError("memory banks need at least one slot per class")
+        # memory_read's softmax has no max pass: its row sum reaches
+        # K·e^√D, and float32 exp overflows past 88.7
+        reach = math.sqrt(self.d_lat) + math.log(max(self.k_local, self.k_global))
+        if reach >= 88.0:
+            raise ValueError(f"d_lat {self.d_lat} is too wide for the memory read: "
+                             f"sqrt(d_lat) + ln(max(k_local, k_global)) is {reach:.2f}, "
+                             "and must stay below 88")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.imbalance_ratio < 1.0:

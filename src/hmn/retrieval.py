@@ -4,11 +4,13 @@ Both functions take row queries, (R, D) or stacked one image per leading
 index as (B, R, D); rows never interact. Retrieval is one
 autodiff.memory_read: normalize the queries and the filled slots, score
 by scaled dot product (factor √D restores the logits to roughly unit
-variance), softmax over filled slots only, then mix the raw
-(unnormalized) slots by those weights. Refinement nudges each row
-toward its retrieved prototype for T steps, one autodiff.hopfield_update
-each: z ← z + β·(m(z) − z). Gradients flow through the queries and β;
-slots are constants.
+variance; it is folded into the unit slots), softmax over filled slots
+only, then mix the raw (unnormalized) slots by those weights. The logits
+lie in [−√D, √D], so the softmax needs no max subtraction; RunConfig
+keeps √D + ln K below 88, where float32 exp would overflow. Refinement
+nudges each row toward its retrieved prototype for T steps, one
+autodiff.hopfield_update each: z ← z + β·(m(z) − z). Gradients flow
+through the queries and β; slots are constants.
 """
 
 import numpy as np

@@ -1,12 +1,15 @@
 """Training and evaluation loops.
 
-Determinism contract (single thread): all randomness flows from the config
-seed. Dataset generation and subsampling use fixed derived seeds; one
-generator seeded with cfg.seed then drives, in order, model initialization
-and, per epoch, the shuffle followed per batch by augmentation draws
-(row offset, column offset, flip; image index order) and per-block
-write-token sampling. Metrics land in metrics.csv; wall-clock goes to a
-separate timings.csv so the metrics file is byte-identical across reruns.
+Determinism contract (same seed, same BLAS build and BLAS thread count):
+all randomness flows from the config seed. Dataset generation and
+subsampling use fixed derived seeds; one generator seeded with cfg.seed
+then drives, in order, model initialization and, per epoch, the shuffle
+followed per batch by augmentation draws (row offset, column offset,
+flip; image index order) and per-block write-token sampling. Metrics land
+in metrics.csv; wall-clock goes to a separate timings.csv so the metrics
+file is byte-identical across reruns.
+The BLAS thread count is part of the contract because some GEMMs, the
+local memory mix among them, round differently at 1 and 2 threads.
 
 ``eval_batches`` is the one eval-mode batch loop under ``evaluate`` and
 every ``hmn.analysis`` diagnostic. An empty dataset raises ``ValueError``

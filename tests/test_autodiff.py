@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import hmn.autodiff as ad
 from hmn.autodiff import Tensor
+from hmn.config import RunConfig
 from hmn.memory import MemoryBank
 from hmn.retrieval import retrieve_rows
 
@@ -320,22 +321,19 @@ def reference_memory_read(zv, slots, mask, dout):
         return x / np.maximum(norm, 1e-12), norm
 
     zhat, znorm = unit(zv)
-    khat_t = np.ascontiguousarray(unit(slots)[0].T)
-    alpha = np.matmul(zhat, khat_t)
-    alpha *= math.sqrt(d)
-    alpha[..., ~mask] = -np.inf
-    alpha -= alpha.max(axis=-1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    keys_t = np.ascontiguousarray((unit(slots)[0] * math.sqrt(d)).T)
+    logits = np.matmul(zhat, keys_t)
+    logits[..., ~mask] = -np.inf
+    e = np.exp(logits)
+    alpha = e / e.sum(axis=-1, keepdims=True)
     m = np.matmul(alpha, slots)
-    a2, zhat2, znorm2 = alpha.reshape(-1, k), zhat.reshape(-1, d), znorm.reshape(-1, 1)
-    da = dout.reshape(-1, d) @ slots.T
-    dlogits = a2 * (da - (da * a2).sum(axis=1, keepdims=True))
-    dlogits *= math.sqrt(d)
-    dzhat = dlogits @ khat_t.T
+    d2, zhat2, znorm2 = dout.reshape(-1, d), zhat.reshape(-1, d), znorm.reshape(-1, 1)
+    # Σₖ αₖ·dαₖ as dout·m
+    inner = (d2 * m.reshape(-1, d)).sum(axis=1, keepdims=True)
+    dlogits = alpha.reshape(-1, k) * (d2 @ slots.T - inner)
+    dzhat = dlogits @ keys_t.T
     inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
-    denom = np.maximum(znorm2, 1e-12)
-    dz = np.where(znorm2 > 1e-12, (dzhat - zhat2 * inner) / denom, dzhat / denom)
+    dz = (dzhat - zhat2 * np.where(znorm2 > 1e-12, inner, 0.0)) / np.maximum(znorm2, 1e-12)
     return alpha, m, dz.reshape(zv.shape)
 
 
@@ -622,13 +620,45 @@ def test_masked_softmax_exact_zeros_and_renormalization(rng):
 
 
 def test_all_true_mask_is_the_unmasked_softmax(rng):
-    """With every slot kept, alpha is softmax_rows of the scaled cosine logits, bit for bit."""
+    """With every slot kept, alpha is exp of the scaled cosine logits over its
+    row sum, bit for bit, and softmax_rows of them up to rounding."""
     slots = rng.standard_normal((7, 4))
     z = rng.standard_normal((5, 4))
     alpha, _ = ad.memory_read(Tensor(z), slots, np.ones(7, dtype=bool))
     zhat, khat = ad.normalize_rows(z)[0], ad.normalize_rows(slots)[0]
-    logits = np.matmul(zhat[None], np.ascontiguousarray(khat.T))[0] * np.sqrt(4)
-    np.testing.assert_array_equal(alpha.value, ad.softmax_rows(Tensor(logits)).value)
+    logits = np.matmul(zhat[None], np.ascontiguousarray((khat * math.sqrt(4)).T))[0]
+    e = np.exp(logits)
+    np.testing.assert_array_equal(alpha.value, e / e.sum(axis=-1, keepdims=True))
+    np.testing.assert_allclose(alpha.value, ad.softmax_rows(Tensor(logits)).value, rtol=1e-14)
+
+
+def test_float32_read_at_the_widest_d_the_config_allows(rng):
+    """The softmax has no max pass: at the largest d_lat that RunConfig takes
+    for K slots, logits of ±√D still give finite weights that sum to 1."""
+    k = 12
+    d = math.floor((88.0 - math.log(k)) ** 2)
+    while math.sqrt(d) + math.log(k) >= 88.0:
+        d -= 1
+    RunConfig(d_lat=d, k_local=k, k_global=k)
+    with pytest.raises(ValueError, match="too wide"):
+        RunConfig(d_lat=d + 1, k_local=k, k_global=k)
+    # near-parallel slots: a query equal to one has logit ≈√D at every
+    # slot, the sum's worst case; its negation has ≈−√D everywhere
+    base = rng.standard_normal(d)
+    slots = (base + 1e-3 * rng.standard_normal((k, d))).astype(np.float32)
+    z = np.stack([slots[0], -slots[0], rng.standard_normal(d)]).astype(np.float32)
+    mask = np.ones(k, dtype=bool)
+    mask[[2, 7, 11]] = False
+    alpha, m = ad.memory_read(Tensor(z), slots, mask)
+    a = alpha.value
+    assert a.dtype == np.float32 and np.isfinite(a).all() and np.isfinite(m.value).all()
+    assert (a[:, ~mask] == 0.0).all() and (a[:, mask] > 0.0).all()
+    np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=1e-6)
+    # well past the bound the row sum overflows, and the read says so
+    wide = math.floor((88.9 - math.log(k)) ** 2)
+    slots = (rng.standard_normal(wide) + 1e-3 * rng.standard_normal((k, wide))).astype(np.float32)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="memory_read"):
+        ad.memory_read(Tensor(slots[:1]), slots, np.ones(k, dtype=bool))
 
 
 def test_fully_masked_row_rejected(rng):

@@ -23,7 +23,7 @@ def write_cfg(path, cfg):
 
 def test_resolve_fills_dataset_fields():
     cfg = RunConfig(dataset="synth_blobs", synth_classes=3)
-    assert cfg.image_size == [16, 16]
+    assert cfg.image_size == (16, 16)
     assert cfg.in_channels == 1
     assert cfg.num_classes == 3
     assert cfg.norm_mean == [0.5]
@@ -31,19 +31,19 @@ def test_resolve_fills_dataset_fields():
 
 def test_resolve_keeps_explicit_overrides():
     cfg = RunConfig(dataset="synth_blobs", image_size=[8, 8])
-    assert cfg.image_size == [8, 8]
+    assert cfg.image_size == (8, 8)
 
 
 @pytest.mark.parametrize("dataset,size,channels,mean,std", [
-    ("cifar10", [32, 32], 3, [0.4914, 0.4822, 0.4465], [0.2470, 0.2435, 0.2616]),
-    ("fashion_mnist", [28, 28], 1, [0.2860], [0.3530]),
+    ("cifar10", (32, 32), 3, [0.4914, 0.4822, 0.4465], [0.2470, 0.2435, 0.2616]),
+    ("fashion_mnist", (28, 28), 1, [0.2860], [0.3530]),
 ])
 def test_real_datasets_fix_their_facts(dataset, size, channels, mean, std):
     cfg = RunConfig(dataset=dataset, synth_classes=3)
     assert cfg.image_size == size
     assert (cfg.in_channels, cfg.num_classes) == (channels, 10)
     assert (cfg.norm_mean, cfg.norm_std) == (mean, std)
-    assert RunConfig(dataset=dataset, image_size=size).image_size == size
+    assert RunConfig(dataset=dataset, image_size=list(size)).image_size == size
 
 
 def test_dataset_facts_are_not_settable():
@@ -59,6 +59,9 @@ def test_config_is_frozen_and_replace_checks_again():
     cfg = RunConfig(dataset="synth_blobs")
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.k = 5
+    with pytest.raises(TypeError):
+        cfg.image_size[0] = 15
+    assert cfg.image_size == (16, 16)
     with pytest.raises(ValueError, match="odd"):
         dataclasses.replace(cfg, k=4)
     assert dataclasses.replace(cfg, k=5).k == 5
@@ -84,7 +87,7 @@ def test_wrong_typed_values_name_the_field(field, value):
 
 def test_values_keep_their_json_form():
     cfg = config_from_dict({"dataset": "synth_blobs", "lr": 1, "image_size": (8, 8)})
-    assert cfg.lr == 1 and cfg.image_size == [8, 8]
+    assert cfg.lr == 1 and cfg.image_size == (8, 8)
     assert '"image_size":[8,8]' in cfg.to_json() and '"lr":1,' in cfg.to_json()
 
 
@@ -150,6 +153,9 @@ def test_load_config_non_object_root(tmp_path):
     ("k_local", 1, "slot per class"),
     ("dataset", "fashion_mnist", "fashion_mnist images are 28x28"),
     ("patch_size", 0, "patch_size must be positive"),
+    ("synth_train_per_class", 0, "synth_train_per_class must be positive"),
+    ("synth_test_per_class", -1, "synth_test_per_class must be positive"),
+    ("d_lat", 7400, "d_lat 7400 is too wide for the memory read"),
 ])
 def test_validation_rejects(field, value, phrase):
     with pytest.raises(ValueError, match=phrase):

@@ -132,15 +132,32 @@ def test_near_zero_lr_keeps_chance_level_loss(tmp_path):
     assert abs(summary["train_loss"] - float(np.log(np.float32(2.0)))) < 1e-10
 
 
-def test_empty_training_set_is_rejected_before_the_first_epoch(tmp_path):
-    cfg = make_tiny_cfg(tmp_path, synth_train_per_class=0)
+def empty_split(monkeypatch, which):
+    """Make prepare_datasets hand train() an empty train (0) or test (1) set.
+
+    A config cannot ask for an empty synthetic split; a dataset file can
+    hold no images."""
+    prepare = train_mod.prepare_datasets
+
+    def emptied(cfg):
+        splits = list(prepare(cfg))
+        splits[which] = splits[which].subset(np.arange(0))
+        return tuple(splits)
+
+    monkeypatch.setattr(train_mod, "prepare_datasets", emptied)
+
+
+def test_empty_training_set_is_rejected_before_the_first_epoch(tmp_path, monkeypatch):
+    empty_split(monkeypatch, 0)
+    cfg = make_tiny_cfg(tmp_path)
     with pytest.raises(ValueError, match="training set is empty"):
         train(cfg, log=lambda *_: None)
     assert not os.path.exists(os.path.join(cfg.out_dir, "metrics.csv"))
 
 
-def test_empty_test_set_is_rejected_before_the_first_epoch(tmp_path):
-    cfg = make_tiny_cfg(tmp_path, synth_test_per_class=0)
+def test_empty_test_set_is_rejected_before_the_first_epoch(tmp_path, monkeypatch):
+    empty_split(monkeypatch, 1)
+    cfg = make_tiny_cfg(tmp_path)
     with pytest.raises(ValueError, match="test set is empty"):
         train(cfg, log=lambda *_: None)
     for name in ("metrics.csv", "best.ckpt", "final.ckpt"):
