@@ -9,23 +9,34 @@ and hopfield_update, one refinement step. Values are checked finite after
 every op.
 
 Layout: activations carry a leading image axis, (B, N, D) for an image's N
-token rows. A forward matmul of a (G, m, k) left operand with a shared
-(k, n) right operand runs one GEMM per leading index, so an image's
-activations never depend on what else is in the batch, down to the last
-bit; a 2-D operand counts as one image. Row ops work on the last axis.
-Backwards never produce logits, so each gradient GEMM is one BLAS call over
-all rows. Inside a ``no_grad()`` scope ops still compute and check their
-values but record no graph, so inference holds no activations beyond the
-ones still referenced. backward() takes the graph apart as it walks it, so
-after a training step only the leaves' gradients remain.
+token rows. Every forward GEMM of a (G, m, k) left operand with a shared
+(k, n) right operand (matmul, unfold_matmul and both of memory_read's)
+runs in 16-image tiles: ⌈G/16⌉ GEMMs of exactly 16·m rows, the last one
+padded with zero images; a 2-D operand counts as one image. Within a call
+of fixed height, BLAS gives a row the same bits wherever it sits and
+whatever its neighbours hold, so an image's activations depend on its own
+rows and the tile height only, never on what else is in the batch, down to
+the last bit. One GEMM over all G·m rows would not do: its row bits depend
+on its height. The property holds in float32, which models compute in, at
+every shipped shape. In float64 it fails at some shapes whose n is not a
+multiple of 8, where OpenBLAS's dgemm rounds the last columns of a
+tile's last rows differently; the desk shape's 500-slot local read is
+one (tests/test_autodiff.py lists the shapes checked).
+group_weighted_sum, whose operands both vary by image, keeps one GEMM per
+image. Row ops work on the last axis. Backwards never produce logits, so
+each gradient GEMM is one BLAS call over all rows. Inside a ``no_grad()``
+scope ops still compute and check their values but record no graph, so
+inference holds no activations beyond the ones still referenced.
+backward() takes the graph apart as it walks it, so after a training step
+only the leaves' gradients remain.
 
 Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
 rule of ``kernels.as_float``). Constants inside ops are Python floats,
 which never widen a float32 array; a numpy float64 scalar would.
 
-In-place rule: gelu, layernorm_rows and memory_read write their
-intermediates into buffers they reuse (``out=``, ``*=``) instead of
+In-place rule: gelu, layernorm_rows, memory_read and hopfield_update write
+their intermediates into buffers they reuse (``out=``, ``*=``) instead of
 allocating one per expression. Each runs the same numpy operations on the
 same operands in the same order as the plain expression in its comment, so
 every output bit is the same; only the operands of a single + or × may
@@ -41,13 +52,14 @@ Hand-over rule: ``_accum`` stores a first gradient as the bits of
 zeros + g, so −0.0 arrives as +0.0. A backward that built g itself and
 reads it no more hands it over (``own=True``) and g is stored, turned to
 +0.0 in place: matmul's dA, dB and dbias, gelu, layernorm_rows' dx,
-memory_read, unfold_matmul, softmax_rows and cross_entropy. A node's dout
-is its own gradient, private to it, so add hands dout itself (or its sum)
-to the first operand once the second has taken a copy or a sum. Gradients
-that pass dout on, whole or as a view (reshape, concat_last_axis,
-mean_rows and both of hopfield_update's), are copied, because one dout may
-reach two parents, or be a read-only broadcast, and a stored gradient is
-later added into in place.
+memory_read, unfold_matmul, softmax_rows, cross_entropy and
+hopfield_update's β·dout and −β·dout. A node's dout is its own gradient,
+private to it, so add hands dout itself (or its sum) to the first operand
+once the second has taken a copy or a sum. Gradients that pass dout on,
+whole or as a view (reshape, concat_last_axis, mean_rows and
+hopfield_update's to z), are copied, because one dout may reach two
+parents, or be a read-only broadcast, and a stored gradient is later added
+into in place.
 
 Retention rule: a node keeps what its backward cannot cheaply rebuild from
 what the graph holds anyway. matmul adds its bias in place into the GEMM's
@@ -189,14 +201,42 @@ def zero_grad(tensors):
 
 # ---------------------------------------------------------------- linear maps
 
+# images per forward GEMM call; see "Layout" above
+_TILE = 16
+
+
+def _tiled_matmul(a, b):
+    """a·b for an (m, k) or (G, m, k) a, one image per leading index, and a
+    shared (k, n) b, as ⌈G/16⌉ GEMMs of exactly 16·m rows -> shaped as a
+    with n columns.
+
+    Full tiles read a's rows and write the result in place; only a tail
+    tile is copied, into a zeroed 16-image buffer.
+    """
+    *lead, m, k = a.shape
+    n = b.shape[1]
+    rows = _TILE * m
+    a2 = a.reshape(-1, k)
+    total = a2.shape[0]
+    out = np.empty((total, n), dtype=np.result_type(a, b))
+    full = total - total % rows
+    for i in range(0, full, rows):
+        np.matmul(a2[i:i + rows], b, out=out[i:i + rows])
+    if full < total:
+        tail = np.zeros((rows, k), dtype=a2.dtype)
+        tail[:total - full] = a2[full:]
+        out[full:] = np.matmul(tail, b)[:total - full]
+    return out.reshape(*lead, m, n)
+
+
 def matmul(a, b, bias=None):
     """C = A·B (+ bias) for (m, k) or (G, m, k) A, a shared (k, n) B and an (n,) bias.
 
-    Forward runs one GEMM per leading index of A; model code stacks one
-    image per index. The bias is added in place into the GEMM's result, the
-    same bits as a separate add, so no pre-bias array is kept. Backward
-    ignores the stacking: dA and dB are one GEMM each over all G·m rows,
-    and dbias one column sum.
+    Forward runs in 16-image tiles (``_tiled_matmul``); model code stacks
+    one image per leading index. The bias is added in place into the GEMM's
+    result, the same bits as a separate add, so no pre-bias array is kept.
+    Backward ignores the stacking: dA and dB are one GEMM each over all G·m
+    rows, and dbias one column sum.
     """
     a, b = as_tensor(a), as_tensor(b)
     ka = a.value.shape[-1]
@@ -204,7 +244,7 @@ def matmul(a, b, bias=None):
     if a.value.ndim not in (2, 3) or ka != kb:
         raise ValueError(f"matmul dims disagree: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
-    out = np.matmul(av, bv)
+    out = _tiled_matmul(av, bv)
     parents = (a, b)
     if bias is not None:
         bias = _bias_for(bias, n)
@@ -433,9 +473,9 @@ def memory_read(z, slots, mask):
     """Hopfield read of (R, D) or (G, R, D) queries from (K, D) constant slots -> (alpha, m).
 
     alpha is the row softmax of √D·ẑ·k̂ᵀ over the slots the mask keeps (the
-    others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Each
-    leading index is its own pair of GEMMs, as in matmul. alpha carries no
-    graph; m carries z's.
+    others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Both
+    GEMMs run in 16-image tiles, as in matmul, with one image per leading
+    index. alpha carries no graph; m carries z's.
 
     √D is folded into the K×D unit slots once, so the logits GEMM already
     carries it. The softmax is exp, row sum and divide in place, with no
@@ -457,7 +497,7 @@ def memory_read(z, slots, mask):
     keys = normalize_rows(slots)[0]
     keys *= math.sqrt(d)
     keys_t = np.ascontiguousarray(keys.T)
-    alpha = np.matmul(zhat, keys_t)
+    alpha = _tiled_matmul(zhat, keys_t)
     if not mask.all():
         alpha[..., ~mask] = -np.inf  # exp gives exactly 0 there
     np.exp(alpha, out=alpha)
@@ -465,7 +505,7 @@ def memory_read(z, slots, mask):
     # past the bound an inf sum would turn every weight into 0, not nan
     _finite("memory_read", total)
     alpha /= total
-    m = np.matmul(alpha, slots)
+    m = _tiled_matmul(alpha, slots)
 
     def bwd(dout):
         # one GEMM per product over all rows
@@ -492,17 +532,23 @@ def hopfield_update(z, m, beta):
         raise ValueError(f"update shapes disagree: {z.value.shape} vs {m.value.shape}")
     bv = float(beta.value.reshape(()))  # ValueError unless β has one element
     diff = m.value - z.value
+    # z + β·diff, the sum's operands swapped
+    out = bv * diff
+    out += z.value
 
     def bwd(dout):
         g = bv * dout
+        # −g is formed before g is handed over, which turns its −0.0 to +0.0
+        neg = -g
         # z gets dout, then −β·dout after m's β·dout: m may be z itself
         _accum(z, dout)
-        _accum(m, g)
-        _accum(z, -g)
+        _accum(m, g, own=True)
+        _accum(z, neg, own=True)
         if beta.requires_grad:
-            _accum(beta, np.sum(dout * diff).reshape(beta.value.shape))
+            prod = np.multiply(diff, dout, out=diff)
+            _accum(beta, np.sum(prod).reshape(beta.value.shape))
 
-    return _node(z.value + bv * diff, (z, m, beta), bwd, "hopfield_update")
+    return _node(out, (z, m, beta), bwd, "hopfield_update")
 
 
 # ---------------------------------------------------------------- structured
@@ -513,9 +559,10 @@ def unfold_matmul(x, h, w, k, weight, bias):
 
     Each image's h·w rows form a zero-padded grid whose windows flatten
     row-major (window rows, window columns, channels) into (h·w, k²·D) rows,
-    one GEMM per image against the (k²·D, n) weight. The unfolded rows are
-    dropped once the GEMM has read them: backward rebuilds them from x for
-    dW, a pure copy with the same bits, rather than keeping them alive.
+    projected in 16-image tiles against the (k²·D, n) weight, as in matmul.
+    The unfolded rows are dropped once the GEMM has read them: backward
+    rebuilds them from x for dW, a pure copy with the same bits, rather than
+    keeping them alive.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     xv, wv = x.value, weight.value
@@ -527,7 +574,7 @@ def unfold_matmul(x, h, w, k, weight, bias):
         raise ValueError(f"weight rows {kd} do not fit a {k}x{k} window of width {d}")
     bias = _bias_for(bias, n)
     grid = (*lead, h, w, d)
-    out = np.matmul(kernels.unfold_grid(xv.reshape(grid), k), wv)
+    out = _tiled_matmul(kernels.unfold_grid(xv.reshape(grid), k), wv)
     out += bias.value
 
     def bwd(dout):

@@ -2,8 +2,8 @@
 
 Activations keep one leading axis per image: (B, N, D) tokens through the
 blocks, (B, N) pooling weights, a (B, 1, D) pooled vector and (B, C)
-logits, so each image's matmuls are its own GEMMs and its logits do not
-depend on the rest of the batch.
+logits. The forward GEMMs run in fixed 16-image tiles (see autodiff), so
+an image's logits do not depend on the rest of the batch.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -113,7 +113,8 @@ class Model:
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         self.set_frozen(mode == "eval")
         b = images.shape[0]
-        # tokens are (B, N, D): every matmul below runs one GEMM per image
+        # tokens are (B, N, D): every matmul below runs in 16-image tiles of
+        # fixed height, so an image's rows never see the rest of the batch
         tok = ad.matmul(ad.Tensor(patches), self.patch_proj, self.patch_bias)
         tok = ad.add(tok, self.pos_embed)
         last = len(self.blocks) - 1

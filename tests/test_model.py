@@ -197,6 +197,22 @@ def test_desk_shape_batch_independence_without_graph(tmp_path, rng):
     np.testing.assert_array_equal(alone[0], whole.value[4])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_independence_across_a_tile_boundary(tmp_path, rng, dtype):
+    # 16 + 3 images fill one forward GEMM tile and spill into a padded one
+    cfg = make_tiny_cfg(tmp_path)
+    model = Model(cfg, dtype=dtype)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, ad._TILE + 3, rng)
+    with ad.no_grad():
+        in_order = model.forward(imgs).value
+        reversed_ = model.forward(imgs[::-1]).value[::-1]
+        for i in range(len(imgs)):
+            alone = model.forward(imgs[i:i + 1]).value
+            np.testing.assert_array_equal(in_order[i], alone[0])
+            np.testing.assert_array_equal(reversed_[i], alone[0])
+
+
 def test_t_override(tmp_path, rng):
     cfg, model = tiny_model(tmp_path, t_steps=2)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
