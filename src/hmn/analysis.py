@@ -22,14 +22,15 @@ from . import data as data_mod
 from . import svg
 from .train import _write_line, eval_batches, evaluate, train as run_train
 
+# sweep axis -> RunConfig field; the field's annotation casts the values
 _AXIS_FIELDS = {
-    "T": ("t_steps", int),
-    "k": ("k", int),
-    "K_local": ("k_local", int),
-    "K_global": ("k_global", int),
-    "beta_init": ("beta_init", float),
-    "fraction": ("fraction", float),
-    "imbalance_ratio": ("imbalance_ratio", float),
+    "T": "t_steps",
+    "k": "k",
+    "K_local": "k_local",
+    "K_global": "k_global",
+    "beta_init": "beta_init",
+    "fraction": "fraction",
+    "imbalance_ratio": "imbalance_ratio",
 }
 
 # identity severity per corruption family (a no-op corruption)
@@ -329,7 +330,8 @@ def sweep(base_cfg, axis, values, seeds=None, out_root=None, log=print):
     """
     if axis not in _AXIS_FIELDS:
         raise ValueError(f"axis must be one of {sorted(_AXIS_FIELDS)}, got {axis!r}")
-    field, cast = _AXIS_FIELDS[axis]
+    field = _AXIS_FIELDS[axis]
+    cast = next(f.type for f in dataclasses.fields(base_cfg) if f.name == field)
     seeds = list(seeds) if seeds else [base_cfg.seed]
     out_root = out_root or os.path.join(base_cfg.out_dir, f"sweep_{axis}")
     runs = []

@@ -86,41 +86,44 @@ def cmd_analyze(args):
     if args.what != "robustness" and len(args.ckpt) > 1:
         raise ValueError(f"{args.what} reads one --ckpt, got {len(args.ckpt)}; "
                          "only robustness compares several")
+    branch = args.branch or ("both" if args.what == "hit-rate" else "global")
+    if branch == "both" and args.what in ("weights", "consistency"):
+        raise ValueError(f"{args.what} reads one --branch, local or global")
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
     os.makedirs(args.out, exist_ok=True)
     if args.what == "hit-rate":
         outputs = []
-        branches = ["local", "global"] if args.branch == "both" else [args.branch]
-        for branch in branches:
-            rep = analysis.hit_rate(model, test, branch=branch,
-                                    all_tokens=args.all_tokens,
+        branches = ["local", "global"] if branch == "both" else [branch]
+        for one in branches:
+            rep = analysis.hit_rate(model, test, branch=one, all_tokens=args.all_tokens,
                                     batch_size=args.batch_size)
-            path = os.path.join(args.out, f"hit_rate_{branch}.csv")
+            path = os.path.join(args.out, f"hit_rate_{one}.csv")
             analysis.write_hit_rate_csv(rep, path)
             outputs.append(path)
             _emit(rep)
         _emit({"outputs": outputs})
     elif args.what == "weights":
         profile, slot_class = analysis.weight_profile(
-            model, test, args.class_id, branch=args.branch_single,
-            batch_size=args.batch_size)
+            model, test, args.class_id, branch=branch, batch_size=args.batch_size)
         paths = analysis.write_weight_profile(profile, slot_class, args.class_id,
-                                              args.out, args.branch_single)
+                                              args.out, branch)
         _emit({"outputs": list(paths)})
     elif args.what == "robustness":
         models = [model] + [load_checkpoint(path)[0] for path in args.ckpt[1:]]
-        models = [(f"T={m.cfg.t_steps}", m) for m in models]
+        labels = [f"T={m.cfg.t_steps}" for m in models]
+        if len(set(labels)) < len(labels):  # equal T: add the 1-based --ckpt position
+            labels = [f"{label} #{i}" for i, label in enumerate(labels, 1)]
         grids = {f: analysis.DEFAULT_GRIDS[f] for f in args.families.split(",")}
-        rows = analysis.robustness(models, test, grids=grids, seed=args.seed,
-                                   batch_size=args.batch_size)
+        rows = analysis.robustness(list(zip(labels, models)), test, grids=grids,
+                                   seed=args.seed, batch_size=args.batch_size)
         paths = analysis.write_robustness(rows, args.out)
         _emit({"outputs": paths})
     elif args.what == "consistency":
         grid = [float(v) for v in args.grid.split(",")] if args.grid else None
         rows = analysis.consistency(model, test, family=args.family, grid=grid,
                                     seed=args.seed, batch_size=args.batch_size,
-                                    branch=args.branch_single)
+                                    branch=branch)
         paths = analysis.write_consistency(rows, args.out)
         _emit({"outputs": paths})
     else:
@@ -176,10 +179,9 @@ def build_parser():
     an.add_argument("--data", default=None, help="dataset directory")
     an.add_argument("--out", required=True, help="output directory for CSV/SVG")
     an.add_argument("--batch-size", type=int, default=64)
-    an.add_argument("--branch", default="both", choices=["local", "global", "both"],
-                    help="hit-rate branches")
-    an.add_argument("--branch-single", default="global", choices=["local", "global"],
-                    help="branch for weights/consistency")
+    an.add_argument("--branch", default=None, choices=["local", "global", "both"],
+                    help="branch to analyze (hit-rate: default both; weights and "
+                         "consistency: default global, one branch only)")
     an.add_argument("--all-tokens", action="store_true",
                     help="average local hit rate over every token")
     an.add_argument("--class-id", type=int, default=0, help="class for weights")

@@ -1,18 +1,20 @@
 """Class-balanced prototype storage with per-class ring-buffer replacement.
 
 Each class owns a fixed contiguous range of slots. A write takes a batch
-of rows with their class ids and stores them in row order: each class's
-rows go to its cursor and wrap, so the newest capacity[c] embeddings for
-a class are always present. Slots never carry gradients; callers hand in
-plain arrays. A write copies the slot array before changing it, so an
-array handed out by ``filled_view`` keeps the slots it was read with:
-backward of a read taken before a write still sees the read's slots.
+of rows with their class ids and stores them in row order. The ring state
+is one count per class, ``written``: row j of a class goes to ring position
+(written + j) % capacity, so the newest capacity[c] embeddings for a class
+are always present, and any nonnegative count is a state some writes
+leave. Slots never carry gradients; callers hand in plain arrays. A write
+copies the slot array before changing it, so an array handed out by
+``filled_view`` keeps the slots it was read with: backward of a read taken
+before a write still sees the read's slots.
 """
 
 import numpy as np
 
 # the records of a bank's checkpoint state, in the order they are saved
-BANK_STATE_FIELDS = ("slots", "cursor", "filled", "frozen")
+BANK_STATE_FIELDS = ("slots", "written")
 
 
 class FrozenBankError(RuntimeError):
@@ -37,8 +39,7 @@ class MemoryBank:
         self.slots = np.zeros((self.total_slots, self.dim), dtype=dtype)
         self.slot_class = np.repeat(
             np.arange(self.num_classes, dtype=np.int64), self.per_class_capacity)
-        self.cursor = np.zeros(self.num_classes, dtype=np.int64)
-        self.filled = np.zeros(self.num_classes, dtype=np.int64)
+        self.written = np.zeros(self.num_classes, dtype=np.int64)
         self.frozen = False
 
     def write(self, rows, class_ids):
@@ -59,11 +60,10 @@ class MemoryBank:
         for c in np.unique(cls):
             own = rows[cls == c]
             n, cap = len(own), self.per_class_capacity[c]
-            # row j of n lands on ring position cursor + j; later rows overwrite
+            # row j of n lands on ring position written + j; later rows overwrite
             kept = np.arange(max(n - cap, 0), n)
-            slots[self.class_start[c] + (self.cursor[c] + kept) % cap] = own[kept]
-            self.cursor[c] = (self.cursor[c] + n) % cap
-            self.filled[c] = min(self.filled[c] + n, cap)
+            slots[self.class_start[c] + (self.written[c] + kept) % cap] = own[kept]
+            self.written[c] += n
         self.slots = slots
 
     def freeze(self):
@@ -73,8 +73,13 @@ class MemoryBank:
         self.frozen = False
 
     @property
+    def filled(self):
+        """Written slots per class: the write count, capped at the capacity."""
+        return np.minimum(self.written, self.per_class_capacity)
+
+    @property
     def any_filled(self):
-        return bool(self.filled.sum() > 0)
+        return bool(self.written.any())
 
     def filled_view(self):
         """(slots, slot_class, mask) at full width K; mask marks written slots.
@@ -87,33 +92,23 @@ class MemoryBank:
 
     # checkpoint plumbing; arrays are copied on both paths
     def state_dict(self):
-        frozen = np.array([1 if self.frozen else 0], dtype=np.int64)
-        return dict(zip(BANK_STATE_FIELDS,
-                        (self.slots.copy(), self.cursor.copy(), self.filled.copy(), frozen)))
+        return dict(zip(BANK_STATE_FIELDS, (self.slots.copy(), self.written.copy())))
 
     def load_state(self, state):
-        """Restore state_dict's slots, ring state and frozen flag in place.
+        """Restore state_dict's slots and write counts in place.
 
-        A state that no sequence of writes could leave raises ValueError
-        and changes nothing.
+        Finite slots and nonnegative integer counts, of the bank's shapes,
+        are the whole check: some writes leave any such state. A rejected
+        state raises ValueError and changes nothing.
         """
-        slots, cursor, filled, frozen = (
-            np.asarray(state[k]) for k in BANK_STATE_FIELDS)
-        cap = self.per_class_capacity
+        slots, written = (np.asarray(state[k]) for k in BANK_STATE_FIELDS)
         if slots.shape != self.slots.shape:
             raise ValueError("bank state shape mismatch")
         if not np.all(np.isfinite(slots)):
             raise ValueError("bank slots are not finite")
-        for name, arr in (("cursor", cursor), ("filled", filled)):
-            if arr.shape != cap.shape or arr.dtype.kind not in "iu":
-                raise ValueError(f"bank {name} must be an integer array of shape {cap.shape}")
-        if not (np.all((filled >= 0) & (filled <= cap)) and np.all((cursor >= 0) & (cursor < cap))):
-            raise ValueError("bank cursor or filled outside the class capacity")
-        if np.any((filled < cap) & (cursor != filled)):
-            raise ValueError("bank cursor is not at filled in a class that has not wrapped")
-        if frozen.size != 1 or frozen.dtype.kind not in "iu" or int(frozen.reshape(-1)[0]) not in (0, 1):
-            raise ValueError("bank frozen flag must be one integer, 0 or 1")
+        if (written.shape != self.written.shape or written.dtype.kind not in "iu"
+                or np.any(written.astype(np.int64) < 0)):
+            raise ValueError(f"bank written must be a nonnegative integer array "
+                             f"of shape {self.written.shape}")
         self.slots[:] = slots
-        self.cursor[:] = cursor
-        self.filled[:] = filled
-        self.frozen = bool(int(frozen.reshape(-1)[0]))
+        self.written[:] = written

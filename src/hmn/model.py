@@ -9,14 +9,15 @@ A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
 inputs, activations and gradients all hold it.
 
-Also the versioned binary checkpoint format. Parameters and slots are
-stored as little-endian float32. Loading builds a float32 model and takes
-the records as they are, so a float32 model's save→load round trip is
-exact, and a checkpoint saved again after loading is byte-identical.
+Also the versioned binary checkpoint format: saving writes the records
+``_records`` lists, and loading reads them back against that list for a
+model of the stored config. Parameters and slots are stored as
+little-endian float32, write counts as int64. Loading takes the records as
+they are, so a float32 model's save→load round trip is exact, and a
+checkpoint saved again after loading is byte-identical.
 """
 
 import json
-import math
 import os
 import struct
 from collections import OrderedDict
@@ -27,9 +28,10 @@ from . import autodiff as ad
 from .blocks import HMNBlock, check_train_inputs
 from .config import config_from_dict
 from .memory import BANK_STATE_FIELDS
+from .optim import Adam
 
 MAGIC = b"HMN1"
-VERSION = 1
+VERSION = 2
 
 
 class Model:
@@ -137,6 +139,21 @@ _DTYPES = {0: "<f4", 1: "<i8"}
 _CODES = {dt: code for code, dt in _DTYPES.items()}
 
 
+def _storage_dtype(arr):
+    return "<f4" if arr.dtype.kind == "f" else "<i8"
+
+
+def _records(model, optimizer=None):
+    """(name, array) of each record of model's checkpoint, in file order:
+    parameters, each bank's state, then any optimizer state."""
+    records = [(name, t.value) for name, t in model.parameters().items()]
+    records += [(f"bank.{bname}.{field}", arr) for bname, bank in model.banks().items()
+                for field, arr in bank.state_dict().items()]
+    if optimizer is not None:
+        records += optimizer.state_records()
+    return records
+
+
 def _pack_record(name, arr, dtype):
     raw = name.encode("utf-8")
     parts = [struct.pack("<H", len(raw)), raw,
@@ -183,11 +200,7 @@ def _rng_from_meta(meta):
 
 
 def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
-    records = [(name, t.value) for name, t in model.parameters().items()]
-    records += [(f"bank.{bname}.{field}", arr) for bname, bank in model.banks().items()
-                for field, arr in bank.state_dict().items()]
-    if optimizer is not None:
-        records += optimizer.state_records()
+    records = _records(model, optimizer)
     meta = {"extra": extra or {}}
     if rng is not None:
         meta["rng"] = _rng_state_to_meta(rng)
@@ -205,8 +218,7 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
             fh.write(meta_blob)
             fh.write(struct.pack("<I", len(records)))
             for name, arr in records:
-                arr = np.asarray(arr)
-                fh.write(_pack_record(name, arr, "<f4" if arr.dtype.kind == "f" else "<i8"))
+                fh.write(_pack_record(name, arr, _storage_dtype(arr)))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -217,9 +229,10 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
 
 
 def load_checkpoint(path):
-    """-> (float32 model, meta dict, rng or None). Rejects bad magic, version
-    skew, truncation, trailing bytes, duplicate or unknown records,
-    non-finite parameters and inconsistent banks."""
+    """-> (float32 model with frozen banks, meta dict, rng or None). Rejects bad
+    magic, version skew, truncation, trailing bytes, a record unlike the one
+    ``_records`` lists at its place, non-finite parameters and bad bank states.
+    Optimizer records are checked, not restored."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -231,44 +244,33 @@ def load_checkpoint(path):
     cfg = config_from_dict(json.loads(r.take(r.u("<Q")).decode("utf-8")))
     meta = json.loads(r.take(r.u("<Q")).decode("utf-8"))
     n_records = r.u("<I")
-    records = {}
-    for _ in range(n_records):
+    model = Model(cfg)
+    expected = _records(model)
+    if n_records != len(expected):
+        with_optimizer = _records(model, Adam(model.parameters()))
+        if n_records != len(with_optimizer):
+            raise ValueError(f"checkpoint holds {n_records} records; this config saves "
+                             f"{len(expected)}, or {len(with_optimizer)} with optimizer state")
+        expected = with_optimizer
+    values = {}
+    for want_name, want in expected:
         name = r.take(r.u("<H")).decode("utf-8")
         code, ndim = r.u("<B"), r.u("<B")
-        if code not in _DTYPES:
-            raise ValueError(f"unknown dtype code {code} in record {name!r}")
-        shape = tuple(r.u("<Q") for _ in range(ndim))
-        dt = np.dtype(_DTYPES[code])
-        count = math.prod(shape)  # exact: a flipped high bit cannot wrap around
-        arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
-        if name in records:
-            raise ValueError(f"duplicate record {name!r}")
-        records[name] = arr
+        got = (name, _DTYPES.get(code, f"code {code}"), tuple(r.u("<Q") for _ in range(ndim)))
+        spec = (want_name, _storage_dtype(want), want.shape)
+        if got != spec:
+            raise ValueError("record %r %s %s where %r %s %s belongs" % (got + spec))
+        dt = np.dtype(spec[1])
+        values[name] = np.frombuffer(r.take(want.size * dt.itemsize), dtype=dt).reshape(want.shape)
     if r.pos != len(blob):
         raise ValueError(f"{len(blob) - r.pos} trailing bytes after last record")
 
-    model = Model(cfg)
-    params, banks = model.parameters(), model.banks()
-    known = {"opt.t", *params, *(f"opt.{moment}.{name}" for moment in "mv" for name in params),
-             *(f"bank.{bname}.{field}" for bname in banks for field in BANK_STATE_FIELDS)}
-    unknown = sorted(set(records) - known)
-    if unknown:
-        raise ValueError(f"unknown record {unknown[0]!r}")
-    for name, t in params.items():
-        if name not in records:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
-        if records[name].shape != t.value.shape:
-            raise ValueError(f"parameter {name!r} shape mismatch")
-        if not np.all(np.isfinite(records[name])):
+    for name, t in model.parameters().items():
+        if not np.all(np.isfinite(values[name])):
             raise ValueError(f"parameter {name!r} has non-finite values")
-        t.value = np.array(records[name], dtype=t.value.dtype)
-    for bname, bank in banks.items():
-        state = {}
-        for field in BANK_STATE_FIELDS:
-            key = f"bank.{bname}.{field}"
-            if key not in records:
-                raise ValueError(f"checkpoint missing bank record {key!r}")
-            state[field] = records[key]
-        bank.load_state(state)
+        t.value = np.array(values[name], dtype=t.value.dtype)
+    for bname, bank in model.banks().items():
+        bank.load_state({field: values[f"bank.{bname}.{field}"] for field in BANK_STATE_FIELDS})
+    model.set_frozen(True)
     rng = _rng_from_meta(meta["rng"]) if "rng" in meta else None
     return model, meta.get("extra", {}), rng

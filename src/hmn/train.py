@@ -81,9 +81,8 @@ def train(cfg, log=print):
     """Run the full recipe; returns a summary dict.
 
     Writes metrics.csv, timings.csv, config.json, best.ckpt, final.ckpt
-    under cfg.out_dir. The CSVs gain one row per finished epoch. Saved
-    checkpoints carry frozen banks (the eval pass freezes them) and the
-    final one embeds optimizer state.
+    under cfg.out_dir. The CSVs gain one row per finished epoch. The final
+    checkpoint embeds optimizer state.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     train_ds, test_ds = prepare_datasets(cfg)
@@ -103,7 +102,6 @@ def train(cfg, log=print):
     _write_line(timings_path, "epoch,wall_ms", mode="w")
     best_acc = -1.0
     last_grad_norm = 0.0
-    last_lr = 0.0
     n = len(train_ds)
     steps = (n + cfg.batch_size - 1) // cfg.batch_size
 
@@ -111,7 +109,6 @@ def train(cfg, log=print):
         t0 = time.perf_counter()
         perm = rng.permutation(n)
         loss_sum = 0.0
-        seen = 0
         correct = 0
         for step_i in range(steps):
             idx = perm[step_i * cfg.batch_size:(step_i + 1) * cfg.batch_size]
@@ -121,7 +118,6 @@ def train(cfg, log=print):
                 images = np.stack([data_mod.augment(img, rng) for img in images])
             x = data_mod.standardize(images, cfg.norm_mean, cfg.norm_std)
             lr = lr_at(epoch + (step_i + 0.5) / steps, cfg)
-            last_lr = lr
             try:
                 logits = model.forward(x, mode="train", labels=labels, rng=rng)
                 loss = ad.cross_entropy(logits, labels)
@@ -130,18 +126,17 @@ def train(cfg, log=print):
             except FloatingPointError as e:
                 raise TrainingDiverged(
                     f"non-finite value at epoch {epoch} step {step_i}: {e}; "
-                    f"last_lr={last_lr:.6e} last_grad_norm={last_grad_norm:.6e}") from None
+                    f"last_lr={lr:.6e} last_grad_norm={last_grad_norm:.6e}") from None
             last_grad_norm = float(np.sqrt(sum(
                 float((p.grad ** 2).sum()) for p in params.values() if p.grad is not None)))
             opt.step(lr=lr)
             loss_sum += float(loss.value.reshape(())) * len(idx)
             correct += int((logits.value.argmax(axis=1) == labels).sum())
-            seen += len(idx)
         test_acc = evaluate(model, test_ds)
-        train_loss = loss_sum / seen
-        train_acc = correct / seen
+        train_loss = loss_sum / n
+        train_acc = correct / n
         _write_line(metrics_path, ",".join([str(epoch), _fmt(train_loss), _fmt(train_acc),
-                                            _fmt(test_acc), _fmt(last_lr)]))
+                                            _fmt(test_acc), _fmt(lr)]))
         _write_line(timings_path, f"{epoch},{(time.perf_counter() - t0) * 1000.0:.1f}")
         if test_acc > best_acc:
             best_acc = test_acc

@@ -64,7 +64,7 @@ def tiny_cfg(tmp_path):
 def trained_tiny(tmp_path_factory):
     """One tiny synth training run shared by the analysis and CLI tests.
 
-    Returns (cfg, summary dict, out_dir). Banks in the saved checkpoints
+    Returns (cfg, summary dict, out_dir). The banks of a loaded checkpoint
     are frozen; accuracy on this task should be high but the tests only
     rely on structural properties unless stated otherwise.
     """

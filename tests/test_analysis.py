@@ -192,6 +192,7 @@ def float64_replica(model):
         t.value = src.value.astype(np.float64)
     for bank, src in zip(out.banks().values(), model.banks().values()):
         bank.load_state(src.state_dict())
+    out.set_frozen(True)
     return out
 
 

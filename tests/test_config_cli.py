@@ -274,6 +274,50 @@ def test_cli_analyze_consistency(capsys, trained_tiny, tmp_path):
     assert os.path.exists(os.path.join(dest, "consistency.csv"))
 
 
+def test_cli_analyze_weights_reads_the_branch_option(capsys, trained_tiny, tmp_path):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "w")
+    rc, out, err = run_cli(capsys, "analyze", "weights", "--ckpt", ckpt, "--out", dest,
+                           "--branch", "local")
+    assert rc == 0, err
+    assert sorted(os.listdir(dest)) == ["weights_local_class0.csv",
+                                        "weights_local_class0.svg"]
+    assert "local branch" in open(os.path.join(dest, "weights_local_class0.svg")).read()
+
+
+@pytest.mark.parametrize("what", ["weights", "consistency"])
+def test_cli_single_branch_analyses_reject_both(capsys, trained_tiny, tmp_path, what):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "diag")
+    rc, out, err = run_cli(capsys, "analyze", what, "--ckpt", ckpt, "--out", dest,
+                           "--branch", "both")
+    assert rc == 1 and out == ""
+    rec = json.loads(err.strip())
+    assert rec["error"] == "ValueError" and "one --branch" in rec["message"]
+    assert not os.path.exists(dest)
+
+
+def test_cli_robustness_keeps_checkpoints_of_equal_t_apart(capsys, trained_tiny, tmp_path):
+    cfg, _, out_dir = trained_tiny
+    ckpt = os.path.join(out_dir, "final.ckpt")
+    dest = str(tmp_path / "rob")
+    rc, out, err = run_cli(capsys, "analyze", "robustness", "--ckpt", ckpt, "--ckpt", ckpt,
+                           "--out", dest, "--families", "contrast")
+    assert rc == 0, err
+    rows = open(os.path.join(dest, "robustness.csv")).read().strip().split("\n")[1:]
+    t = f"T={cfg.t_steps}"
+    per_label = {}
+    for row in rows:
+        label = row.split(",")[0]
+        per_label.setdefault(label, []).append(row.split(",", 1)[1])
+    assert sorted(per_label) == [f"{t} #1", f"{t} #2"]
+    # one checkpoint twice: two equal series, neither merged into the other
+    assert per_label[f"{t} #1"] == per_label[f"{t} #2"]
+    assert len(per_label[f"{t} #1"]) == len(rows) // 2
+    svg = open(os.path.join(dest, "robustness_contrast.svg")).read()
+    assert f"{t} #1" in svg and f"{t} #2" in svg
+
+
 def test_cli_sweep(capsys, tmp_path):
     cfg = make_tiny_cfg(tmp_path / "base", epochs=1, warmup_epochs=0,
                         synth_train_per_class=10, synth_test_per_class=5)

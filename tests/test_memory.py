@@ -50,11 +50,11 @@ def test_batch_over_capacity_keeps_newest_rows():
     one(bank, [-1.0], 0)
     rows = np.arange(8.0).reshape(-1, 1)
     bank.write(rows, [0, 1, 0, 0, 1, 0, 0, 1])
-    # class 0 (slots 0..2, cursor 1) gets 0, 2, 3, 5, 6 at positions 1, 2, 0, 1, 2
+    # class 0 (slots 0..2, written 1) gets 0, 2, 3, 5, 6 at positions 1, 2, 0, 1, 2
     np.testing.assert_array_equal(bank.slots[:3, 0], [3.0, 5.0, 6.0])
-    # class 1 (slots 3..4, cursor 0) gets 1, 4, 7 at positions 0, 1, 0
+    # class 1 (slots 3..4, written 0) gets 1, 4, 7 at positions 0, 1, 0
     np.testing.assert_array_equal(bank.slots[3:, 0], [7.0, 4.0])
-    assert list(bank.cursor) == [0, 1]
+    assert list(bank.written) == [6, 3]
     assert list(bank.filled) == [3, 2]
     bank.write(np.array([[9.0]]), [1])
     np.testing.assert_array_equal(bank.slots[3:, 0], [7.0, 9.0])
@@ -175,25 +175,51 @@ def test_batched_writes_match_one_row_writes(num_classes, extra_slots, classes, 
     batched = check_against_oracle(num_classes, total, 2, writes, cuts)
     single = check_against_oracle(num_classes, total, 2, writes)
     np.testing.assert_array_equal(batched.slots, single.slots)
-    np.testing.assert_array_equal(batched.cursor, single.cursor)
-    np.testing.assert_array_equal(batched.filled, single.filled)
+    np.testing.assert_array_equal(batched.written, single.written)
 
 
 def test_state_round_trip(rng):
     bank = MemoryBank(3, 10, 4)
     bank.write(rng.standard_normal((17, 4)), rng.integers(0, 3, size=17))
     bank.freeze()
-    assert set(bank.state_dict()) == {"slots", "cursor", "filled", "frozen"}
+    assert set(bank.state_dict()) == {"slots", "written"}
     clone = MemoryBank(3, 10, 4)
     clone.load_state(bank.state_dict())
     np.testing.assert_array_equal(clone.slots, bank.slots)
-    np.testing.assert_array_equal(clone.cursor, bank.cursor)
+    np.testing.assert_array_equal(clone.written, bank.written)
     np.testing.assert_array_equal(clone.filled, bank.filled)
-    assert clone.frozen == bank.frozen
-    with pytest.raises(FrozenBankError):
-        one(clone, np.ones(4), 0)
+    # the state carries no frozen flag: the clone keeps its own
+    assert not clone.frozen
     with pytest.raises(ValueError):
         MemoryBank(3, 11, 4).load_state(bank.state_dict())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 8), st.lists(st.integers(0, 40), min_size=4,
+                                                      max_size=4),
+       st.lists(st.integers(0, 3), max_size=30), st.integers(0, 2 ** 31 - 1))
+def test_any_nonnegative_written_loads_as_the_writes_that_leave_it(
+        num_classes, extra_slots, counts, later, seed):
+    """A state with any write count per class loads, and a bank holding it
+    places every later row where the bank that received that many rows
+    places it."""
+    gen = np.random.default_rng(seed)
+    total = num_classes + extra_slots
+    written = np.array(counts[:num_classes], dtype=np.int64)
+    grown = MemoryBank(num_classes, total, 2)
+    grown.write(gen.standard_normal((int(written.sum()), 2)),
+                np.repeat(np.arange(num_classes), written))
+    np.testing.assert_array_equal(grown.written, written)
+    loaded = MemoryBank(num_classes, total, 2)
+    loaded.load_state({"slots": grown.slots, "written": written})
+    np.testing.assert_array_equal(loaded.filled,
+                                  np.minimum(written, loaded.per_class_capacity))
+    rows = gen.standard_normal((len(later), 2))
+    cls = np.array([c % num_classes for c in later], dtype=np.int64)
+    for bank in (grown, loaded):
+        bank.write(rows, cls)
+    np.testing.assert_array_equal(loaded.slots, grown.slots)
+    np.testing.assert_array_equal(loaded.written, grown.written)
 
 
 def _nan_slot(st):
@@ -202,18 +228,14 @@ def _nan_slot(st):
 
 # each edit turns a valid 3-class state into one that no sequence of writes leaves
 BAD_STATES = [
-    pytest.param(lambda st: st.update(cursor=st["cursor"][:1]), id="one_cursor_for_all_classes"),
-    pytest.param(lambda st: st.update(filled=np.array([-1, 1, 0])), id="negative_filled"),
-    pytest.param(lambda st: st.update(cursor=np.array([2, 0, 0]), filled=np.array([1, 0, 0])),
-                 id="cursor_past_filled"),
-    pytest.param(lambda st: st.update(frozen=np.zeros(0, dtype=np.int64)), id="empty_frozen"),
     pytest.param(_nan_slot, id="nan_slot"),
-    pytest.param(lambda st: st.update(filled=np.array([5, 0, 0]), cursor=np.array([1, 0, 0])),
-                 id="filled_over_capacity"),
-    pytest.param(lambda st: st.update(filled=np.array([4, 0, 0]), cursor=np.array([4, 0, 0])),
-                 id="cursor_at_capacity"),
-    pytest.param(lambda st: st.update(filled=st["filled"].astype(np.float64)), id="float_filled"),
-    pytest.param(lambda st: st.update(frozen=np.array([2])), id="frozen_two"),
+    pytest.param(lambda st: st.update(slots=st["slots"][:-1]), id="slots_of_another_bank"),
+    pytest.param(lambda st: st.update(written=st["written"][:1]), id="one_written_for_all_classes"),
+    pytest.param(lambda st: st.update(written=np.array([-1, 2, 0])), id="negative_written"),
+    pytest.param(lambda st: st.update(written=st["written"].astype(np.float64)),
+                 id="float_written"),
+    pytest.param(lambda st: st.update(written=np.array([2 ** 64 - 1, 2, 0], dtype=np.uint64)),
+                 id="unsigned_written_past_int64"),
 ]
 
 
