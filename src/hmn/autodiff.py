@@ -4,9 +4,9 @@ Just enough ops to express the model: matmul (with an optional bias), row
 softmax, layernorm, gelu, unfold_matmul (neighborhood unfold and
 projection), cross entropy, the small glue ops (broadcasting add, concat,
 reshape, row mean, per-image weighted sum) and the two memory ops:
-memory_read, one Hopfield read (normalize, score, masked softmax, mix),
-and hopfield_update, one refinement step. Values are checked finite after
-every op.
+memory_read, one Hopfield read (normalize, score, masked exp, mix, then
+divide by the row sums), and hopfield_update, one refinement step. Values
+are checked finite after every op.
 
 Layout: activations carry a leading image axis, (B, N, D) for an image's N
 token rows. Every forward GEMM of a (G, m, k) left operand with a shared
@@ -43,10 +43,13 @@ every output bit is the same; only the operands of a single + or × may
 swap. Regrouping or multiplying by a reciprocal would change bits and is
 not done to save a buffer. memory_read's softmax has no max subtraction:
 its logits are cosines scaled by √D, so they are bounded and exp cannot
-overflow (see memory_read). softmax_rows, which pools over unbounded
-attention logits, keeps its max pass. A buffer is reused only when
-nothing reads it later: forward values handed to callers (the op outputs
-and memory_read's alpha) are never overwritten.
+overflow (see memory_read). It normalizes after the mix, (e·S)/s rather
+than (e/s)·S, a regrouping chosen to move the divide from R×K to R×D
+elements. softmax_rows, which pools over unbounded attention logits,
+keeps its max pass. A buffer is reused only when nothing reads it later:
+forward values handed to callers (the op outputs and memory_read's
+unnormalized weights e, which its ReadWeights divides on demand) are
+never overwritten.
 
 Hand-over rule: ``_accum`` stores a first gradient as the bits of
 zeros + g, so −0.0 arrives as +0.0. A backward that built g itself and
@@ -469,23 +472,52 @@ def normalize_rows(x):
     return x / np.maximum(norm, _EPS), norm
 
 
-def memory_read(z, slots, mask):
-    """Hopfield read of (R, D) or (G, R, D) queries from (K, D) constant slots -> (alpha, m).
+class ReadWeights:
+    """The retrieval weights α = e / s of one memory_read, formed on first read.
 
-    alpha is the row softmax of √D·ẑ·k̂ᵀ over the slots the mask keeps (the
-    others get exactly 0), ẑ and k̂ being unit rows; m = alpha·slots. Both
-    GEMMs run in 16-image tiles, as in matmul, with one image per leading
-    index. alpha carries no graph; m carries z's.
+    e holds the read's unnormalized weights (R×K) and s their row sums
+    (R×1). ``value`` divides them once and keeps the result; ``shape`` is
+    e's. No graph: α is a diagnostic, and gradients reach z through m.
+    """
+
+    __slots__ = ("_e", "_s", "_value")
+
+    def __init__(self, e, s):
+        self._e, self._s, self._value = e, s, None
+
+    @property
+    def shape(self):
+        return self._e.shape
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = self._e / self._s
+        return self._value
+
+
+def memory_read(z, slots, mask):
+    """Hopfield read of (R, D) or (G, R, D) queries from (K, D) constant slots -> (weights, m).
+
+    α is the row softmax of √D·ẑ·k̂ᵀ over the slots the mask keeps (the
+    others get exactly 0), ẑ and k̂ being unit rows; m = α·slots. The read
+    forms e = exp(√D·ẑ·k̂ᵀ) and its row sums s, mixes the unnormalized
+    weights and divides after the mix: m = (e·slots)/s, over R×D instead
+    of R×K. ``weights`` is a ReadWeights, whose ``value`` is α = e/s,
+    formed only when read; it carries no graph, m carries z's. Both GEMMs
+    run in 16-image tiles, as in matmul, with one image per leading index.
 
     √D is folded into the K×D unit slots once, so the logits GEMM already
-    carries it. The softmax is exp, row sum and divide in place, with no
-    max subtraction: a logit is at most √D, so the row sum is at most
-    K·e^√D, which float32 holds while √D + ln K < 88 (``RunConfig`` checks
-    that bound), and the smallest weight e^−√D stays above 0. Backward
-    takes the softmax's Σₖ αₖ·dαₖ as the R×D product dout·m (dα =
-    dout·slotsᵀ and m = α·slots) and reuses dα's buffer, so the R×K work
-    is 3 elementwise passes forward (4 while the bank is partly filled)
-    and 2 backward.
+    carries it. exp runs in place with no max subtraction: a logit is at
+    most √D, so s is at most K·e^√D and e·slots at most s times the
+    largest slot component. ``RunConfig`` keeps √D + ln K below 60, which
+    leaves float32 e^28 of headroom for slot and gradient magnitudes; an
+    overflow fails the finite check on s or m. The smallest weight e^−√D
+    stays above 0. Backward takes the softmax's Σₖ αₖ·dαₖ as the R×D
+    product dout·m (dα = dout·slotsᵀ), forms e ⊙ (dα − Σₖ αₖ·dαₖ) in dα's
+    buffer and divides by s after the GEMM back to R×D. So the R×K work
+    is 2 elementwise passes forward, exp and row sum (3 while the bank is
+    partly filled), and 2 backward.
     """
     z = as_tensor(z)
     zv = z.value
@@ -497,32 +529,34 @@ def memory_read(z, slots, mask):
     keys = normalize_rows(slots)[0]
     keys *= math.sqrt(d)
     keys_t = np.ascontiguousarray(keys.T)
-    alpha = _tiled_matmul(zhat, keys_t)
+    e = _tiled_matmul(zhat, keys_t)
     if not mask.all():
-        alpha[..., ~mask] = -np.inf  # exp gives exactly 0 there
-    np.exp(alpha, out=alpha)
-    total = alpha.sum(axis=-1, keepdims=True)
+        e[..., ~mask] = -np.inf  # exp gives exactly 0 there
+    np.exp(e, out=e)
+    total = e.sum(axis=-1, keepdims=True)
     # past the bound an inf sum would turn every weight into 0, not nan
     _finite("memory_read", total)
-    alpha /= total
-    m = _tiled_matmul(alpha, slots)
+    m = _tiled_matmul(e, slots)
+    m /= total
 
     def bwd(dout):
         # one GEMM per product over all rows
         d2, zhat2, znorm2 = dout.reshape(-1, d), zhat.reshape(-1, d), znorm.reshape(-1, 1)
-        # dlogits = α·(dα − Σₖ αₖ·dαₖ), finished in dα's buffer
+        # e·(dα − Σₖ αₖ·dαₖ), finished in dα's buffer; its GEMM with the
+        # keys is then divided by s, giving dẑ
         inner = (d2 * m.reshape(-1, d)).sum(axis=1, keepdims=True)
         dlogits = d2 @ slots.T
         dlogits -= inner
-        dlogits *= alpha.reshape(-1, k)
+        dlogits *= e.reshape(-1, k)
         dzhat = dlogits @ keys_t.T
+        dzhat /= total.reshape(-1, 1)
         # a row at or under ε is z/ε, linear: no projection off ẑ
         inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
         dzhat -= zhat2 * np.where(znorm2 > _EPS, inner, 0.0)
         dzhat /= np.maximum(znorm2, _EPS)
         _accum(z, dzhat.reshape(zv.shape), own=True)
 
-    return Tensor(alpha), _node(m, (z,), bwd, "memory_read")
+    return ReadWeights(e, total), _node(m, (z,), bwd, "memory_read")
 
 
 def hopfield_update(z, m, beta):

@@ -79,15 +79,17 @@ class HMNBlock:
         """Refined queries; with capture, also keep the retrieval weights.
 
         The captured weights are the last refinement step's alpha, one row
-        per query row ((B·N, K) local, (B, K) global). When refinement skips
-        the bank at T=0 or β=0, a plain diagnostic retrieval of a filled
-        bank stands in; an empty bank captures None.
+        per query row ((B·N, K) local, (B, K) global). alpha is formed from
+        the read's weights only here, under capture; without it the
+        weights are dropped unread. When refinement skips the bank at T=0
+        or β=0, a plain diagnostic retrieval of a filled bank stands in; an
+        empty bank captures None.
         """
-        z, alpha = refine_rows(q, bank, beta, t_steps)
+        z, weights = refine_rows(q, bank, beta, t_steps)
         if capture is not None:
-            if alpha is None and bank.any_filled:
-                alpha = retrieve_rows(q.detach(), bank)[0].value
-            capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
+            if weights is None and bank.any_filled:
+                weights = retrieve_rows(q.detach(), bank)[0]
+            capture[key] = None if weights is None else weights.value.reshape(-1, weights.shape[-1])
         return z
 
     def _local_branch(self, x, t_steps, mode, labels, rng, capture):

@@ -114,13 +114,15 @@ class RunConfig:
             raise ValueError(f"t_steps must be nonnegative, got {self.t_steps}")
         if self.k_local < self.num_classes or self.k_global < self.num_classes:
             raise ValueError("memory banks need at least one slot per class")
-        # memory_read's softmax has no max pass: its row sum reaches
-        # K·e^√D, and float32 exp overflows past 88.7
+        # memory_read's softmax has no max pass and divides after the mix:
+        # its row sum reaches K·e^√D, and the unnormalized products e·slots
+        # and e·dα that many times a slot or gradient component. float32
+        # overflows past e^88.7; below 60 they keep e^28 of headroom
         reach = math.sqrt(self.d_lat) + math.log(max(self.k_local, self.k_global))
-        if reach >= 88.0:
+        if reach >= 60.0:
             raise ValueError(f"d_lat {self.d_lat} is too wide for the memory read: "
                              f"sqrt(d_lat) + ln(max(k_local, k_global)) is {reach:.2f}, "
-                             "and must stay below 88")
+                             "and must stay below 60")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.imbalance_ratio < 1.0:

@@ -14,7 +14,9 @@ Also the versioned binary checkpoint format: saving writes the records
 model of the stored config. Parameters and slots are stored as
 little-endian float32, write counts as int64. Loading takes the records as
 they are, so a float32 model's save→load round trip is exact, and a
-checkpoint saved again after loading is byte-identical.
+checkpoint saved again after loading is byte-identical. The metadata also
+records the BLAS thread setting the run computed under, ``blas_threads``,
+because some GEMMs round differently at another thread count.
 """
 
 import json
@@ -199,9 +201,18 @@ def _rng_from_meta(meta):
     return rng
 
 
+def blas_threads():
+    """The BLAS thread setting in effect, as a string: OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, else the CPU count."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(var):
+            return os.environ[var]
+    return str(os.cpu_count())
+
+
 def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
     records = _records(model, optimizer)
-    meta = {"extra": extra or {}}
+    meta = {"extra": extra or {}, "blas_threads": blas_threads()}
     if rng is not None:
         meta["rng"] = _rng_state_to_meta(rng)
     cfg_blob = model.cfg.to_json().encode("utf-8")

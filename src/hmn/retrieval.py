@@ -4,12 +4,15 @@ Both functions take row queries, (R, D) or stacked one image per leading
 index as (B, R, D); rows never interact. Retrieval is one
 autodiff.memory_read: normalize the queries and the filled slots, score
 by scaled dot product (factor √D restores the logits to roughly unit
-variance; it is folded into the unit slots), softmax over filled slots
-only, then mix the raw (unnormalized) slots by those weights. The logits
-lie in [−√D, √D], so the softmax needs no max subtraction; RunConfig
-keeps √D + ln K below 88, where float32 exp would overflow. Refinement
-nudges each row toward its retrieved prototype for T steps, one
-autodiff.hopfield_update each: z ← z + β·(m(z) − z). Gradients flow
+variance; it is folded into the unit slots), exponentiate over filled
+slots only, mix the raw (unnormalized) slots by those weights and divide
+by their row sums, which is the softmax mixture normalized after the mix.
+The logits lie in [−√D, √D], so exp needs no max subtraction; RunConfig
+keeps √D + ln K below 60, which leaves float32 room for the unnormalized
+mix. The softmax weights themselves are formed only when a caller reads
+them (autodiff.ReadWeights), which training and evaluation never do.
+Refinement nudges each row toward its retrieved prototype for T steps,
+one autodiff.hopfield_update each: z ← z + β·(m(z) − z). Gradients flow
 through the queries and β; slots are constants.
 """
 
@@ -19,8 +22,9 @@ from . import autodiff as ad
 
 
 def retrieve_rows(z, bank):
-    """(R, D) or (B, R, D) queries -> (alpha, m): alpha (..., R, K) with no
-    graph, m shaped as the queries.
+    """(R, D) or (B, R, D) queries -> (weights, m): weights an
+    autodiff.ReadWeights whose ``value`` is alpha (..., R, K), with no graph;
+    m shaped as the queries.
 
     An empty bank raises ValueError: there is no slot to read.
     """
@@ -32,13 +36,13 @@ def retrieve_rows(z, bank):
 
 
 def refine_rows(z, bank, beta, T):
-    """T refinement steps over (R, D) or (B, R, D) queries; returns (z_final, alpha).
+    """T refinement steps over (R, D) or (B, R, D) queries; returns (z_final, weights).
 
-    alpha is the last step's retrieval weights as an array, None when the
-    bank is never read. T=0, an exactly-zero β or an empty bank returns z
-    unchanged without reading the bank: there the update would add
-    0·(m − z) or has nothing to read, so z passes through with no node
-    recorded (β gets no gradient).
+    weights is the last step's autodiff.ReadWeights, None when the bank is
+    never read; its ``value`` forms alpha on first read. T=0, an
+    exactly-zero β or an empty bank returns z unchanged without reading
+    the bank: there the update would add 0·(m − z) or has nothing to read,
+    so z passes through with no node recorded (β gets no gradient).
     """
     z = ad.as_tensor(z)
     beta = ad.as_tensor(beta)
@@ -47,9 +51,9 @@ def refine_rows(z, bank, beta, T):
     if T == 0 or float(beta.value.reshape(())) == 0.0 or not bank.any_filled:
         return z, None
     for _ in range(T):
-        alpha, m = retrieve_rows(z, bank)
+        weights, m = retrieve_rows(z, bank)
         z = ad.hopfield_update(z, m, beta)
-    return z, alpha.value
+    return z, weights
 
 
 def variance_probe(dim, n, seed=0):

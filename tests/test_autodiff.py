@@ -379,13 +379,15 @@ def reference_memory_read(zv, slots, mask, dout):
     logits = np.matmul(zhat, keys_t)
     logits[..., ~mask] = -np.inf
     e = np.exp(logits)
-    alpha = e / e.sum(axis=-1, keepdims=True)
-    m = np.matmul(alpha, slots)
+    s = e.sum(axis=-1, keepdims=True)
+    alpha = e / s
+    # normalized after the mix
+    m = np.matmul(e, slots) / s
     d2, zhat2, znorm2 = dout.reshape(-1, d), zhat.reshape(-1, d), znorm.reshape(-1, 1)
-    # Σₖ αₖ·dαₖ as dout·m
+    # Σₖ αₖ·dαₖ as dout·m; the unnormalized weights' product divided by s
     inner = (d2 * m.reshape(-1, d)).sum(axis=1, keepdims=True)
-    dlogits = alpha.reshape(-1, k) * (d2 @ slots.T - inner)
-    dzhat = dlogits @ keys_t.T
+    dlogits = e.reshape(-1, k) * (d2 @ slots.T - inner)
+    dzhat = (dlogits @ keys_t.T) / s.reshape(-1, 1)
     inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
     dz = (dzhat - zhat2 * np.where(znorm2 > 1e-12, inner, 0.0)) / np.maximum(znorm2, 1e-12)
     return alpha, m, dz.reshape(zv.shape)
@@ -714,11 +716,13 @@ def test_all_true_mask_is_the_unmasked_softmax(rng):
 
 
 def test_float32_read_at_the_widest_d_the_config_allows(rng):
-    """The softmax has no max pass: at the largest d_lat that RunConfig takes
-    for K slots, logits of ±√D still give finite weights that sum to 1."""
+    """The softmax has no max pass and divides after the mix: at the largest
+    d_lat that RunConfig takes for K slots, logits of ±√D and slot components
+    near 1e3 still give finite weights that sum to 1, a finite read-out and a
+    finite gradient."""
     k = 12
-    d = math.floor((88.0 - math.log(k)) ** 2)
-    while math.sqrt(d) + math.log(k) >= 88.0:
+    d = math.floor((60.0 - math.log(k)) ** 2)
+    while math.sqrt(d) + math.log(k) >= 60.0:
         d -= 1
     RunConfig(d_lat=d, k_local=k, k_global=k)
     with pytest.raises(ValueError, match="too wide"):
@@ -726,16 +730,19 @@ def test_float32_read_at_the_widest_d_the_config_allows(rng):
     # near-parallel slots: a query equal to one has logit ≈√D at every
     # slot, the sum's worst case; its negation has ≈−√D everywhere
     base = rng.standard_normal(d)
-    slots = (base + 1e-3 * rng.standard_normal((k, d))).astype(np.float32)
+    slots = (1e3 * (base + 1e-3 * rng.standard_normal((k, d)))).astype(np.float32)
     z = np.stack([slots[0], -slots[0], rng.standard_normal(d)]).astype(np.float32)
     mask = np.ones(k, dtype=bool)
     mask[[2, 7, 11]] = False
-    alpha, m = ad.memory_read(Tensor(z), slots, mask)
-    a = alpha.value
+    zt = Tensor(z, requires_grad=True)
+    weights, m = ad.memory_read(zt, slots, mask)
+    a = weights.value
     assert a.dtype == np.float32 and np.isfinite(a).all() and np.isfinite(m.value).all()
     assert (a[:, ~mask] == 0.0).all() and (a[:, mask] > 0.0).all()
     np.testing.assert_allclose(a.sum(axis=1), 1.0, rtol=1e-6)
-    # well past the bound the row sum overflows, and the read says so
+    m._backward(rng.standard_normal(z.shape).astype(np.float32))
+    assert zt.grad.dtype == np.float32 and np.isfinite(zt.grad).all()
+    # past the old bound of 88 the row sum overflows, and the read says so
     wide = math.floor((88.9 - math.log(k)) ** 2)
     slots = (rng.standard_normal(wide) + 1e-3 * rng.standard_normal((k, wide))).astype(np.float32)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="memory_read"):

@@ -355,6 +355,29 @@ def test_captured_arrays_do_not_depend_on_the_scope(tmp_path, rng, t_steps):
         np.testing.assert_array_equal(runs[0][key], runs[1][key])
 
 
+def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):
+    """Training and uncaptured eval forwards never divide a read's weights into
+    alpha; a captured forward does so once per branch, at the last block."""
+    cfg, model = tiny_model(tmp_path, t_steps=2, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    reads = []
+    value = ad.ReadWeights.value
+    monkeypatch.setattr(ad.ReadWeights, "value",
+                        property(lambda w: reads.append(w.shape) or value.fget(w)))
+    imgs = std_images(cfg, 3, rng)
+    model.forward(imgs)
+    with ad.no_grad():
+        model.forward(imgs)
+    _, test = load_dataset(cfg)
+    evaluate(model, test, batch_size=7)
+    model.forward(imgs, mode="train", labels=np.array([0, 1, 0]), rng=np.random.default_rng(1))
+    assert reads == []
+    capture = {}
+    model.forward(imgs, capture=capture)
+    assert reads == [(3, cfg.n_tokens, cfg.k_local), (3, 1, cfg.k_global)]
+    assert capture["local_alpha"].shape == (3 * cfg.n_tokens, cfg.k_local)
+
+
 def test_checkpoint_with_optimizer_state_loads(tmp_path, rng):
     cfg, model = tiny_model(tmp_path / "m")
     opt = Adam(model.parameters(), lr=1e-3, weight_decay=0.0)

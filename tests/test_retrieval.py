@@ -59,7 +59,7 @@ def test_refine_one_step_oracle():
     out, alpha = refine_rows(z0, two_slot_bank(), Tensor(np.array([0.2])), 1)
     np.testing.assert_allclose(out.value[0], REFINED_2SLOT, rtol=1e-12)
     # the one step read the bank at the starting state
-    np.testing.assert_allclose(alpha[0], ALPHA_2SLOT, rtol=1e-12)
+    np.testing.assert_allclose(alpha.value[0], ALPHA_2SLOT, rtol=1e-12)
     np.testing.assert_array_equal(z0.value[0], [2.0, 0.0])
 
 
@@ -176,7 +176,7 @@ def test_refine_returns_the_last_alpha(rng):
         before, _ = refine_rows(z, bank, beta, t - 1)
         want, _ = retrieve_rows(before, bank)
         _, alpha = refine_rows(z, bank, beta, t)
-        np.testing.assert_array_equal(alpha, want.value)
+        np.testing.assert_array_equal(alpha.value, want.value)
     _, empty = refine_rows(z, MemoryBank(2, 4, 2), beta, 3)
     assert empty is None
 
@@ -191,7 +191,7 @@ def test_one_step_calls_compose_to_a_multi_step_call(rng):
     for _ in range(4):
         z, alpha = refine_rows(z, bank, beta, 1)
     np.testing.assert_array_equal(z.value, whole.value)
-    np.testing.assert_array_equal(alpha, whole_alpha)
+    np.testing.assert_array_equal(alpha.value, whole_alpha.value)
 
 
 def test_rows_refine_independently(rng):

@@ -1,14 +1,19 @@
 """Training loop: outputs, determinism, lr bookkeeping, divergence."""
 
+import dataclasses
 import json
 import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmn
 import hmn.train as train_mod
-from hmn.model import load_checkpoint
+from hmn.model import blas_threads, load_checkpoint
 from hmn.optim import lr_at
 from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train
 
@@ -81,6 +86,44 @@ def test_seed_repeat_is_byte_identical(tmp_path):
         a = Path(cfg_a.out_dir, name).read_bytes()
         b = Path(cfg_b.out_dir, name).read_bytes()
         assert a == b, name
+
+
+def checkpoint_meta(path):
+    """A checkpoint's JSON metadata: after the magic, version and config blob."""
+    blob = Path(path).read_bytes()
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    (m,) = struct.unpack_from("<Q", blob, 16 + n)
+    return json.loads(blob[24 + n:24 + n + m])
+
+
+@pytest.mark.parametrize("threads", sorted({1, min(2, os.cpu_count())}))
+def test_rerun_at_a_fixed_blas_thread_count_is_byte_identical(tmp_path, threads):
+    """Two training processes at the same OPENBLAS_NUM_THREADS write the same
+    metrics.csv and final.ckpt, and the checkpoint records that setting."""
+    src = str(Path(hmn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    outs = []
+    for run in ("a", "b"):
+        cfg = make_tiny_cfg(tmp_path / run)
+        cfg_path = tmp_path / f"{run}.json"
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        subprocess.run([sys.executable, "-m", "hmn.cli", "train", "--config", str(cfg_path)],
+                       env=env, check=True, capture_output=True)
+        outs.append(Path(cfg.out_dir))
+    for name in ("metrics.csv", "final.ckpt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    assert checkpoint_meta(outs[0] / "final.ckpt")["blas_threads"] == str(threads)
+
+
+def test_blas_threads_reads_openblas_then_omp_then_the_cpu_count(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "5")
+    assert blas_threads() == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert blas_threads() == "5"
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    assert blas_threads() == str(os.cpu_count())
 
 
 def test_rows_of_finished_epochs_survive_a_crash(tmp_path, monkeypatch):
