@@ -473,17 +473,17 @@ def normalize_rows(x):
 
 
 class ReadWeights:
-    """The retrieval weights α = e / s of one memory_read, formed on first read.
+    """The retrieval weights α = e / s of one memory_read, formed when read.
 
     e holds the read's unnormalized weights (R×K) and s their row sums
-    (R×1). ``value`` divides them once and keeps the result; ``shape`` is
-    e's. No graph: α is a diagnostic, and gradients reach z through m.
+    (R×1). Each read of ``value`` divides them; ``shape`` is e's. No graph:
+    α is a diagnostic, and gradients reach z through m.
     """
 
-    __slots__ = ("_e", "_s", "_value")
+    __slots__ = ("_e", "_s")
 
     def __init__(self, e, s):
-        self._e, self._s, self._value = e, s, None
+        self._e, self._s = e, s
 
     @property
     def shape(self):
@@ -491,9 +491,7 @@ class ReadWeights:
 
     @property
     def value(self):
-        if self._value is None:
-            self._value = self._e / self._s
-        return self._value
+        return self._e / self._s
 
 
 def memory_read(z, slots, mask):

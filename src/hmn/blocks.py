@@ -89,7 +89,8 @@ class HMNBlock:
         if capture is not None:
             if weights is None and bank.any_filled:
                 weights = retrieve_rows(q.detach(), bank)[0]
-            capture[key] = None if weights is None else weights.value.reshape(-1, weights.shape[-1])
+            alpha = None if weights is None else weights.value
+            capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
         return z
 
     def _local_branch(self, x, t_steps, mode, labels, rng, capture):

@@ -14,9 +14,10 @@ Also the versioned binary checkpoint format: saving writes the records
 model of the stored config. Parameters and slots are stored as
 little-endian float32, write counts as int64. Loading takes the records as
 they are, so a float32 model's save→load round trip is exact, and a
-checkpoint saved again after loading is byte-identical. The metadata also
-records the BLAS thread setting the run computed under, ``blas_threads``,
-because some GEMMs round differently at another thread count.
+checkpoint saved again after loading is byte-identical under the same
+BLAS thread setting. The metadata records the saving process's setting,
+``blas_threads``, because some GEMMs round differently at another thread
+count; a resave under another setting records that one instead.
 """
 
 import json
@@ -202,11 +203,14 @@ def _rng_from_meta(meta):
 
 
 def blas_threads():
-    """The BLAS thread setting in effect, as a string: OPENBLAS_NUM_THREADS,
-    else OMP_NUM_THREADS, else the CPU count."""
+    """This process's BLAS thread setting, as a string: OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, else the number of CPUs the process may run on,
+    which is what OpenBLAS starts when neither is set."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         if os.environ.get(var):
             return os.environ[var]
+    if hasattr(os, "sched_getaffinity"):
+        return str(len(os.sched_getaffinity(0)))
     return str(os.cpu_count())
 
 

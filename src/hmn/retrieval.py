@@ -39,7 +39,7 @@ def refine_rows(z, bank, beta, T):
     """T refinement steps over (R, D) or (B, R, D) queries; returns (z_final, weights).
 
     weights is the last step's autodiff.ReadWeights, None when the bank is
-    never read; its ``value`` forms alpha on first read. T=0, an
+    never read; reading its ``value`` forms alpha. T=0, an
     exactly-zero β or an empty bank returns z unchanged without reading
     the bank: there the update would add 0·(m − z) or has nothing to read,
     so z passes through with no node recorded (β gets no gradient).
@@ -50,10 +50,12 @@ def refine_rows(z, bank, beta, T):
         raise ValueError(f"negative step count {T}")
     if T == 0 or float(beta.value.reshape(())) == 0.0 or not bank.any_filled:
         return z, None
-    for _ in range(T):
-        weights, m = retrieve_rows(z, bank)
-        z = ad.hopfield_update(z, m, beta)
-    return z, weights
+    for _ in range(T - 1):
+        # an earlier step's weights are dropped at once: without a graph,
+        # the next read does not also hold this step's R×K array
+        z = ad.hopfield_update(z, retrieve_rows(z, bank)[1], beta)
+    weights, m = retrieve_rows(z, bank)
+    return ad.hopfield_update(z, m, beta), weights
 
 
 def variance_probe(dim, n, seed=0):

@@ -96,7 +96,7 @@ def checkpoint_meta(path):
     return json.loads(blob[24 + n:24 + n + m])
 
 
-@pytest.mark.parametrize("threads", sorted({1, min(2, os.cpu_count())}))
+@pytest.mark.parametrize("threads", sorted({1, min(2, len(os.sched_getaffinity(0)))}))
 def test_rerun_at_a_fixed_blas_thread_count_is_byte_identical(tmp_path, threads):
     """Two training processes at the same OPENBLAS_NUM_THREADS write the same
     metrics.csv and final.ckpt, and the checkpoint records that setting."""
@@ -116,14 +116,17 @@ def test_rerun_at_a_fixed_blas_thread_count_is_byte_identical(tmp_path, threads)
     assert checkpoint_meta(outs[0] / "final.ckpt")["blas_threads"] == str(threads)
 
 
-def test_blas_threads_reads_openblas_then_omp_then_the_cpu_count(monkeypatch):
+def test_blas_threads_reads_openblas_then_omp_then_the_usable_cpus(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.setenv("OMP_NUM_THREADS", "5")
     assert blas_threads() == "3"
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     assert blas_threads() == "5"
     monkeypatch.delenv("OMP_NUM_THREADS")
-    assert blas_threads() == str(os.cpu_count())
+    # the CPUs this process may run on, not every CPU of the host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 6})
+    monkeypatch.setattr(os, "cpu_count", lambda: 96)
+    assert blas_threads() == "3"
 
 
 def test_rows_of_finished_epochs_survive_a_crash(tmp_path, monkeypatch):
