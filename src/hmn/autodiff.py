@@ -51,18 +51,17 @@ forward values handed to callers (the op outputs and memory_read's
 unnormalized weights e, which its ReadWeights divides on demand) are
 never overwritten.
 
-Hand-over rule: ``_accum`` stores a first gradient as the bits of
-zeros + g, so −0.0 arrives as +0.0. A backward that built g itself and
-reads it no more hands it over (``own=True``) and g is stored, turned to
-+0.0 in place: matmul's dA, dB and dbias, gelu, layernorm_rows' dx,
-memory_read, unfold_matmul, softmax_rows, cross_entropy and
-hopfield_update's β·dout and −β·dout. A node's dout is its own gradient,
-private to it, so add hands dout itself (or its sum) to the first operand
-once the second has taken a copy or a sum. Gradients that pass dout on,
-whole or as a view (reshape, concat_last_axis, mean_rows and
-hopfield_update's to z), are copied, because one dout may reach two
-parents, or be a read-only broadcast, and a stored gradient is later added
-into in place.
+Hand-over rule: ``_accum`` stores a first gradient as it was built. A
+backward that built g itself and reads it no more hands it over
+(``own=True``) and g itself is stored: matmul's dA, dB and dbias, gelu,
+layernorm_rows' dx, memory_read, unfold_matmul, softmax_rows,
+cross_entropy and hopfield_update's β·dout and −β·dout. A node's dout is
+its own gradient, private to it, so add hands dout itself (or its sum) to
+the first operand once the second has taken a copy or a sum. Gradients
+that pass dout on, whole or as a view (reshape, concat_last_axis,
+mean_rows and hopfield_update's to z), are stored as a copy, because one
+dout may reach two parents, or be a read-only broadcast, and a stored
+gradient is later added into in place.
 
 Retention rule: a node keeps what its backward cannot cheaply rebuild from
 what the graph holds anyway. matmul adds its bias in place into the GEMM's
@@ -145,14 +144,14 @@ def _node(value, parents, bwd, name):
 
 
 def _accum(t, g, own=False):
-    """Add g into t.grad. The first write stores the bits of zeros + g
-    (−0.0 becomes +0.0): a fresh copy, since g may be a dout or a view of
-    one that other parents also receive; with own=True, g itself, which
-    the calling backward built and reads no more."""
+    """Add g into t.grad. The first write stores a copy of g, since g may
+    be a dout or a view of one that other parents also receive; with
+    own=True, g itself, which the calling backward built and reads no
+    more."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.add(g, 0.0, out=g) if own else np.add(g, 0.0)
+        t.grad = g if own else g.copy()
     else:
         t.grad += g
 
@@ -570,7 +569,6 @@ def hopfield_update(z, m, beta):
 
     def bwd(dout):
         g = bv * dout
-        # −g is formed before g is handed over, which turns its −0.0 to +0.0
         neg = -g
         # z gets dout, then −β·dout after m's β·dout: m may be z itself
         _accum(z, dout)

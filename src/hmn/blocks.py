@@ -33,14 +33,6 @@ def _vec(value, n, dtype):
     return ad.Tensor(np.full(n, float(value), dtype=dtype), requires_grad=True)
 
 
-def check_train_inputs(labels, rng):
-    """Raise ValueError unless a train-mode forward has what its bank writes need."""
-    if labels is None:
-        raise ValueError("train mode needs one label per image for bank writes")
-    if rng is None:
-        raise ValueError("train mode needs an rng for write-token sampling")
-
-
 class HMNBlock:
     def __init__(self, cfg, rng, dtype=np.float64):
         self.cfg = cfg
@@ -116,9 +108,11 @@ class HMNBlock:
         return out, (qg.value[:, 0], labels) if mode == "train" else None
 
     def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
-        """(B, N, D_emb) in, same shape out; writes banks in train mode."""
-        if mode == "train":
-            check_train_inputs(labels, rng)
+        """(B, N, D_emb) in, same shape out; writes banks in train mode only."""
+        if mode == "train" and labels is None:
+            raise ValueError("train mode needs one label per image for bank writes")
+        if mode == "train" and rng is None:
+            raise ValueError("train mode needs an rng for write-token sampling")
         x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
         local, lwrites = self._local_branch(x, t_steps, mode, labels, rng, capture)
         glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)

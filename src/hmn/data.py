@@ -6,6 +6,7 @@ dataset constants happens at batch-preparation time.
 """
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -93,39 +94,33 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
+def _read_idx(path, magic, ndim):
+    """The uint8 payload of a big-endian IDX file, shaped by its ndim sizes."""
+    with _open_maybe_gzip(path) as fh:
+        blob = fh.read()
+    name, header = os.path.basename(path), 4 + 4 * ndim
+    if len(blob) < header:
+        raise DataFormatError(f"{name}: header truncated")
+    got, *dims = struct.unpack(">" + "I" * (1 + ndim), blob[:header])
+    if got != magic:
+        raise DataFormatError(f"{name}: bad magic 0x{got:08x}, want 0x{magic:08x}")
+    if len(blob) - header != math.prod(dims):
+        raise DataFormatError(
+            f"{name}: payload {len(blob) - header} bytes, want {math.prod(dims)}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=header).reshape(dims)
+
+
 def load_idx(images_path, labels_path):
     """Big-endian IDX pair -> (images (n,1,H,W) in [0,1], labels)."""
     for p in (images_path, labels_path):
         if not os.path.exists(p):
             raise DataFormatError(f"missing file {p}")
-    with _open_maybe_gzip(images_path) as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise DataFormatError(f"{os.path.basename(images_path)}: header truncated")
-    magic, n, rows, cols = struct.unpack(">IIII", blob[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError(
-            f"{os.path.basename(images_path)}: bad magic 0x{magic:08x}, want 0x{IDX_IMAGES_MAGIC:08x}")
-    if len(blob) - 16 != n * rows * cols:
-        raise DataFormatError(
-            f"{os.path.basename(images_path)}: payload {len(blob) - 16} bytes, want {n * rows * cols}")
-    images = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
-    images = images.astype(np.float64) / 255.0
-    with _open_maybe_gzip(labels_path) as fh:
-        lblob = fh.read()
-    if len(lblob) < 8:
-        raise DataFormatError(f"{os.path.basename(labels_path)}: header truncated")
-    lmagic, ln = struct.unpack(">II", lblob[:8])
-    if lmagic != IDX_LABELS_MAGIC:
-        raise DataFormatError(
-            f"{os.path.basename(labels_path)}: bad magic 0x{lmagic:08x}, want 0x{IDX_LABELS_MAGIC:08x}")
-    if len(lblob) - 8 != ln:
-        raise DataFormatError(
-            f"{os.path.basename(labels_path)}: payload {len(lblob) - 8} bytes, want {ln}")
-    if ln != n:
-        raise DataFormatError(f"images hold {n} records but labels hold {ln}")
-    labels = np.frombuffer(lblob, dtype=np.uint8, offset=8).astype(np.int64)
-    return images, labels
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    images = images[:, None].astype(np.float64) / 255.0
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    if len(labels) != len(images):
+        raise DataFormatError(f"images hold {len(images)} records but labels hold {len(labels)}")
+    return images, labels.astype(np.int64)
 
 
 def _find_idx(data_dir, stem):

@@ -34,8 +34,9 @@ def model_gradcheck(t_steps=1, seed=0):
     """Worst relative error between backward() and finite differences.
 
     Checks every learnable parameter of the tiny model on a batch of 4
-    with memory retrieval active (banks pre-filled, frozen during the
-    check), at step 1e-5 and relative-error floor 1e-6.
+    with memory retrieval active, at step 1e-5 and relative-error floor
+    1e-6. The banks are filled by train forwards first; the check's own
+    forwards are eval mode, which never writes them.
     """
     batch = 4
     cfg = tiny_config(t_steps=int(t_steps))
@@ -47,7 +48,6 @@ def model_gradcheck(t_steps=1, seed=0):
         x = data_mod.standardize(ds.images[start:start + batch],
                                  cfg.norm_mean, cfg.norm_std)
         model.forward(x, mode="train", labels=ds.labels[start:start + batch], rng=rng)
-    model.set_frozen(True)
     params = model.parameters()
     for t in params.values():
         t.value = rng.normal(0.0, 0.3, size=t.value.shape)

@@ -8,17 +8,14 @@ are always present, and any nonnegative count is a state some writes
 leave. Slots never carry gradients; callers hand in plain arrays. A write
 copies the slot array before changing it, so an array handed out by
 ``filled_view`` keeps the slots it was read with: backward of a read taken
-before a write still sees the read's slots.
+before a write still sees the read's slots. A bank has no mode: the model
+writes it in train-mode forwards only.
 """
 
 import numpy as np
 
 # the records of a bank's checkpoint state, in the order they are saved
 BANK_STATE_FIELDS = ("slots", "written")
-
-
-class FrozenBankError(RuntimeError):
-    pass
 
 
 class MemoryBank:
@@ -40,7 +37,6 @@ class MemoryBank:
         self.slot_class = np.repeat(
             np.arange(self.num_classes, dtype=np.int64), self.per_class_capacity)
         self.written = np.zeros(self.num_classes, dtype=np.int64)
-        self.frozen = False
 
     def write(self, rows, class_ids):
         """Copy (n, D) detached rows into their classes' ring slots, in row order.
@@ -48,8 +44,6 @@ class MemoryBank:
         The result is exactly that of n one-row writes: of more than
         capacity[c] rows of one class only the newest capacity[c] are kept.
         """
-        if self.frozen:
-            raise FrozenBankError("write to a frozen bank")
         rows = np.asarray(rows, dtype=self.slots.dtype)
         cls = np.asarray(class_ids, dtype=np.int64).reshape(-1)
         if rows.shape != (len(cls), self.dim):
@@ -65,12 +59,6 @@ class MemoryBank:
             slots[self.class_start[c] + (self.written[c] + kept) % cap] = own[kept]
             self.written[c] += n
         self.slots = slots
-
-    def freeze(self):
-        self.frozen = True
-
-    def thaw(self):
-        self.frozen = False
 
     @property
     def filled(self):

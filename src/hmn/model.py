@@ -28,7 +28,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import HMNBlock, check_train_inputs
+from .blocks import HMNBlock
 from .config import config_from_dict
 from .memory import BANK_STATE_FIELDS
 from .optim import Adam
@@ -78,8 +78,11 @@ class Model:
         return out
 
     def set_frozen(self, flag):
-        for bank in self.banks().values():
-            bank.freeze() if flag else bank.thaw()
+        """No-op, kept because perfbench's worker calls it.
+
+        Banks have no mode to set: eval forwards never write them and
+        train forwards do.
+        """
 
     def param_counts(self):
         learnable = sum(t.value.size for t in self.parameters().values())
@@ -101,9 +104,11 @@ class Model:
                 t_override=None, capture=None):
         """(B, C) logits for a standardized (B, C, H, W) image batch.
 
-        eval mode freezes the banks and is pure; train mode thaws them and
-        writes per-block queries under the given labels. capture, when a
-        dict, receives the last block's retrieval weights, local_alpha
+        eval mode only reads the banks and changes no model state. train
+        mode writes each block's queries to its banks under the given
+        labels, drawing write tokens from rng; a train forward missing
+        either raises before any bank changes. capture, when a dict,
+        receives the last block's retrieval weights, local_alpha
         (B·N, K_local) and global_alpha (B, K_global), and pool_weights (B, N).
         """
         if mode not in ("train", "eval"):
@@ -111,12 +116,8 @@ class Model:
         images = np.asarray(images, dtype=self.dtype)
         if images.ndim != 4:
             raise ValueError(f"expected a (B, C, H, W) batch, got shape {images.shape}")
-        # every check runs before the banks change state
         patches = self._patchify(images)
-        if mode == "train":
-            check_train_inputs(labels, rng)
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
-        self.set_frozen(mode == "eval")
         b = images.shape[0]
         # tokens are (B, N, D): every matmul below runs in 16-image tiles of
         # fixed height, so an image's rows never see the rest of the batch
@@ -244,10 +245,12 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
 
 
 def load_checkpoint(path):
-    """-> (float32 model with frozen banks, meta dict, rng or None). Rejects bad
-    magic, version skew, truncation, trailing bytes, a record unlike the one
-    ``_records`` lists at its place, non-finite parameters and bad bank states.
-    Optimizer records are checked, not restored."""
+    """-> (float32 model, meta dict, rng or None). The model's banks hold
+    the saved slots: eval forwards read them, train forwards go on writing
+    them. Rejects bad magic, version skew, truncation, trailing bytes, a
+    record unlike the one ``_records`` lists at its place, non-finite
+    parameters and bad bank states. Optimizer records are checked, not
+    restored."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -286,6 +289,5 @@ def load_checkpoint(path):
         t.value = np.array(values[name], dtype=t.value.dtype)
     for bname, bank in model.banks().items():
         bank.load_state({field: values[f"bank.{bname}.{field}"] for field in BANK_STATE_FIELDS})
-    model.set_frozen(True)
     rng = _rng_from_meta(meta["rng"]) if "rng" in meta else None
     return model, meta.get("extra", {}), rng

@@ -61,7 +61,7 @@ def eval_batches(model, dataset, batch_size=None, capture=False):
 
 
 def evaluate(model, dataset, batch_size=None):
-    """Top-1 accuracy in eval mode (banks frozen, no state touched, no graph)."""
+    """Top-1 accuracy in eval mode: banks read, never written; no graph."""
     correct = sum(int((logits.argmax(axis=1) == labels).sum())
                   for labels, logits, _ in eval_batches(model, dataset, batch_size))
     return correct / len(dataset)

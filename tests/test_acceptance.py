@@ -101,7 +101,6 @@ def test_refinement_contraction(capfd):
     for beta in (0.2, 0.5, 1.0, 1.5):
         bank = MemoryBank(1, 1, 6)
         bank.write(slot.reshape(1, -1), [0])
-        bank.freeze()
         energies = refinement_energies(z0, bank, beta, 6)
         e0 = 0.5 * ((slot - z0) ** 2).sum()
         assert len(energies) == 6
@@ -111,7 +110,6 @@ def test_refinement_contraction(capfd):
     # with live re-retrieval the energies must at least stay finite
     multi = MemoryBank(3, 9, 6)
     multi.write(gen.standard_normal((9, 6)), np.arange(9) % 3)
-    multi.freeze()
     menergies = refinement_energies(z0, multi, 0.2, 5)
     finite = all(np.isfinite(e) for e in menergies) and len(menergies) == 5
     ok = worst <= 1e-12 and finite

@@ -155,12 +155,9 @@ def test_hit_rate_all_tokens_mode(tiny_run):
     assert 0.0 <= r["top1_pct"] <= 100.0
 
 
-def test_hit_rate_requires_frozen_filled_banks(tmp_path, tiny_run):
+def test_hit_rate_requires_a_filled_bank_and_a_known_branch(tmp_path, tiny_run):
     cfg, _, test = tiny_run
     fresh = Model(make_tiny_cfg(tmp_path))
-    with pytest.raises(ValueError, match="frozen"):
-        hit_rate(fresh, test)
-    fresh.set_frozen(True)
     with pytest.raises(ValueError, match="empty"):
         hit_rate(fresh, test)
     with pytest.raises(ValueError, match="branch"):
@@ -192,7 +189,6 @@ def float64_replica(model):
         t.value = src.value.astype(np.float64)
     for bank, src in zip(out.banks().values(), model.banks().values()):
         bank.load_state(src.state_dict())
-    out.set_frozen(True)
     return out
 
 

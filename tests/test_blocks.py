@@ -305,8 +305,6 @@ def test_parameter_registry_order_and_count():
 def test_block_gradients_match_finite_differences(rng):
     cfg, block = make_block(seed=2)
     fill_banks(block, np.random.default_rng(9))
-    block.bank_local.freeze()
-    block.bank_global.freeze()
     x = ad.Tensor(rng.standard_normal((2, cfg.n_tokens, cfg.d_emb)))
     proj = ad.Tensor(rng.standard_normal((cfg.d_emb, 1)))
     params = list(block.parameters("b").values()) + [x]

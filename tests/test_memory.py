@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmn.memory import FrozenBankError, MemoryBank
+from hmn.memory import MemoryBank
 
 
 def test_capacity_split_even():
@@ -67,21 +67,6 @@ def test_write_is_detached_copy():
     v[0, 0] = 99.0
     slots, _, mask = bank.filled_view()
     np.testing.assert_array_equal(slots[0], [1.0, 2.0])
-
-
-def test_frozen_bank_rejects_writes():
-    bank = MemoryBank(2, 4, 2)
-    one(bank, np.ones(2), 0)
-    bank.freeze()
-    with pytest.raises(FrozenBankError):
-        one(bank, np.ones(2), 1)
-    with pytest.raises(FrozenBankError):
-        bank.write(np.zeros((0, 2)), [])
-    # freeze twice then thaw: no error, and writes work again
-    bank.freeze()
-    bank.thaw()
-    bank.thaw()
-    one(bank, np.ones(2), 1)
 
 
 def test_validation():
@@ -181,15 +166,12 @@ def test_batched_writes_match_one_row_writes(num_classes, extra_slots, classes, 
 def test_state_round_trip(rng):
     bank = MemoryBank(3, 10, 4)
     bank.write(rng.standard_normal((17, 4)), rng.integers(0, 3, size=17))
-    bank.freeze()
     assert set(bank.state_dict()) == {"slots", "written"}
     clone = MemoryBank(3, 10, 4)
     clone.load_state(bank.state_dict())
     np.testing.assert_array_equal(clone.slots, bank.slots)
     np.testing.assert_array_equal(clone.written, bank.written)
     np.testing.assert_array_equal(clone.filled, bank.filled)
-    # the state carries no frozen flag: the clone keeps its own
-    assert not clone.frozen
     with pytest.raises(ValueError):
         MemoryBank(3, 11, 4).load_state(bank.state_dict())
 

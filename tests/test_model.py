@@ -13,7 +13,7 @@ import hmn.model as model_mod
 from hmn.analysis import hit_rate
 from hmn.config import RunConfig
 from hmn.data import load_dataset, standardize
-from hmn.memory import FrozenBankError, MemoryBank
+from hmn.memory import MemoryBank
 from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
 from hmn.train import eval_batches, evaluate
@@ -91,20 +91,53 @@ def test_input_shape_validation(tmp_path, rng):
         model.forward(rng.standard_normal((1, 8, 8)))  # one image, no batch axis
 
 
-@pytest.mark.parametrize("frozen", [True, False])
-def test_rejected_forward_leaves_the_banks_frozen_state(tmp_path, rng, frozen):
+def model_state(model):
+    """Each bank's slot array with copies of its bytes and write counts, and
+    a copy of each parameter value."""
+    banks = {n: (b.slots, b.slots.copy(), b.written.copy()) for n, b in model.banks().items()}
+    return banks, {n: t.value.copy() for n, t in model.parameters().items()}
+
+
+def assert_state_unchanged(model, state):
+    banks, params = state
+    for n, bank in model.banks().items():
+        slots, raw, written = banks[n]
+        assert bank.slots is slots, n
+        assert bank.slots.tobytes() == raw.tobytes(), n
+        np.testing.assert_array_equal(bank.written, written)
+    for n, t in model.parameters().items():
+        assert t.value.tobytes() == params[n].tobytes(), n
+
+
+@pytest.mark.parametrize("t_steps", [0, 2])
+@pytest.mark.parametrize("capture", [False, True], ids=["plain", "capture"])
+@pytest.mark.parametrize("scope", [contextlib.nullcontext, ad.no_grad], ids=["graph", "no_grad"])
+def test_eval_forward_changes_no_model_state(tmp_path, rng, scope, capture, t_steps):
+    cfg, model = tiny_model(tmp_path, t_steps=t_steps)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    state = model_state(model)
+    cap = {} if capture else None
+    with scope():
+        model.forward(std_images(cfg, 3, rng), capture=cap)
+    assert_state_unchanged(model, state)
+    if capture:
+        assert cap["local_alpha"] is not None and cap["global_alpha"] is not None
+
+
+@pytest.mark.parametrize("case", ["bad shape", "bad shape eval", "no labels", "no rng"])
+def test_rejected_forward_changes_no_model_state(tmp_path, rng, case):
     cfg, model = tiny_model(tmp_path)
-    model.set_frozen(frozen)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    state = model_state(model)
     good, bad = std_images(cfg, 2, rng), rng.standard_normal((2, 1, 8, 12))
     labels = np.array([0, 1])
-    calls = [dict(images=bad, mode="train", labels=labels, rng=rng),
-             dict(images=bad, mode="eval"),
-             dict(images=good, mode="train", rng=rng),
-             dict(images=good, mode="train", labels=labels)]
-    for kwargs in calls:
-        with pytest.raises(ValueError):
-            model.forward(**kwargs)
-        assert all(b.frozen == frozen for b in model.banks().values()), kwargs["mode"]
+    kwargs = {"bad shape": dict(images=bad, mode="train", labels=labels, rng=rng),
+              "bad shape eval": dict(images=bad, mode="eval"),
+              "no labels": dict(images=good, mode="train", rng=rng),
+              "no rng": dict(images=good, mode="train", labels=labels)}[case]
+    with pytest.raises(ValueError):
+        model.forward(**kwargs)
+    assert_state_unchanged(model, state)
 
 
 # ------------------------------------------------------------------- pooling
@@ -151,17 +184,11 @@ def test_eval_is_deterministic_and_pure(tmp_path, rng):
     cfg, model = tiny_model(tmp_path)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     imgs = std_images(cfg, 3, rng)
-    before = {n: t.value.copy() for n, t in model.parameters().items()}
-    banks_before = {n: (b.slots.copy(), b.written.copy()) for n, b in model.banks().items()}
+    state = model_state(model)
     a = model.forward(imgs).value
     b = model.forward(imgs).value
     np.testing.assert_array_equal(a, b)
-    for n, t in model.parameters().items():
-        np.testing.assert_array_equal(t.value, before[n])
-    for n, bank in model.banks().items():
-        s, w = banks_before[n]
-        np.testing.assert_array_equal(bank.slots, s)
-        np.testing.assert_array_equal(bank.written, w)
+    assert_state_unchanged(model, state)
 
 
 def test_eval_batch_independence(tmp_path, rng):
@@ -244,7 +271,6 @@ def test_param_counts_formula(tmp_path):
 def checkpointed(tmp_path, rng):
     cfg, model = tiny_model(tmp_path / "m")
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
-    model.set_frozen(True)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, rng=np.random.default_rng(42),
                     extra={"epoch": 3, "best_acc": 0.75})
@@ -276,7 +302,7 @@ def test_checkpoint_restores_every_bank_in_its_block(tmp_path, rng):
         got = banks[name]
         np.testing.assert_array_equal(got.slots, bank.slots.astype(np.float32))
         np.testing.assert_array_equal(got.written, bank.written)
-        assert got.frozen and got.any_filled
+        assert got.any_filled
 
 
 def test_float32_checkpoint_round_trip_is_exact(tmp_path, rng):
@@ -297,16 +323,16 @@ def test_float32_checkpoint_round_trip_is_exact(tmp_path, rng):
     np.testing.assert_array_equal(model.forward(imgs).value, clone.forward(imgs).value)
 
 
-def test_loaded_banks_are_frozen(tmp_path, rng):
+def test_analysis_reads_a_live_model_as_its_checkpoint(tmp_path, rng):
     cfg, model = tiny_model(tmp_path / "m")
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
-    model.set_frozen(False)
-    path = tmp_path / "thawed.ckpt"
+    _, test = load_dataset(cfg)
+    # the last forward wrote the banks; analysis reads them as they stand
+    live = [hit_rate(model, test, branch=b) for b in ("local", "global")]
+    path = tmp_path / "live.ckpt"
     save_checkpoint(model, path)
     clone, _, _ = load_checkpoint(path)
-    assert all(bank.frozen for bank in clone.banks().values())
-    with pytest.raises(FrozenBankError):
-        clone.blocks[0].bank_local.write(np.zeros((1, cfg.d_lat)), [0])
+    assert live == [hit_rate(clone, test, branch=b) for b in ("local", "global")]
 
 
 def test_checkpoint_reserialization_is_byte_identical(tmp_path, rng):
