@@ -63,11 +63,17 @@ mean_rows and hopfield_update's to z), are stored as a copy, because one
 dout may reach two parents, or be a read-only broadcast, and a stored
 gradient is later added into in place.
 
-Retention rule: a node keeps what its backward cannot cheaply rebuild from
-what the graph holds anyway. matmul adds its bias in place into the GEMM's
-result, the same bits as a separate add, so no pre-bias array lives in the
-graph; unfold_matmul drops its (R, k²·D) unfold once the GEMM has read it
-and rebuilds it from its input, a pure copy with the same bits, for dW.
+Retention rule: graph nodes hold no values. A Tensor is its array plus,
+while it requires grad, a Node with the gradient, the parents' nodes and
+the backward closure; a closure holds its inputs' nodes and only the
+arrays its backward reads. So an op output that no backward reads is freed
+once its caller drops it, while the graph lives on. add, concat_last_axis,
+reshape and mean_rows keep shapes only. gelu keeps its derivative, built
+in forward in the tanh's buffer and only when it records a node, in place
+of its input and tanh. matmul adds its bias in place into the GEMM's
+result, the same bits as a separate add, so no pre-bias array is kept;
+unfold_matmul drops its (R, k²·D) unfold once the GEMM has read it and
+rebuilds it from its input, a pure copy with the same bits, for dW.
 """
 
 import contextlib
@@ -102,21 +108,68 @@ def _finite(name, arr):
     return arr
 
 
-class Tensor:
-    """A float32 or float64 array plus the graph edge that produced it.
+class Node:
+    """The graph side of a tensor that requires grad; it holds no value.
 
-    A float32 array is kept as float32; anything else is cast to float64.
+    grad is the gradient accumulated so far, _parents the nodes of the op's
+    inputs that require grad, _backward the closure that passes a gradient
+    on to them (None for a leaf), and _walked is set once backward() has
+    run it.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("grad", "_parents", "_backward", "_walked")
+
+    def __init__(self, parents=(), bwd=None):
+        self.grad = None
+        self._parents = parents
+        self._backward = bwd
+        self._walked = False
+
+
+class Tensor:
+    """A float32 or float64 array, plus its graph node while it requires grad.
+
+    A float32 array is kept as float32; anything else is cast to float64.
+    ``grad``, ``_parents`` and ``_backward`` read (and the last two write)
+    the node's fields.
+    """
+
+    __slots__ = ("value", "node")
 
     def __init__(self, value, requires_grad=False):
         self.value = np.ascontiguousarray(kernels.as_float(value))
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
-        self._consumed = False
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        if not flag:
+            self.node = None
+        elif self.node is None:
+            self.node = Node()
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def _parents(self):
+        return () if self.node is None else self.node._parents
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node._backward
+
+    @_backward.setter
+    def _backward(self, bwd):
+        self.node._backward = bwd
 
     @property
     def shape(self):
@@ -134,26 +187,32 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(value, parents, bwd, name):
+def _records(*inputs):
+    """Whether an op over these input tensors records a node."""
+    return _recording and any(t.node is not None for t in inputs)
+
+
+def _node(value, inputs, bwd, name):
+    """The op's output tensor; it records a node with parents and bwd when
+    an input requires grad outside no_grad(). bwd must hold nodes, never
+    the input tensors, so that their values are freed with them."""
     out = Tensor(_finite(name, value))
-    if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = bwd
+    if _records(*inputs):
+        out.node = Node(tuple(t.node for t in inputs if t.node is not None), bwd)
     return out
 
 
-def _accum(t, g, own=False):
-    """Add g into t.grad. The first write stores a copy of g, since g may
-    be a dout or a view of one that other parents also receive; with
-    own=True, g itself, which the calling backward built and reads no
-    more."""
-    if not t.requires_grad:
+def _accum(node, g, own=False):
+    """Add g into node.grad; None (an input that requires no grad) takes
+    nothing. The first write stores a copy of g, since g may be a dout or
+    a view of one that other parents also receive; with own=True, g
+    itself, which the calling backward built and reads no more."""
+    if node is None:
         return
-    if t.grad is None:
-        t.grad = g if own else g.copy()
+    if node.grad is None:
+        node.grad = g if own else g.copy()
     else:
-        t.grad += g
+        node.grad += g
 
 
 def backward(loss):
@@ -163,28 +222,29 @@ def backward(loss):
     topological order, so once a node's backward has run every consumer of
     it has too: its closure, parent edges and gradient are then dropped.
     Leaves (tensors no op produced) keep their .grad. A graph can be walked
-    once; a walk that reaches an already-walked node raises.
+    once; a walk that reaches an already-walked node raises. A loss that
+    requires no grad has no graph, and nothing happens.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
+    if loss.node is None:
+        return
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        if node._consumed:
+        if node._walked:
             raise RuntimeError("backward already walked this graph; rebuild it before differentiating again")
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    loss.grad = np.ones_like(loss.value)
+        stack.extend((p, False) for p in node._parents if p not in seen)
+    loss.node.grad = np.ones_like(loss.value)
     while topo:
         node = topo.pop()
         if node._backward is None:
@@ -193,12 +253,13 @@ def backward(loss):
         node._backward = None
         node._parents = ()
         node.grad = None
-        node._consumed = True
+        node._walked = True
 
 
 def zero_grad(tensors):
     for t in tensors:
-        t.grad = None
+        if t.node is not None:
+            t.node.grad = None
 
 
 # ---------------------------------------------------------------- linear maps
@@ -247,21 +308,21 @@ def matmul(a, b, bias=None):
         raise ValueError(f"matmul dims disagree: {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
     out = _tiled_matmul(av, bv)
-    parents = (a, b)
+    inputs, na, nb, nbias = (a, b), a.node, b.node, None
     if bias is not None:
         bias = _bias_for(bias, n)
         out += bias.value
-        parents = (a, b, bias)
+        inputs, nbias = (a, b, bias), bias.node
 
     def bwd(dout):
         d2 = dout.reshape(-1, n)
-        if a.requires_grad:
-            _accum(a, (d2 @ bv.T).reshape(av.shape), own=True)
-        if b.requires_grad:
-            _accum(b, av.reshape(-1, ka).T @ d2, own=True)
-        _accum_bias(bias, d2)
+        if na is not None:
+            _accum(na, (d2 @ bv.T).reshape(av.shape), own=True)
+        if nb is not None:
+            _accum(nb, av.reshape(-1, ka).T @ d2, own=True)
+        _accum_bias(nbias, d2)
 
-    return _node(out, parents, bwd, "matmul")
+    return _node(out, inputs, bwd, "matmul")
 
 
 def _bias_for(bias, n):
@@ -271,10 +332,10 @@ def _bias_for(bias, n):
     return bias
 
 
-def _accum_bias(bias, d2):
+def _accum_bias(node, d2):
     """dbias from (R, n) output gradient rows: what _unbroadcast sums for an (n,) operand."""
-    if bias is not None and bias.requires_grad:
-        _accum(bias, d2.sum(axis=0), own=True)
+    if node is not None:
+        _accum(node, d2.sum(axis=0), own=True)
 
 
 def group_weighted_sum(weights, rows):
@@ -288,12 +349,13 @@ def group_weighted_sum(weights, rows):
     if wv.ndim != 2 or rv.ndim != 3 or rv.shape[:2] != wv.shape:
         raise ValueError(f"weights {wv.shape} do not fit rows {rv.shape}")
     g, n = wv.shape
+    nw, nr = weights.node, rows.node
 
     def bwd(dout):
-        if weights.requires_grad:
-            _accum(weights, np.matmul(rv, dout.reshape(g, -1, 1)).reshape(g, n))
-        if rows.requires_grad:
-            _accum(rows, wv[:, :, None] * dout)
+        if nw is not None:
+            _accum(nw, np.matmul(rv, dout.reshape(g, -1, 1)).reshape(g, n))
+        if nr is not None:
+            _accum(nr, wv[:, :, None] * dout)
 
     return _node(np.matmul(wv[:, None, :], rv), (weights, rows), bwd, "group_weighted_sum")
 
@@ -319,19 +381,24 @@ def add(a, b):
     """a + b with numpy broadcasting; each gradient sums back to its operand."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.value + b.value
+    na, nb, sa, sb = a.node, b.node, a.value.shape, b.value.shape
 
     def bwd(dout):
         # b first, taking a copy unless it sums; dout is this node's own
         # gradient, so a may then keep it (or its sum) as it is
-        gb = _unbroadcast(dout, b.value.shape)
-        _accum(b, gb, own=gb is not dout)
-        _accum(a, _unbroadcast(dout, a.value.shape), own=True)
+        gb = _unbroadcast(dout, sb)
+        _accum(nb, gb, own=gb is not dout)
+        _accum(na, _unbroadcast(dout, sa), own=True)
 
     return _node(out, (a, b), bwd, "add")
 
 
 def gelu(x):
-    """tanh-form gelu: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))."""
+    """tanh-form gelu: 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))).
+
+    A recorded node keeps only the derivative, which forward builds in t's
+    buffer; backward multiplies it by dout.
+    """
     x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
     xv = x.value
@@ -345,10 +412,10 @@ def gelu(x):
     np.tanh(t, out=t)
     out = np.multiply(xv, 0.5)
     out *= np.add(t, 1.0)
-
-    def bwd(dout):
-        # dout·(0.5·(1 + t) + 0.5·xv·(1 − t²)·c·(1 + 3·0.044715·xv²)),
-        # finished in t's buffer, which nothing reads after this
+    nx = x.node
+    if _records(x):
+        # 0.5·(1 + t) + 0.5·xv·(1 − t²)·c·(1 + 3·0.044715·xv²), finished
+        # in t's buffer now that out has read t
         u = np.square(t)
         np.subtract(1.0, u, out=u)
         h = np.multiply(xv, 0.5)
@@ -358,12 +425,14 @@ def gelu(x):
         u += 1.0
         u *= c
         h *= u
-        dx = t
-        dx += 1.0
-        dx *= 0.5
-        dx += h
+        t += 1.0
+        t *= 0.5
+        t += h
+
+    def bwd(dout):
+        dx = t  # backward runs once, so the derivative's buffer takes dx
         dx *= dout
-        _accum(x, dx, own=True)
+        _accum(nx, dx, own=True)
 
     return _node(out, (x,), bwd, "gelu")
 
@@ -379,11 +448,12 @@ def softmax_rows(x):
     mx = xv.max(axis=-1, keepdims=True)
     e = np.exp(xv - mx)
     out = e / e.sum(axis=-1, keepdims=True)
+    nx = x.node
 
     def bwd(dout):
         # dx_j = a_j·(dout_j − Σ_t dout_t·a_t)
         inner = (dout * out).sum(axis=-1, keepdims=True)
-        _accum(x, out * (dout - inner), own=True)
+        _accum(nx, out * (dout - inner), own=True)
 
     return _node(out, (x,), bwd, "softmax_rows")
 
@@ -401,20 +471,22 @@ def layernorm_rows(x, gain, bias):
     var = out.mean(axis=-1, keepdims=True)
     s = np.sqrt(var + 1e-5)
     xhat /= s
-    np.multiply(xhat, gain.value, out=out)
+    gv = gain.value
+    np.multiply(xhat, gv, out=out)
     out += bias.value
+    nx, ngain, nbias = x.node, gain.node, bias.node
 
     def bwd(dout):
         prod = None
-        if gain.requires_grad:
+        if ngain is not None:
             prod = dout * xhat
-            _accum(gain, prod.reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, dout.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+            _accum(ngain, prod.reshape(-1, d).sum(axis=0))
+        if nbias is not None:
+            _accum(nbias, dout.reshape(-1, d).sum(axis=0))
+        if nx is not None:
             # (dxhat − mean(dxhat) − xhat·mean(dxhat·xhat)) / s, with
             # dxhat = dout·gain; xhat's buffer is free once it is read
-            dx = dout * gain.value
+            dx = dout * gv
             m1 = dx.mean(axis=-1, keepdims=True)
             prod = np.multiply(dx, xhat, out=prod)
             m2 = prod.mean(axis=-1, keepdims=True)
@@ -422,7 +494,7 @@ def layernorm_rows(x, gain, bias):
             np.multiply(xhat, m2, out=xhat)
             dx -= xhat
             dx /= s
-            _accum(x, dx, own=True)
+            _accum(nx, dx, own=True)
 
     return _node(out, (x, gain, bias), bwd, "layernorm_rows")
 
@@ -431,10 +503,10 @@ def mean_rows(x):
     """Mean over each image's rows; (G, n, D) -> (G, 1, D)."""
     x = as_tensor(x)
     xv = x.value
-    n = xv.shape[-2]
+    n, shape, nx = xv.shape[-2], xv.shape, x.node
 
     def bwd(dout):
-        _accum(x, np.broadcast_to(dout / n, xv.shape))
+        _accum(nx, np.broadcast_to(dout / n, shape))
 
     return _node(xv.mean(axis=-2, keepdims=True), (x,), bwd, "mean_rows")
 
@@ -443,22 +515,22 @@ def concat_last_axis(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.shape[:-1] != b.value.shape[:-1]:
         raise ValueError(f"concat shapes disagree: {a.value.shape} vs {b.value.shape}")
-    da = a.value.shape[-1]
+    da, na, nb = a.value.shape[-1], a.node, b.node
 
     def bwd(dout):
-        _accum(a, dout[..., :da])
-        _accum(b, dout[..., da:])
+        _accum(na, dout[..., :da])
+        _accum(nb, dout[..., da:])
 
     return _node(np.concatenate([a.value, b.value], axis=-1), (a, b), bwd, "concat_last_axis")
 
 
 def reshape(x, shape):
     x = as_tensor(x)
-    old = x.value.shape
+    old, nx = x.value.shape, x.node
     out = x.value.reshape(shape)
 
     def bwd(dout):
-        _accum(x, dout.reshape(old))
+        _accum(nx, dout.reshape(old))
 
     return _node(out, (x,), bwd, "reshape")
 
@@ -535,6 +607,7 @@ def memory_read(z, slots, mask):
     _finite("memory_read", total)
     m = _tiled_matmul(e, slots)
     m /= total
+    nz, zshape = z.node, zv.shape
 
     def bwd(dout):
         # one GEMM per product over all rows
@@ -551,7 +624,7 @@ def memory_read(z, slots, mask):
         inner = (dzhat * zhat2).sum(axis=1, keepdims=True)
         dzhat -= zhat2 * np.where(znorm2 > _EPS, inner, 0.0)
         dzhat /= np.maximum(znorm2, _EPS)
-        _accum(z, dzhat.reshape(zv.shape), own=True)
+        _accum(nz, dzhat.reshape(zshape), own=True)
 
     return ReadWeights(e, total), _node(m, (z,), bwd, "memory_read")
 
@@ -566,17 +639,18 @@ def hopfield_update(z, m, beta):
     # z + β·diff, the sum's operands swapped
     out = bv * diff
     out += z.value
+    nz, nm, nbeta, bshape = z.node, m.node, beta.node, beta.value.shape
 
     def bwd(dout):
         g = bv * dout
         neg = -g
         # z gets dout, then −β·dout after m's β·dout: m may be z itself
-        _accum(z, dout)
-        _accum(m, g, own=True)
-        _accum(z, neg, own=True)
-        if beta.requires_grad:
+        _accum(nz, dout)
+        _accum(nm, g, own=True)
+        _accum(nz, neg, own=True)
+        if nbeta is not None:
             prod = np.multiply(diff, dout, out=diff)
-            _accum(beta, np.sum(prod).reshape(beta.value.shape))
+            _accum(nbeta, np.sum(prod).reshape(bshape))
 
     return _node(out, (z, m, beta), bwd, "hopfield_update")
 
@@ -606,18 +680,19 @@ def unfold_matmul(x, h, w, k, weight, bias):
     grid = (*lead, h, w, d)
     out = _tiled_matmul(kernels.unfold_grid(xv.reshape(grid), k), wv)
     out += bias.value
+    nx, nw, nbias = x.node, weight.node, bias.node
 
     def bwd(dout):
         # one (R, k²·D) array at a time: the rebuilt unfold, then dU
         d2 = dout.reshape(-1, n)
-        if weight.requires_grad:
+        if nw is not None:
             u = kernels.unfold_grid(xv.reshape(grid), k).reshape(-1, kd)
-            _accum(weight, u.T @ d2, own=True)
+            _accum(nw, u.T @ d2, own=True)
             del u
-        _accum_bias(bias, d2)
-        if x.requires_grad:
+        _accum_bias(nbias, d2)
+        if nx is not None:
             du = (d2 @ wv.T).reshape(*lead, rows, kd)
-            _accum(x, kernels.unfold_grid_bwd(du, grid, k).reshape(xv.shape), own=True)
+            _accum(nx, kernels.unfold_grid_bwd(du, grid, k).reshape(xv.shape), own=True)
 
     return _node(out, (x, weight, bias), bwd, "unfold_matmul")
 
@@ -638,11 +713,12 @@ def cross_entropy(logits, labels):
     logp = shifted - lse
     out = (-logp[np.arange(bsz), labels].mean()).reshape(())
     probs = np.exp(logp)
+    nl = logits.node
 
     def bwd(dout):
         d = probs.copy()
         d[np.arange(bsz), labels] -= 1.0
-        _accum(logits, d * (dout.item() / bsz), own=True)
+        _accum(nl, d * (dout.item() / bsz), own=True)
 
     return _node(out, (logits,), bwd, "cross_entropy")
 

@@ -9,6 +9,7 @@ are closed forms worked out by hand.
 import ast
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -319,6 +320,37 @@ def test_backward_releases_the_graph_and_keeps_leaf_grads(rng):
         assert node._parents == () and node._backward is None and node.grad is None
     assert x.grad is not None and w.grad is not None
     assert x._parents == () and w._parents == ()
+
+
+# op, operand shapes; memory_read reads four constant slots
+RETAIN_CASES = {
+    "add": (ad.add, [(2, 3, 4), (4,)]),
+    "mean_rows": (ad.mean_rows, [(2, 3, 4)]),
+    "concat_last_axis": (ad.concat_last_axis, [(2, 3, 4), (2, 3, 5)]),
+    "reshape": (lambda x: ad.reshape(x, (6, 4)), [(2, 3, 4)]),
+    "gelu": (ad.gelu, [(3, 4)]),
+    "hopfield_update": (lambda z, m: ad.hopfield_update(z, m, Tensor(np.array(0.5))),
+                        [(3, 4), (3, 4)]),
+    "memory_read": (lambda z: ad.memory_read(z, np.eye(4), np.ones(4, dtype=bool))[1],
+                    [(3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETAIN_CASES))
+def test_graph_keeps_no_operand_value(rng, name):
+    # a node holds its operands' nodes, never their values: once the caller
+    # drops the operands and the output (a reshape views its operand), no
+    # operand value survives, and backward still reaches every operand
+    op, shapes = RETAIN_CASES[name]
+    operands = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    refs = [weakref.ref(t.value) for t in operands]
+    nodes = [t.node for t in operands]
+    out = op(*operands)
+    node, dout = out.node, rng.standard_normal(out.shape)
+    del operands, out
+    assert [r() for r in refs] == [None] * len(refs)
+    node._backward(dout)
+    assert [n.grad.shape for n in nodes] == shapes
 
 
 # ------------------------------------------------------ in-place kernel bits

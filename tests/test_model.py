@@ -2,6 +2,7 @@
 
 import contextlib
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -470,49 +471,111 @@ def test_train_step_gradients_use_the_slots_the_forward_read(tmp_path, monkeypat
         np.testing.assert_array_equal(a, b)
 
 
+def graph_nodes(loss):
+    """Every node of loss's graph that still has a backward to run, by id."""
+    nodes, stack = {}, [loss.node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes and node._backward is not None:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return nodes
+
+
+def held_arrays(node):
+    """The arrays node's backward closure holds."""
+    cells = node._backward.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
 def test_train_step_backward_releases_the_graph(tmp_path, rng):
     cfg, model = tiny_model(tmp_path / "m", n_blocks=2)
     fill_via_training_steps(cfg, model, rng)
     labels = np.array([0, 1, 1, 0])
     logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
     loss = ad.cross_entropy(logits, labels)
-    nodes, stack = {}, [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) not in nodes and t._backward is not None:
-            nodes[id(t)] = t
-            stack.extend(t._parents)
+    nodes = graph_nodes(loss)
+    assert all(isinstance(node, ad.Node) for node in nodes.values())
     params = model.parameters()
     assert len(nodes) > 40
     ad.zero_grad(params.values())
     ad.backward(loss)
-    for t in nodes.values():
-        assert t._parents == () and t._backward is None and t.grad is None
+    for node in nodes.values():
+        assert node._parents == () and node._backward is None and node.grad is None
     for name, p in params.items():
         assert p.grad is not None and p.grad.shape == p.value.shape, name
 
 
 def test_train_graph_keeps_no_unfold_and_no_pre_bias_values(tmp_path, rng):
     # the local projection rebuilds its unfold in backward, and every bias
-    # is added inside its matmul, so neither array lives in the graph
+    # is added inside its matmul, so no closure holds either array: a
+    # matmul holds its two operands, the weight among them, and no bias
+    # vector is an operand of an add
     cfg, model = tiny_model(tmp_path / "m", n_blocks=2)
     fill_via_training_steps(cfg, model, rng)
     labels = np.array([0, 1, 1, 0])
     logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
     loss = ad.cross_entropy(logits, labels)
-    vectors = [p for p in model.parameters().values() if p.value.ndim == 1]
-    seen, stack, adds = set(), [loss], 0
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        assert t.value.shape[-1] != cfg.k * cfg.k * cfg.d_emb, t
-        if t._backward is not None and t._backward.__qualname__.startswith("add."):
+    params = list(model.parameters().values())
+    vectors = [p.node for p in params if p.value.ndim == 1]
+    adds = matmuls = 0
+    for node in graph_nodes(loss).values():
+        held = held_arrays(node)
+        assert all(a.shape[-1] != cfg.k * cfg.k * cfg.d_emb for a in held), node._backward
+        op = node._backward.__qualname__.split(".")[0]
+        if op == "add":
             adds += 1
-            assert not any(p is v for p in t._parents for v in vectors)
-        stack.extend(t._parents)
-    assert adds > 0
+            assert held == []
+            assert not any(p is v for p in node._parents for v in vectors)
+        if op == "matmul":
+            matmuls += 1
+            assert len(held) == 2 and any(a is p.value for a in held for p in params)
+    assert adds > 0 and matmuls > 0
+
+
+def test_train_graph_frees_the_outputs_no_backward_reads(tmp_path, rng, monkeypatch):
+    # graph nodes hold no values: an op output that no backward reads dies
+    # with its caller's last reference while the loss graph lives on; the
+    # arrays backwards read live until backward() has run
+    cfg, model = tiny_model(tmp_path / "m", n_blocks=2, t_steps=2)
+    fill_via_training_steps(cfg, model, rng)
+    params = {id(p.value) for p in model.parameters().values()}
+    refs = {}
+
+    def watch(name, record):
+        orig = getattr(ad, name)
+
+        def watched(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            for key, arr in record(out, *args):
+                refs.setdefault(key, []).append(weakref.ref(arr))
+            return out
+
+        monkeypatch.setattr(ad, name, watched)
+
+    watch("unfold_matmul", lambda q, *_: [("q", q.value)])
+    watch("hopfield_update", lambda z, *_: [("refined z", z.value)])
+    # add's operands: the patch embedding, block inputs, both branch
+    # outputs and the MLP output; its outputs: the branch sums and the
+    # block outputs
+    watch("add", lambda out, a, b: [("add output", out.value)]
+          + [("add operand", t.value) for t in (a, b) if id(t.value) not in params])
+    watch("gelu", lambda out, x: [("gelu input", x.value)]
+          + [("gelu derivative", d) for d in held_arrays(out.node)])
+    watch("memory_read", lambda out, *_: [("read e", out[0]._e), ("read m", out[1].value)])
+    labels = np.array([0, 1, 1, 0])
+    logits = model.forward(std_images(cfg, 4, rng), mode="train", labels=labels, rng=rng)
+    loss = ad.cross_entropy(logits, labels)
+    del logits
+    # the last block's output stays: the pooling's matmul and weighted sum read it
+    last = refs["add output"].pop()
+    assert last() is not None
+    live = {key: sum(r() is not None for r in rs) for key, rs in refs.items()}
+    assert live == {"q": 0, "refined z": 0, "add output": 0, "add operand": 0,
+                    "gelu input": 0, "gelu derivative": 2, "read e": 8, "read m": 8}
+    assert len(refs["refined z"]) == 8 and len(refs["add output"]) == 4
+    ad.backward(loss)
+    assert all(r() is None for rs in refs.values() for r in rs)
 
 
 def test_train_step_leaf_gradients_are_separate_arrays(tmp_path, monkeypatch):
