@@ -137,7 +137,9 @@ class Tensor:
     __slots__ = ("value", "node")
 
     def __init__(self, value, requires_grad=False):
-        self.value = np.ascontiguousarray(kernels.as_float(value))
+        value = kernels.as_float(value)
+        # only a non-contiguous array is copied; a 0-d value stays 0-d
+        self.value = value if value.flags.c_contiguous else np.ascontiguousarray(value)
         self.node = Node() if requires_grad else None
 
     @property
@@ -698,7 +700,15 @@ def unfold_matmul(x, h, w, k, weight, bias):
 
 
 def cross_entropy(logits, labels):
-    """Mean negative log softmax probability of the true labels."""
+    """Mean negative log softmax probability of the true labels, 0-d."""
+    return _cross_entropy(logits, labels, len(labels))
+
+
+def _cross_entropy(logits, labels, total):
+    """Negative log softmax probability of the true labels, summed and
+    divided by total. A train step over chunks of a batch divides each
+    chunk's sum by the batch size, so the chunks' gradients add up to
+    those of the batch mean."""
     logits = as_tensor(logits)
     lv = logits.value
     labels = np.asarray(labels, dtype=np.int64)
@@ -711,16 +721,16 @@ def cross_entropy(logits, labels):
     shifted = lv - mx
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
-    out = (-logp[np.arange(bsz), labels].mean()).reshape(())
+    out = -(logp[np.arange(bsz), labels].sum() / total)
     probs = np.exp(logp)
     nl = logits.node
 
     def bwd(dout):
         d = probs.copy()
         d[np.arange(bsz), labels] -= 1.0
-        _accum(nl, d * (dout.item() / bsz), own=True)
+        _accum(nl, d * (dout.item() / total), own=True)
 
-    return _node(out, (logits,), bwd, "cross_entropy")
+    return _node(np.asarray(out), (logits,), bwd, "cross_entropy")
 
 
 # ---------------------------------------------------------------- fd checking
@@ -768,7 +778,7 @@ def check_gradients(build, tensors, step=1e-5, floor=1e-7):
             old = t.value
             t.value = np.ascontiguousarray(arr, dtype=np.float64)
             try:
-                return float(build().value.reshape(()))
+                return build().value.item()
             finally:
                 t.value = old
 

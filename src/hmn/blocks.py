@@ -11,8 +11,10 @@ feeds a two-layer MLP whose output rides a skip connection from the block
 input. Every linear map adds its bias inside its ``matmul``. In train
 mode the detached queries are written to the banks after both branches
 have read, so retrieval always sees pre-batch state; each bank gets one
-batched write per forward. Parameters, β and bank slots all hold the
-block's dtype.
+batched write per forward. ``_forward`` returns those writes instead of
+making them, so the model can hold a train step's writes back until all
+its chunks have read. Parameters, β and bank slots all hold the block's
+dtype.
 """
 
 from collections import OrderedDict
@@ -47,8 +49,9 @@ class HMNBlock:
         self.b_glob_in = _vec(0.0, d_l, dtype)
         self.W_glob_out = _linear(rng, 2 * d_l, d_e, dtype)
         self.b_glob_out = _vec(0.0, d_e, dtype)
-        self.beta_local = ad.Tensor(np.asarray(cfg.beta_init, dtype=dtype), requires_grad=True)
-        self.beta_global = ad.Tensor(np.asarray(cfg.beta_init, dtype=dtype), requires_grad=True)
+        # β is a 1-element vector: its checkpoint record and Adam state are (1,)
+        self.beta_local = _vec(cfg.beta_init, 1, dtype)
+        self.beta_global = _vec(cfg.beta_init, 1, dtype)
         self.W1 = _linear(rng, d_e, r * d_e, dtype)
         self.b1 = _vec(0.0, r * d_e, dtype)
         self.W2 = _linear(rng, r * d_e, d_e, dtype)
@@ -85,18 +88,22 @@ class HMNBlock:
             capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
         return z
 
-    def _local_branch(self, x, t_steps, mode, labels, rng, capture):
+    def _write_tokens(self, b, rng):
+        """(B, write_sample) sorted token indices, the rows of each image's
+        local queries a train step writes: one draw per image, in image
+        order, as the determinism contract fixes the rng stream."""
+        n, s = self.n_tokens, self.cfg.write_sample
+        return np.stack([np.sort(rng.choice(n, size=s, replace=False)) for _ in range(b)])
+
+    def _local_branch(self, x, t_steps, picks, labels, capture):
         q = ad.unfold_matmul(x, self.h_p, self.w_p, self.cfg.k, self.W_loc_in, self.b_loc_in)
         z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local_alpha")
         out = ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, self.b_loc_out)
         writes = None
-        if mode == "train":
-            # one draw per image, in image order: the rng stream is part of
-            # the determinism contract
-            n, s = self.n_tokens, self.cfg.write_sample
-            picked = [q.value[i, np.sort(rng.choice(n, size=s, replace=False))]
-                      for i in range(len(q.value))]
-            writes = np.concatenate(picked), np.repeat(labels, s)
+        if picks is not None:
+            # a pure copy: image i's rows q[i, picks[i]], in image order
+            rows = q.value[np.arange(len(picks))[:, None], picks]
+            writes = rows.reshape(-1, rows.shape[-1]), np.repeat(labels, picks.shape[1])
         return out, writes
 
     def _global_branch(self, x, t_steps, mode, labels, capture):
@@ -107,22 +114,40 @@ class HMNBlock:
         out = ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, self.b_glob_out)
         return out, (qg.value[:, 0], labels) if mode == "train" else None
 
-    def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
-        """(B, N, D_emb) in, same shape out; writes banks in train mode only."""
-        if mode == "train" and labels is None:
-            raise ValueError("train mode needs one label per image for bank writes")
-        if mode == "train" and rng is None:
-            raise ValueError("train mode needs an rng for write-token sampling")
+    def _forward(self, tokens, t_steps, picks, labels, capture):
+        """(out, writes): picks None reads only and writes is None; else
+        writes holds the (rows, class ids) this batch would write to the
+        local bank and to the global bank, unwritten."""
+        mode = "eval" if picks is None else "train"
         x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
-        local, lwrites = self._local_branch(x, t_steps, mode, labels, rng, capture)
+        local, lwrites = self._local_branch(x, t_steps, picks, labels, capture)
         glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)
         f = ad.add(local, glob)
         y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
         hidden = ad.gelu(ad.matmul(y, self.W1, self.b1))
         mlp_out = ad.matmul(hidden, self.W2, self.b2)
-        out = ad.add(tokens, mlp_out)
-        if mode == "train":
+        return ad.add(tokens, mlp_out), (None if picks is None else (lwrites, gwrites))
+
+    def _write(self, writes):
+        lwrites, gwrites = writes
+        self.bank_local.write(*lwrites)
+        self.bank_global.write(*gwrites)
+
+    def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
+        """(B, N, D_emb) in, same shape out; writes banks in train mode only."""
+        check_train_inputs(mode, labels, rng)
+        picks = self._write_tokens(len(tokens.value), rng) if mode == "train" else None
+        out, writes = self._forward(tokens, t_steps, picks, labels, capture)
+        if writes is not None:
             # reads above all saw the bank as it stood before this batch
-            self.bank_local.write(*lwrites)
-            self.bank_global.write(*gwrites)
+            self._write(writes)
         return out
+
+
+def check_train_inputs(mode, labels, rng):
+    """Raise ValueError for a train forward that lacks the labels or rng its
+    bank writes need, before any draw or write."""
+    if mode == "train" and labels is None:
+        raise ValueError("train mode needs one label per image for bank writes")
+    if mode == "train" and rng is None:
+        raise ValueError("train mode needs an rng for write-token sampling")

@@ -3,7 +3,10 @@
 Activations keep one leading axis per image: (B, N, D) tokens through the
 blocks, (B, N) pooling weights, a (B, 1, D) pooled vector and (B, C)
 logits. The forward GEMMs run in fixed 16-image tiles (see autodiff), so
-an image's logits do not depend on the rest of the batch.
+an image's logits do not depend on the rest of the batch. ``forward`` and
+the chunked train step (``train._train_step``) share one private forward,
+``_forward``, which takes the drawn write tokens and returns the pending
+bank writes; ``_write`` makes them.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -28,7 +31,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import HMNBlock
+from .blocks import HMNBlock, check_train_inputs
 from .config import config_from_dict
 from .memory import BANK_STATE_FIELDS
 from .optim import Adam
@@ -94,8 +97,6 @@ class Model:
         """(B, C, H, W) -> (B, N, P²·C); each patch flattened (C, P, P) row-major."""
         b, c, h, w = images.shape
         p = self.cfg.patch_size
-        if c != self.cfg.in_channels or (h, w) != tuple(self.cfg.image_size):
-            raise ValueError(f"input shape {images.shape[1:]} does not match config")
         hp, wp = h // p, w // p
         x = images.reshape(b, c, hp, p, wp, p).transpose(0, 2, 4, 1, 3, 5)
         return np.ascontiguousarray(x).reshape(b, hp * wp, c * p * p)
@@ -113,28 +114,70 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
+        check_train_inputs(mode, labels, rng)
+        images = self._images(images)
+        picks = self._write_tokens(len(images), rng) if mode == "train" else None
+        t_steps = self.cfg.t_steps if t_override is None else int(t_override)
+        logits, writes = self._forward(images, t_steps, picks, labels, capture)
+        if writes is not None:
+            self._write([writes])
+        return logits
+
+    def _images(self, images):
+        """images as a (B, C, H, W) array of the model's dtype; any other
+        shape raises ValueError."""
         images = np.asarray(images, dtype=self.dtype)
         if images.ndim != 4:
             raise ValueError(f"expected a (B, C, H, W) batch, got shape {images.shape}")
+        if images.shape[1:] != (self.cfg.in_channels, *self.cfg.image_size):
+            raise ValueError(f"input shape {images.shape[1:]} does not match config")
+        return images
+
+    def _write_tokens(self, b, rng):
+        """(n_blocks, B, write_sample) write-token indices for a batch of b
+        images: block by block, then image by image, the rng order a
+        train forward has always drawn in."""
+        return np.stack([blk._write_tokens(b, rng) for blk in self.blocks])
+
+    def _forward(self, images, t_steps, picks, labels, capture=None):
+        """(logits, writes) for a standardized (B, C, H, W) batch.
+
+        picks None reads only, and writes is None. Otherwise picks holds
+        the blocks' write-token indices (``_write_tokens``) and writes
+        each block's pending (local, global) bank writes, for ``_write``.
+        Every read sees the banks as they stood before this call.
+        """
         patches = self._patchify(images)
-        t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         b = images.shape[0]
         # tokens are (B, N, D): every matmul below runs in 16-image tiles of
         # fixed height, so an image's rows never see the rest of the batch
         tok = ad.matmul(ad.Tensor(patches), self.patch_proj, self.patch_bias)
         tok = ad.add(tok, self.pos_embed)
         last = len(self.blocks) - 1
+        writes = []
         for i, blk in enumerate(self.blocks):
             cap = capture if (capture is not None and i == last) else None
-            tok = blk.forward(tok, t_steps=t_steps, mode=mode, labels=labels, rng=rng,
-                              capture=cap)
+            tok, w = blk._forward(tok, t_steps, None if picks is None else picks[i],
+                                  labels, cap)
+            writes.append(w)
         scores = ad.reshape(ad.matmul(tok, self.W_att), (b, self.cfg.n_tokens))
         pool = ad.softmax_rows(scores)
         v = ad.group_weighted_sum(pool, tok)
         logits = ad.reshape(ad.matmul(v, self.head_w, self.head_b), (b, -1))
         if capture is not None:
             capture["pool_weights"] = pool.value.copy()
-        return logits
+        return logits, (None if picks is None else writes)
+
+    def _write(self, chunks):
+        """Write the pending writes of a batch's consecutive chunks, as
+        ``_forward`` returned them: each bank gets one write of all the
+        chunks' rows, in image order."""
+        for i, blk in enumerate(self.blocks):
+            merged = []
+            for branch in (0, 1):  # local, global
+                rows, cls = zip(*(chunk[i][branch] for chunk in chunks))
+                merged.append((np.concatenate(rows), np.concatenate(cls)))
+            blk._write(merged)
 
 
 # ------------------------------------------------------------- checkpoint IO

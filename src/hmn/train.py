@@ -5,11 +5,23 @@ all randomness flows from the config seed. Dataset generation and
 subsampling use fixed derived seeds; one generator seeded with cfg.seed
 then drives, in order, model initialization and, per epoch, the shuffle
 followed per batch by augmentation draws (row offset, column offset,
-flip; image index order) and per-block write-token sampling. Metrics land
+flip; image index order) and write-token sampling (block by block, then
+image by image), all drawn before the step's first forward. Metrics land
 in metrics.csv; wall-clock goes to a separate timings.csv so the metrics
 file is byte-identical across reruns.
 The BLAS thread count is part of the contract because some GEMMs, the
 local memory mix among them, round differently at 1 and 2 threads.
+
+A train step runs forward and backward over consecutive chunks of
+``_CHUNK`` = 32 images, two of the forward GEMMs' 16-image tiles, so it
+holds one chunk's autodiff graph at a time rather than the whole batch's.
+Every chunk reads the banks as they stood before the step; each chunk's
+loss is its cross-entropy sum over the batch size, and the gradients
+accumulate in the leaves' .grad. After the last chunk each bank gets one
+write, then the optimizer steps once. An image's forward bits and the bank
+state after the step are those of one whole-batch train forward; only the
+gradient sums regroup by chunk, so a batch of at most 32 images gets the
+same gradient bits too.
 
 ``eval_batches`` is the one eval-mode batch loop under ``evaluate`` and
 every ``hmn.analysis`` diagnostic. An empty dataset raises ``ValueError``
@@ -25,6 +37,11 @@ from . import autodiff as ad
 from . import data as data_mod
 from .model import Model, save_checkpoint
 from .optim import Adam, lr_at
+
+
+# images per forward + backward in a train step: two of the forward GEMMs'
+# 16-image tiles, so a chunk's tiles are the whole batch's tiles
+_CHUNK = 2 * ad._TILE
 
 
 class TrainingDiverged(RuntimeError):
@@ -77,6 +94,33 @@ def _write_line(path, line, mode="a"):
         fh.write(line + "\n")
 
 
+def _train_step(model, x, labels, rng):
+    """Forward and backward over a batch in consecutive _CHUNK-image
+    chunks, then the batch's bank writes; returns (mean loss, count of
+    correct argmaxes).
+
+    The write tokens of all blocks are drawn first, so the rng stream is
+    that of ``Model.forward(mode="train")``, and every chunk reads the banks
+    as they stood before the step. Each chunk's loss is its cross-entropy
+    sum divided by the batch size; its gradients add into the leaves'
+    .grad, which the caller zeroes before and steps the optimizer on after.
+    """
+    x = model._images(x)
+    b = len(x)
+    picks = model._write_tokens(b, rng)
+    loss_sum, correct, pending = 0.0, 0, []
+    for start in range(0, b, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        logits, writes = model._forward(x[sl], model.cfg.t_steps, picks[:, sl], labels[sl])
+        loss = ad._cross_entropy(logits, labels[sl], b)
+        ad.backward(loss)
+        loss_sum += float(loss.value)
+        correct += int((logits.value.argmax(axis=1) == labels[sl]).sum())
+        pending.append(writes)
+    model._write(pending)
+    return loss_sum, correct
+
+
 def train(cfg, log=print):
     """Run the full recipe; returns a summary dict.
 
@@ -118,11 +162,9 @@ def train(cfg, log=print):
                 images = np.stack([data_mod.augment(img, rng) for img in images])
             x = data_mod.standardize(images, cfg.norm_mean, cfg.norm_std)
             lr = lr_at(epoch + (step_i + 0.5) / steps, cfg)
+            ad.zero_grad(params.values())
             try:
-                logits = model.forward(x, mode="train", labels=labels, rng=rng)
-                loss = ad.cross_entropy(logits, labels)
-                ad.zero_grad(params.values())
-                ad.backward(loss)
+                loss, right = _train_step(model, x, labels, rng)
             except FloatingPointError as e:
                 raise TrainingDiverged(
                     f"non-finite value at epoch {epoch} step {step_i}: {e}; "
@@ -130,8 +172,8 @@ def train(cfg, log=print):
             last_grad_norm = float(np.sqrt(sum(
                 float((p.grad ** 2).sum()) for p in params.values() if p.grad is not None)))
             opt.step(lr=lr)
-            loss_sum += float(loss.value.reshape(())) * len(idx)
-            correct += int((logits.value.argmax(axis=1) == labels).sum())
+            loss_sum += loss * len(idx)
+            correct += right
         test_acc = evaluate(model, test_ds)
         train_loss = loss_sum / n
         train_acc = correct / n

@@ -214,6 +214,19 @@ def test_cross_entropy_uniform_binary():
     assert loss.value.item() == float(np.log(2.0))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_is_a_0d_loss(dtype):
+    loss = ad.cross_entropy(Tensor(np.array([[0.0, 0.0], [1.0, -1.0]], dtype=dtype)),
+                            np.array([0, 1]))
+    assert loss.value.shape == () and loss.value.dtype == dtype
+    assert float(loss.value) == loss.value.item() > 0.0
+    # 0-d inputs stay 0-d, and a contiguous array is stored without a copy
+    assert Tensor(np.float64(2.0)).value.shape == ()
+    arr = np.ones((2, 3), dtype=np.float32)
+    assert Tensor(arr).value is arr
+    assert Tensor(arr.T).value.flags.c_contiguous
+
+
 def test_layernorm_constant_row_maps_to_bias(rng):
     gain = Tensor(rng.standard_normal(4))
     bias = Tensor(rng.standard_normal(4))

@@ -124,6 +124,14 @@ def test_zeroed_mlp_makes_block_identity(rng):
     np.testing.assert_array_equal(out.value, x.value)
 
 
+def test_beta_is_a_one_element_vector():
+    # a 0-d tensor stays 0-d, so β is built (1,): its checkpoint record and
+    # Adam state have that shape
+    _, block = make_block(beta_init=0.25)
+    for beta in (block.beta_local, block.beta_global):
+        assert beta.value.shape == (1,) and beta.value[0] == 0.25
+
+
 def test_write_accounting(rng):
     cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
     labels = np.array([0, 1, 0])
@@ -136,6 +144,19 @@ def test_write_accounting(rng):
     # class split follows the labels
     assert list(block.bank_local.filled) == [4, 2]
     assert list(block.bank_global.filled) == [2, 1]
+
+
+def test_write_rows_are_each_images_picked_queries(rng):
+    # the one fancy index over the drawn tokens against the per-image loop
+    cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
+    x = tokens_for(cfg, 3, rng)
+    picks = block._write_tokens(3, np.random.default_rng(7))
+    _, (lwrites, _) = block._forward(x, 1, picks, np.array([0, 1, 0]), None)
+    xn = ad.layernorm_rows(x, block.norm_in_gain, block.norm_in_bias)
+    q = ad.unfold_matmul(xn, block.h_p, block.w_p, cfg.k, block.W_loc_in, block.b_loc_in).value
+    want = np.concatenate([q[i, picks[i]] for i in range(3)])
+    assert lwrites[0].tobytes() == want.tobytes()
+    np.testing.assert_array_equal(lwrites[1], [0, 0, 1, 1, 0, 0])
 
 
 def test_train_forward_writes_each_bank_once(rng, monkeypatch):

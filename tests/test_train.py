@@ -6,14 +6,18 @@ import os
 import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hmn
+import hmn.autodiff as ad
 import hmn.train as train_mod
-from hmn.model import blas_threads, load_checkpoint
+from hmn.data import synth_blobs
+from hmn.model import Model, blas_threads, load_checkpoint
 from hmn.optim import lr_at
 from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train
 
@@ -257,3 +261,102 @@ def test_evaluate_counts_correct_fraction(trained_tiny):
     acc_small = evaluate(model, test, batch_size=3)
     acc_big = evaluate(model, test, batch_size=64)
     assert acc_small == acc_big == summary["final_test_acc"]
+
+
+# ----------------------------------------------------------- chunked steps
+
+def step_pair(cfg, dtype, seed=0):
+    """Two identical models with identical rngs."""
+    return [(Model(cfg, np.random.default_rng(seed), dtype=dtype),
+             np.random.default_rng(seed + 1)) for _ in range(2)]
+
+
+def whole_batch_step(model, x, labels, rng):
+    ad.zero_grad(model.parameters().values())
+    logits = model.forward(x, mode="train", labels=labels, rng=rng)
+    ad.backward(ad.cross_entropy(logits, labels))
+
+
+def chunked_step(model, x, labels, rng):
+    ad.zero_grad(model.parameters().values())
+    train_mod._train_step(model, x, labels, rng)
+
+
+def assert_same_banks_and_rng(a, b):
+    (ma, ra), (mb, rb) = a, b
+    for (name, ba), bb in zip(ma.banks().items(), mb.banks().values()):
+        assert ba.slots.tobytes() == bb.slots.tobytes(), name
+        assert ba.written.tobytes() == bb.written.tobytes(), name
+    assert ra.bit_generator.state == rb.bit_generator.state
+
+
+@pytest.mark.parametrize("batch,dtype", [(124, np.float64), (20, np.float32),
+                                         (32, np.float32)])
+def test_chunked_step_matches_a_whole_batch_step(tmp_path, batch, dtype):
+    # 124 images are three full chunks and one of 28. The first step reads
+    # empty banks, the second the banks the first filled; the optimizer
+    # does not run, so both steps differentiate the same parameters
+    cfg = make_tiny_cfg(tmp_path, n_blocks=2, t_steps=1)
+    ds = synth_blobs(cfg.num_classes, batch, tuple(cfg.image_size), seed=3)
+    pair = step_pair(cfg, dtype)
+    (whole, rw), (chunked, rc) = pair
+    for step in range(2):
+        idx = np.random.default_rng(step).permutation(len(ds))[:batch]
+        x = (ds.images[idx] - cfg.norm_mean) / cfg.norm_std
+        labels = ds.labels[idx]
+        whole_batch_step(whole, x, labels, rw)
+        chunked_step(chunked, x, labels, rc)
+        assert_same_banks_and_rng(*pair)
+        assert all(b.any_filled for b in chunked.banks().values())
+        for (name, pw), pc in zip(whole.parameters().items(), chunked.parameters().values()):
+            gw, gc = pw.grad, pc.grad
+            if gw is None:  # β reads no empty bank
+                assert step == 0 and gc is None, name
+                continue
+            assert gc.dtype == dtype and gc.shape == gw.shape, name
+            if batch <= train_mod._CHUNK:
+                assert gc.tobytes() == gw.tobytes(), name
+            else:
+                # only the sums over chunks regroup
+                assert np.abs(gc - gw).max() <= 1e-12 * np.abs(gw).max(), name
+
+
+def test_chunked_step_loss_is_the_batch_mean(tmp_path):
+    cfg = make_tiny_cfg(tmp_path, n_blocks=1)
+    ds = synth_blobs(cfg.num_classes, 40, tuple(cfg.image_size), seed=3)
+    x = (ds.images - cfg.norm_mean) / cfg.norm_std
+    model = Model(cfg, np.random.default_rng(0), dtype=np.float64)
+    for t in (model.head_w, model.head_b):
+        t.value = np.random.default_rng(1).normal(0.0, 0.5, size=t.value.shape)
+    with ad.no_grad():
+        logits = model.forward(x, mode="eval").value
+    want = float(ad.cross_entropy(logits, ds.labels).value)
+    loss, right = train_mod._train_step(model, x, ds.labels, np.random.default_rng(2))
+    assert abs(loss - want) <= 1e-13 * want
+    assert right == int((logits.argmax(axis=1) == ds.labels).sum())
+
+
+def traced_epoch_peak(tmp_path, batch_size):
+    """tracemalloc peak bytes of one small-shape train() epoch."""
+    cfg = make_tiny_cfg(tmp_path / str(batch_size), image_size=[16, 16], d_emb=32,
+                        d_lat=24, n_blocks=2, k_local=64, k_global=32,
+                        synth_train_per_class=64, synth_test_per_class=2,
+                        batch_size=batch_size, epochs=1, warmup_epochs=0)
+    tracemalloc.start()
+    try:
+        train(cfg, log=lambda *_: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_step_memory_is_bounded_by_the_chunk(tmp_path):
+    # a step holds one chunk's graph at a time, so a 4x larger batch
+    # barely raises the peak; a whole-batch graph would raise it about 2.3x
+    t0 = time.perf_counter()
+    # the process's first epoch also allocates one-time state; keep it out
+    traced_epoch_peak(tmp_path / "warm", 32)
+    small = traced_epoch_peak(tmp_path, 32)
+    large = traced_epoch_peak(tmp_path, 128)
+    assert large <= 1.25 * small, (small, large)
+    assert time.perf_counter() - t0 < 5.0
