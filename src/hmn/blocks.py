@@ -8,13 +8,11 @@ project back. Global branch: mean-pool the image's tokens into a
 (B, 1, D_emb) row, same treatment against the global bank; adding it to
 the local branch broadcasts it to all the image's tokens. The branch sum
 feeds a two-layer MLP whose output rides a skip connection from the block
-input. Every linear map adds its bias inside its ``matmul``. In train
-mode the detached queries are written to the banks after both branches
-have read, so retrieval always sees pre-batch state; each bank gets one
-batched write per forward. ``_forward`` returns those writes instead of
-making them, so the model can hold a train step's writes back until all
-its chunks have read. Parameters, β and bank slots all hold the block's
-dtype.
+input. Every linear map adds its bias inside its ``matmul``. A block never
+writes its banks: given write tokens, ``forward`` returns the detached
+queries each bank would store as (bank, rows, class ids), and the model
+writes them once every read of the step is done, so retrieval always sees
+pre-batch state. Parameters, β and bank slots all hold the block's dtype.
 """
 
 from collections import OrderedDict
@@ -39,7 +37,6 @@ class HMNBlock:
     def __init__(self, cfg, rng, dtype=np.float64):
         self.cfg = cfg
         self.h_p, self.w_p = cfg.grid_shape
-        self.n_tokens = cfg.n_tokens
         k, d_e, d_l, r = cfg.k, cfg.d_emb, cfg.d_lat, cfg.mlp_ratio
         self.W_loc_in = _linear(rng, k * k * d_e, d_l, dtype)
         self.b_loc_in = _vec(0.0, d_l, dtype)
@@ -88,66 +85,41 @@ class HMNBlock:
             capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
         return z
 
-    def _write_tokens(self, b, rng):
-        """(B, write_sample) sorted token indices, the rows of each image's
-        local queries a train step writes: one draw per image, in image
-        order, as the determinism contract fixes the rng stream."""
-        n, s = self.n_tokens, self.cfg.write_sample
-        return np.stack([np.sort(rng.choice(n, size=s, replace=False)) for _ in range(b)])
-
-    def _local_branch(self, x, t_steps, picks, labels, capture):
+    def _local_branch(self, x, t_steps, picks, labels, capture, writes):
         q = ad.unfold_matmul(x, self.h_p, self.w_p, self.cfg.k, self.W_loc_in, self.b_loc_in)
         z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local_alpha")
         out = ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, self.b_loc_out)
-        writes = None
         if picks is not None:
             # a pure copy: image i's rows q[i, picks[i]], in image order
             rows = q.value[np.arange(len(picks))[:, None], picks]
-            writes = rows.reshape(-1, rows.shape[-1]), np.repeat(labels, picks.shape[1])
-        return out, writes
+            writes.append((self.bank_local, rows.reshape(-1, rows.shape[-1]),
+                           np.repeat(labels, picks.shape[1])))
+        return out
 
-    def _global_branch(self, x, t_steps, mode, labels, capture):
+    def _global_branch(self, x, t_steps, picks, labels, capture, writes):
         g = ad.mean_rows(x)
         qg = ad.matmul(g, self.W_glob_in, self.b_glob_in)
         zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, capture,
                           "global_alpha")
         out = ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, self.b_glob_out)
-        return out, (qg.value[:, 0], labels) if mode == "train" else None
+        if picks is not None:
+            writes.append((self.bank_global, qg.value[:, 0], labels))
+        return out
 
-    def _forward(self, tokens, t_steps, picks, labels, capture):
-        """(out, writes): picks None reads only and writes is None; else
-        writes holds the (rows, class ids) this batch would write to the
-        local bank and to the global bank, unwritten."""
-        mode = "eval" if picks is None else "train"
+    def forward(self, tokens, t_steps, picks=None, labels=None, capture=None):
+        """(out, writes) for (B, N, D_emb) tokens; out has their shape.
+
+        picks None only reads, and writes is empty. Otherwise picks holds
+        each image's (B, write_sample) write-token indices and labels its
+        class, and writes lists the (bank, rows, class ids) this batch
+        stores in the local bank, then the global bank, unwritten.
+        """
+        writes = []
         x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
-        local, lwrites = self._local_branch(x, t_steps, picks, labels, capture)
-        glob, gwrites = self._global_branch(x, t_steps, mode, labels, capture)
+        local = self._local_branch(x, t_steps, picks, labels, capture, writes)
+        glob = self._global_branch(x, t_steps, picks, labels, capture, writes)
         f = ad.add(local, glob)
         y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
         hidden = ad.gelu(ad.matmul(y, self.W1, self.b1))
         mlp_out = ad.matmul(hidden, self.W2, self.b2)
-        return ad.add(tokens, mlp_out), (None if picks is None else (lwrites, gwrites))
-
-    def _write(self, writes):
-        lwrites, gwrites = writes
-        self.bank_local.write(*lwrites)
-        self.bank_global.write(*gwrites)
-
-    def forward(self, tokens, t_steps, mode, labels=None, rng=None, capture=None):
-        """(B, N, D_emb) in, same shape out; writes banks in train mode only."""
-        check_train_inputs(mode, labels, rng)
-        picks = self._write_tokens(len(tokens.value), rng) if mode == "train" else None
-        out, writes = self._forward(tokens, t_steps, picks, labels, capture)
-        if writes is not None:
-            # reads above all saw the bank as it stood before this batch
-            self._write(writes)
-        return out
-
-
-def check_train_inputs(mode, labels, rng):
-    """Raise ValueError for a train forward that lacks the labels or rng its
-    bank writes need, before any draw or write."""
-    if mode == "train" and labels is None:
-        raise ValueError("train mode needs one label per image for bank writes")
-    if mode == "train" and rng is None:
-        raise ValueError("train mode needs an rng for write-token sampling")
+        return ad.add(tokens, mlp_out), writes

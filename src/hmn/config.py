@@ -178,6 +178,9 @@ class RunConfig:
 
 
 def config_from_dict(d):
+    """The RunConfig a parsed JSON config describes; raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("config root must be a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = sorted(set(d) - known)
     if unknown:
@@ -191,6 +194,4 @@ def load_config(path):
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(f"config is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be a JSON object")
     return config_from_dict(raw)

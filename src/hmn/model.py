@@ -6,7 +6,7 @@ logits. The forward GEMMs run in fixed 16-image tiles (see autodiff), so
 an image's logits do not depend on the rest of the batch. ``forward`` and
 the chunked train step (``train._train_step``) share one private forward,
 ``_forward``, which takes the drawn write tokens and returns the pending
-bank writes; ``_write`` makes them.
+bank writes, a flat list of (bank, rows, class ids); ``_write`` makes them.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -31,7 +31,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import autodiff as ad
-from .blocks import HMNBlock, check_train_inputs
+from .blocks import HMNBlock
 from .config import config_from_dict
 from .memory import BANK_STATE_FIELDS
 from .optim import Adam
@@ -114,38 +114,43 @@ class Model:
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
-        check_train_inputs(mode, labels, rng)
+        if mode == "train" and labels is None:
+            raise ValueError("train mode needs one label per image for bank writes")
+        if mode == "train" and rng is None:
+            raise ValueError("train mode needs an rng for write-token sampling")
         images = self._images(images)
         picks = self._write_tokens(len(images), rng) if mode == "train" else None
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         logits, writes = self._forward(images, t_steps, picks, labels, capture)
-        if writes is not None:
-            self._write([writes])
+        # every read above saw the banks as they stood before this batch
+        self._write(writes)
         return logits
 
     def _images(self, images):
-        """images as a (B, C, H, W) array of the model's dtype; any other
-        shape raises ValueError."""
+        """images as a (B, C, H, W) array of the model's dtype, B ≥ 1; any
+        other shape raises ValueError."""
         images = np.asarray(images, dtype=self.dtype)
-        if images.ndim != 4:
-            raise ValueError(f"expected a (B, C, H, W) batch, got shape {images.shape}")
+        if images.ndim != 4 or len(images) == 0:
+            raise ValueError(f"expected a nonempty (B, C, H, W) batch, got shape {images.shape}")
         if images.shape[1:] != (self.cfg.in_channels, *self.cfg.image_size):
             raise ValueError(f"input shape {images.shape[1:]} does not match config")
         return images
 
     def _write_tokens(self, b, rng):
-        """(n_blocks, B, write_sample) write-token indices for a batch of b
-        images: block by block, then image by image, the rng order a
-        train forward has always drawn in."""
-        return np.stack([blk._write_tokens(b, rng) for blk in self.blocks])
+        """(n_blocks, B, write_sample) sorted indices of the local-query rows
+        a train step writes for b images, drawn block by block, then image
+        by image, as the determinism contract fixes the rng stream."""
+        n, s = self.cfg.n_tokens, self.cfg.write_sample
+        return np.array([[np.sort(rng.choice(n, size=s, replace=False)) for _ in range(b)]
+                         for _ in self.blocks])
 
     def _forward(self, images, t_steps, picks, labels, capture=None):
         """(logits, writes) for a standardized (B, C, H, W) batch.
 
-        picks None reads only, and writes is None. Otherwise picks holds
-        the blocks' write-token indices (``_write_tokens``) and writes
-        each block's pending (local, global) bank writes, for ``_write``.
-        Every read sees the banks as they stood before this call.
+        picks None reads only, and writes is empty. Otherwise picks holds
+        the blocks' write-token indices (``_write_tokens``) and writes each
+        block's pending (bank, rows, class ids), local then global, for
+        ``_write``. Every read sees the banks as they stood before this call.
         """
         patches = self._patchify(images)
         b = images.shape[0]
@@ -157,27 +162,22 @@ class Model:
         writes = []
         for i, blk in enumerate(self.blocks):
             cap = capture if (capture is not None and i == last) else None
-            tok, w = blk._forward(tok, t_steps, None if picks is None else picks[i],
-                                  labels, cap)
-            writes.append(w)
+            tok, w = blk.forward(tok, t_steps, None if picks is None else picks[i],
+                                 labels, cap)
+            writes += w
         scores = ad.reshape(ad.matmul(tok, self.W_att), (b, self.cfg.n_tokens))
         pool = ad.softmax_rows(scores)
         v = ad.group_weighted_sum(pool, tok)
         logits = ad.reshape(ad.matmul(v, self.head_w, self.head_b), (b, -1))
         if capture is not None:
             capture["pool_weights"] = pool.value.copy()
-        return logits, (None if picks is None else writes)
+        return logits, writes
 
-    def _write(self, chunks):
-        """Write the pending writes of a batch's consecutive chunks, as
-        ``_forward`` returned them: each bank gets one write of all the
-        chunks' rows, in image order."""
-        for i, blk in enumerate(self.blocks):
-            merged = []
-            for branch in (0, 1):  # local, global
-                rows, cls = zip(*(chunk[i][branch] for chunk in chunks))
-                merged.append((np.concatenate(rows), np.concatenate(cls)))
-            blk._write(merged)
+    @staticmethod
+    def _write(writes):
+        """Make pending writes, as ``_forward`` returns them, in list order."""
+        for bank, rows, cls in writes:
+            bank.write(rows, cls)
 
 
 # ------------------------------------------------------------- checkpoint IO
@@ -304,6 +304,8 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint version {version} unsupported (want {VERSION})")
     cfg = config_from_dict(json.loads(r.take(r.u("<Q")).decode("utf-8")))
     meta = json.loads(r.take(r.u("<Q")).decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint metadata must be a JSON object")
     n_records = r.u("<I")
     model = Model(cfg)
     expected = _records(model)

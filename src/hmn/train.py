@@ -17,11 +17,11 @@ A train step runs forward and backward over consecutive chunks of
 holds one chunk's autodiff graph at a time rather than the whole batch's.
 Every chunk reads the banks as they stood before the step; each chunk's
 loss is its cross-entropy sum over the batch size, and the gradients
-accumulate in the leaves' .grad. After the last chunk each bank gets one
-write, then the optimizer steps once. An image's forward bits and the bank
-state after the step are those of one whole-batch train forward; only the
-gradient sums regroup by chunk, so a batch of at most 32 images gets the
-same gradient bits too.
+accumulate in the leaves' .grad. After the last chunk's backward, the
+chunks' bank writes are made in chunk order, then the optimizer steps
+once. A bank stores rows written in parts as it stores them in one write,
+so an image's forward bits and the bank state after the step are those of
+one whole-batch train forward; only the gradient sums regroup by chunk.
 
 ``eval_batches`` is the one eval-mode batch loop under ``evaluate`` and
 every ``hmn.analysis`` diagnostic. An empty dataset raises ``ValueError``
@@ -60,14 +60,17 @@ def prepare_datasets(cfg):
 def eval_batches(model, dataset, batch_size=None, capture=False):
     """Yield (labels, logits, capture) per eval batch, in dataset order.
 
-    capture holds the last-block retrieval and pooling weights, or is None.
-    The forwards record no autodiff graph; the scope closes before each
-    yield, so the caller's own code runs outside it.
+    batch_size None means the config's; any size below 1 raises
+    ``ValueError``. capture holds the last-block retrieval and pooling
+    weights, or is None. The forwards record no autodiff graph; the scope
+    closes before each yield, so the caller's own code runs outside it.
     """
     if len(dataset) == 0:
         raise ValueError("the dataset is empty; nothing to evaluate")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch size must be at least 1, got {batch_size}")
     cfg = model.cfg
-    bsz = batch_size or cfg.batch_size
+    bsz = cfg.batch_size if batch_size is None else batch_size
     for start in range(0, len(dataset), bsz):
         sl = slice(start, min(start + bsz, len(dataset)))
         x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
@@ -96,8 +99,8 @@ def _write_line(path, line, mode="a"):
 
 def _train_step(model, x, labels, rng):
     """Forward and backward over a batch in consecutive _CHUNK-image
-    chunks, then the batch's bank writes; returns (mean loss, count of
-    correct argmaxes).
+    chunks, then every chunk's bank writes, in chunk order; returns (mean
+    loss, count of correct argmaxes).
 
     The write tokens of all blocks are drawn first, so the rng stream is
     that of ``Model.forward(mode="train")``, and every chunk reads the banks
@@ -116,7 +119,7 @@ def _train_step(model, x, labels, rng):
         ad.backward(loss)
         loss_sum += float(loss.value)
         correct += int((logits.value.argmax(axis=1) == labels[sl]).sum())
-        pending.append(writes)
+        pending += writes
     model._write(pending)
     return loss_sum, correct
 

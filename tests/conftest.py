@@ -64,9 +64,10 @@ def tiny_cfg(tmp_path):
 def trained_tiny(tmp_path_factory):
     """One tiny synth training run shared by the analysis and CLI tests.
 
-    Returns (cfg, summary dict, out_dir). The banks of a loaded checkpoint
-    are frozen; accuracy on this task should be high but the tests only
-    rely on structural properties unless stated otherwise.
+    Returns (cfg, summary dict, out_dir). A loaded checkpoint's banks hold
+    the trained slots, and eval forwards only read them; accuracy on this
+    task should be high but the tests only rely on structural properties
+    unless stated otherwise.
     """
     from hmn.train import train
 

@@ -11,6 +11,7 @@ import hmn.memory
 import hmn.retrieval
 from hmn.blocks import HMNBlock
 from hmn.config import RunConfig
+from hmn.model import Model
 
 from conftest import total
 
@@ -40,6 +41,17 @@ def make_block(seed=0, **overrides):
     return cfg, HMNBlock(cfg, np.random.default_rng(seed))
 
 
+def make_model(seed=0, **overrides):
+    """A one-block float64 model, for what only the model does: drawing
+    write tokens and writing the banks."""
+    cfg = block_cfg(**overrides)
+    return cfg, Model(cfg, np.random.default_rng(seed), dtype=np.float64)
+
+
+def images_for(cfg, batch, rng):
+    return rng.standard_normal((batch, cfg.in_channels, *cfg.image_size))
+
+
 def fill_banks(block, rng):
     for bank in (block.bank_local, block.bank_global):
         k = bank.total_slots
@@ -54,7 +66,7 @@ def test_shape_contract(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 3, rng)
-    out = block.forward(x, t_steps=2, mode="eval")
+    out = block.forward(x, 2)[0]
     assert out.value.shape == x.value.shape
 
 
@@ -62,10 +74,10 @@ def test_zero_steps_equals_zero_beta_bitwise(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    out_t0 = block.forward(x, t_steps=0, mode="eval")
+    out_t0 = block.forward(x, 0)[0]
     block.beta_local.value = np.array([0.0])
     block.beta_global.value = np.array([0.0])
-    out_b0 = block.forward(x, t_steps=3, mode="eval")
+    out_b0 = block.forward(x, 3)[0]
     np.testing.assert_array_equal(out_t0.value, out_b0.value)
 
 
@@ -83,25 +95,25 @@ def test_banks_not_read_on_short_circuit(rng, monkeypatch):
     monkeypatch.setattr(hmn.blocks, "retrieve_rows", spy)
 
     x = tokens_for(cfg, 2, rng)
-    block.forward(x, t_steps=0, mode="eval")
+    block.forward(x, 0)
     assert calls == []
 
     block.beta_local.value = np.array([0.0])
     block.beta_global.value = np.array([0.0])
-    block.forward(x, t_steps=3, mode="eval")
+    block.forward(x, 3)
     assert calls == []
 
     # empty banks are skipped too, capture's diagnostic read included
     cfg2, fresh = make_block(seed=5)
     capture = {}
-    fresh.forward(x, t_steps=3, mode="eval", capture=capture)
+    fresh.forward(x, 3, capture=capture)
     assert calls == []
     assert capture == {"local_alpha": None, "global_alpha": None}
 
     # sanity: a live retrieval path does hit the spy
     block.beta_local.value = np.array([0.2])
     block.beta_global.value = np.array([0.2])
-    block.forward(x, t_steps=1, mode="eval")
+    block.forward(x, 1)
     assert len(calls) == 2  # one per branch
 
 
@@ -109,8 +121,8 @@ def test_empty_bank_forward_matches_zero_steps(rng):
     cfg, block = make_block()
     x = tokens_for(cfg, 2, rng)
     assert not block.bank_local.any_filled
-    out_live = block.forward(x, t_steps=3, mode="eval")
-    out_t0 = block.forward(x, t_steps=0, mode="eval")
+    out_live = block.forward(x, 3)[0]
+    out_t0 = block.forward(x, 0)[0]
     np.testing.assert_array_equal(out_live.value, out_t0.value)
 
 
@@ -120,7 +132,7 @@ def test_zeroed_mlp_makes_block_identity(rng):
     block.W2.value = np.zeros_like(block.W2.value)
     block.b2.value = np.zeros_like(block.b2.value)
     x = tokens_for(cfg, 2, rng)
-    out = block.forward(x, t_steps=2, mode="eval")
+    out = block.forward(x, 2)[0]
     np.testing.assert_array_equal(out.value, x.value)
 
 
@@ -133,10 +145,10 @@ def test_beta_is_a_one_element_vector():
 
 
 def test_write_accounting(rng):
-    cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
+    cfg, model = make_model(write_sample=2, k_local=8, k_global=8)
+    block = model.blocks[0]
     labels = np.array([0, 1, 0])
-    x = tokens_for(cfg, 3, rng)
-    block.forward(x, t_steps=1, mode="train", labels=labels,
+    model.forward(images_for(cfg, 3, rng), mode="train", labels=labels,
                   rng=np.random.default_rng(7))
     # 3 images * 2 sampled tokens, and one global write per image
     assert int(block.bank_local.filled.sum()) == 6
@@ -150,17 +162,23 @@ def test_write_rows_are_each_images_picked_queries(rng):
     # the one fancy index over the drawn tokens against the per-image loop
     cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
     x = tokens_for(cfg, 3, rng)
-    picks = block._write_tokens(3, np.random.default_rng(7))
-    _, (lwrites, _) = block._forward(x, 1, picks, np.array([0, 1, 0]), None)
+    picks = np.array([[0, 3], [1, 2], [2, 3]])
+    _, writes = block.forward(x, 1, picks, np.array([0, 1, 0]))
+    (bank, rows, cls), (gbank, grows, gcls) = writes
     xn = ad.layernorm_rows(x, block.norm_in_gain, block.norm_in_bias)
     q = ad.unfold_matmul(xn, block.h_p, block.w_p, cfg.k, block.W_loc_in, block.b_loc_in).value
     want = np.concatenate([q[i, picks[i]] for i in range(3)])
-    assert lwrites[0].tobytes() == want.tobytes()
-    np.testing.assert_array_equal(lwrites[1], [0, 0, 1, 1, 0, 0])
+    assert bank is block.bank_local and gbank is block.bank_global
+    assert not bank.any_filled and not gbank.any_filled  # returned, not written
+    assert rows.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(cls, [0, 0, 1, 1, 0, 0])
+    assert grows.shape == (3, cfg.d_lat)
+    np.testing.assert_array_equal(gcls, [0, 1, 0])
 
 
 def test_train_forward_writes_each_bank_once(rng, monkeypatch):
-    cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
+    cfg, model = make_model(write_sample=2, k_local=8, k_global=8)
+    block = model.blocks[0]
     calls = []
     real = hmn.memory.MemoryBank.write
 
@@ -169,10 +187,10 @@ def test_train_forward_writes_each_bank_once(rng, monkeypatch):
         return real(bank, rows, class_ids)
 
     monkeypatch.setattr(hmn.memory.MemoryBank, "write", spy)
-    x = tokens_for(cfg, 3, rng)
-    block.forward(x, t_steps=1, mode="eval")
+    x = images_for(cfg, 3, rng)
+    model.forward(x)
     assert calls == []
-    block.forward(x, t_steps=1, mode="train", labels=np.array([0, 1, 0]),
+    model.forward(x, mode="train", labels=np.array([0, 1, 0]),
                   rng=np.random.default_rng(7))
     assert calls == [(block.bank_local, 6), (block.bank_global, 3)]
 
@@ -180,30 +198,22 @@ def test_train_forward_writes_each_bank_once(rng, monkeypatch):
 def test_reads_see_prebatch_bank_state(rng):
     """First train-mode batch on an empty bank retrieves nothing, so its
     output matches a no-retrieval forward even though writes then land."""
-    cfg, block = make_block()
-    x = tokens_for(cfg, 2, rng)
-    out_eval = block.forward(x, t_steps=0, mode="eval")
-    out_train = block.forward(x, t_steps=3, mode="train",
-                              labels=np.array([0, 1]), rng=np.random.default_rng(3))
+    cfg, model = make_model()
+    # a nonzero head, so the logits depend on the block's output
+    model.head_w.value = rng.standard_normal(model.head_w.shape)
+    x = images_for(cfg, 2, rng)
+    out_eval = model.forward(x, t_override=0)
+    out_train = model.forward(x, mode="train", labels=np.array([0, 1]),
+                              rng=np.random.default_rng(3), t_override=3)
     np.testing.assert_array_equal(out_train.value, out_eval.value)
-    assert block.bank_local.any_filled  # the writes did happen
-
-
-def test_train_mode_requires_labels_and_rng(rng):
-    cfg, block = make_block()
-    x = tokens_for(cfg, 1, rng)
-    with pytest.raises(ValueError):
-        block.forward(x, t_steps=1, mode="train")
-    with pytest.raises(ValueError):
-        block.forward(x, t_steps=1, mode="train", labels=np.array([0]))
+    assert model.blocks[0].bank_local.any_filled  # the writes did happen
 
 
 def test_global_addend_uniform_within_image(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    out, _ = block._global_branch(x, t_steps=2, mode="eval",
-                                  labels=None, capture=None)
+    out = block._global_branch(x, 2, None, None, None, [])
     # one row per image, which the branch sum broadcasts to every token
     assert out.shape == (2, 1, cfg.d_emb)
     addend = ad.add(ad.Tensor(np.zeros(x.shape)), out).value
@@ -218,10 +228,8 @@ def test_global_branch_permutation_invariant_within_image(rng):
     xv = rng.standard_normal((2, cfg.n_tokens, cfg.d_emb))
     perm = xv.copy()
     perm[0] = xv[0][::-1]
-    a, _ = block._global_branch(ad.Tensor(xv), t_steps=1, mode="eval",
-                                labels=None, capture=None)
-    b, _ = block._global_branch(ad.Tensor(perm), t_steps=1, mode="eval",
-                                labels=None, capture=None)
+    a = block._global_branch(ad.Tensor(xv), 1, None, None, None, [])
+    b = block._global_branch(ad.Tensor(perm), 1, None, None, None, [])
     np.testing.assert_allclose(a.value, b.value, atol=1e-12)
 
 
@@ -230,20 +238,20 @@ def test_capture_records_retrieval_weights(rng):
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
     capture = {}
-    block.forward(x, t_steps=2, mode="eval", capture=capture)
+    block.forward(x, 2, capture=capture)
     assert capture["local_alpha"].shape == (2 * cfg.n_tokens, cfg.k_local)
     assert capture["global_alpha"].shape == (2, cfg.k_global)
     np.testing.assert_allclose(capture["global_alpha"].sum(axis=1), np.ones(2), rtol=1e-12)
 
     # T=0 still captures a diagnostic retrieval
     capture = {}
-    block.forward(x, t_steps=0, mode="eval", capture=capture)
+    block.forward(x, 0, capture=capture)
     assert capture["global_alpha"].shape == (2, cfg.k_global)
 
     # empty banks capture None
     cfg2, fresh = make_block(seed=5)
     capture = {}
-    fresh.forward(x, t_steps=2, mode="eval", capture=capture)
+    fresh.forward(x, 2, capture=capture)
     assert capture["local_alpha"] is None and capture["global_alpha"] is None
 
 
@@ -286,7 +294,7 @@ def test_capture_reuses_the_refinement_weights(rng, fill, t_steps, beta):
     for scope in (ad.no_grad, contextlib.nullcontext):
         capture = {}
         with scope():
-            block.forward(x, t_steps=t_steps, mode="eval", capture=capture)
+            block.forward(x, t_steps, capture=capture)
         assert set(capture) == {"local_alpha", "global_alpha"}
         for key in capture:
             np.testing.assert_array_equal(capture[key], want[key])
@@ -304,7 +312,7 @@ def test_capture_leaves_outputs_and_gradients_unchanged(rng, t_steps, beta):
     runs = []
     for capture in (None, {}):
         ad.zero_grad(params)
-        out = block.forward(x, t_steps=t_steps, mode="eval", capture=capture)
+        out = block.forward(x, t_steps, capture=capture)[0]
         ad.backward(total(ad.matmul(out, proj)))
         runs.append((out.value, [p.grad for p in params]))
     (plain, plain_grads), (captured, captured_grads) = runs
@@ -331,7 +339,7 @@ def test_block_gradients_match_finite_differences(rng):
     params = list(block.parameters("b").values()) + [x]
 
     def build():
-        out = block.forward(x, t_steps=2, mode="eval")
+        out = block.forward(x, 2)[0]
         return total(ad.matmul(out, proj))
 
     assert ad.check_gradients(build, params, step=1e-6) < 1e-5

@@ -90,6 +90,9 @@ def test_input_shape_validation(tmp_path, rng):
         model.forward(rng.standard_normal((1, 1, 8, 8)), mode="predict")
     with pytest.raises(ValueError, match="batch"):
         model.forward(rng.standard_normal((1, 8, 8)))  # one image, no batch axis
+    for mode in ("eval", "train"):  # no image at all
+        with pytest.raises(ValueError, match="nonempty"):
+            model.forward(np.zeros((0, 1, 8, 8)), mode=mode, labels=np.zeros(0, int), rng=rng)
 
 
 def model_state(model):
@@ -654,6 +657,23 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path, rng):
     bad = tmp_path / "padded.ckpt"
     bad.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(ValueError, match="trailing"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("part,text", [("config", b"[]"), ("config", b"5"),
+                                       ("metadata", b"[]")])
+def test_checkpoint_rejects_json_that_is_not_an_object(tmp_path, rng, part, text):
+    # valid JSON of another type once raised TypeError or AttributeError
+    cfg, model, path = checkpointed(tmp_path, rng)
+    blob = path.read_bytes()
+    meta_at = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    count_at = record_table(blob)[0]
+    parts = {"config": blob[16:meta_at], "metadata": blob[meta_at + 8:count_at]}
+    parts[part] = text
+    bad = tmp_path / "not_an_object.ckpt"
+    bad.write_bytes(blob[:8] + b"".join(struct.pack("<Q", len(p)) + p for p in parts.values())
+                    + blob[count_at:])
+    with pytest.raises(ValueError, match="must be a JSON object"):
         load_checkpoint(bad)
 
 

@@ -16,6 +16,8 @@ import pytest
 import hmn
 import hmn.autodiff as ad
 import hmn.train as train_mod
+from hmn.analysis import hit_rate
+from hmn.cli import main
 from hmn.data import synth_blobs
 from hmn.model import Model, blas_threads, load_checkpoint
 from hmn.optim import lr_at
@@ -220,6 +222,25 @@ def test_evaluate_rejects_an_empty_dataset(trained_tiny):
     _, test = prepare_datasets(cfg)
     with pytest.raises(ValueError, match="empty"):
         evaluate(model, test.subset(np.arange(0)))
+
+
+@pytest.mark.parametrize("batch_size", [-8, 0])
+def test_a_batch_size_below_one_is_rejected(trained_tiny, capsys, batch_size):
+    # a negative size once yielded no batch and so accuracy 0, and 0 fell
+    # back to the config's size
+    cfg, _, out_dir = trained_tiny
+    ckpt = os.path.join(out_dir, "final.ckpt")
+    model, _, _ = load_checkpoint(ckpt)
+    _, test = prepare_datasets(cfg)
+    message = f"batch size must be at least 1, got {batch_size}"
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, test, batch_size)
+    with pytest.raises(ValueError, match=message):
+        hit_rate(model, test, batch_size=batch_size)
+    assert main(["eval", "--ckpt", ckpt, "--batch-size", str(batch_size)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 def test_divergence_reports_location(tmp_path):
