@@ -89,6 +89,9 @@ def cmd_analyze(args):
     branch = args.branch or ("both" if args.what == "hit-rate" else "global")
     if branch == "both" and args.what in ("weights", "consistency"):
         raise ValueError(f"{args.what} reads one --branch, local or global")
+    unknown = [f for f in args.families.split(",") if f not in analysis.DEFAULT_GRIDS]
+    if args.what == "robustness" and unknown:
+        raise ValueError(f"unknown --families {unknown}; valid: {sorted(analysis.DEFAULT_GRIDS)}")
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
     os.makedirs(args.out, exist_ok=True)

@@ -1,11 +1,11 @@
 """End-to-end finite-difference verification on a tiny model instance.
 
 Builds an 8×8-input model with two blocks, fills the banks with a couple
-of training batches, randomizes every parameter so no gradient path is
+of train steps, randomizes every parameter so no gradient path is
 trivially zero (the head starts at zero otherwise), then compares
-backward() against central differences for each parameter element. The
-model computes in float64: central differences at step 1e-5 would drown
-in float32 rounding.
+backward() of the read-only ``Model._forward`` against central
+differences for each parameter element. The model computes in float64:
+central differences at step 1e-5 would drown in float32 rounding.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from . import autodiff as ad
 from . import data as data_mod
 from .config import config_from_dict
 from .model import Model
+from .train import train_step
 
 TINY = {
     "dataset": "synth_blobs", "image_size": [8, 8], "patch_size": 4,
@@ -35,8 +36,8 @@ def model_gradcheck(t_steps=1, seed=0):
 
     Checks every learnable parameter of the tiny model on a batch of 4
     with memory retrieval active, at step 1e-5 and relative-error floor
-    1e-6. The banks are filled by train forwards first; the check's own
-    forwards are eval mode, which never writes them.
+    1e-6. The banks are filled by train steps first; the check's own
+    forwards only read them.
     """
     batch = 4
     cfg = tiny_config(t_steps=int(t_steps))
@@ -47,7 +48,7 @@ def model_gradcheck(t_steps=1, seed=0):
     for start in (0, batch):
         x = data_mod.standardize(ds.images[start:start + batch],
                                  cfg.norm_mean, cfg.norm_std)
-        model.forward(x, mode="train", labels=ds.labels[start:start + batch], rng=rng)
+        train_step(model, x, ds.labels[start:start + batch], rng)
     params = model.parameters()
     for t in params.values():
         t.value = rng.normal(0.0, 0.3, size=t.value.shape)
@@ -55,6 +56,6 @@ def model_gradcheck(t_steps=1, seed=0):
     y_fix = ds.labels[:batch]
 
     def build():
-        return ad.cross_entropy(model.forward(x_fix, mode="eval"), y_fix)
+        return ad.cross_entropy(model._forward(x_fix, cfg.t_steps, None, None)[0], y_fix)
 
     return ad.check_gradients(build, list(params.values()), step=1e-5, floor=1e-6)

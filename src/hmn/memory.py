@@ -6,10 +6,10 @@ is one count per class, ``written``: row j of a class goes to ring position
 (written + j) % capacity, so the newest capacity[c] embeddings for a class
 are always present, and any nonnegative count is a state some writes
 leave. Slots never carry gradients; callers hand in plain arrays. A write
-copies the slot array before changing it, so an array handed out by
-``filled_view`` keeps the slots it was read with: backward of a read taken
-before a write still sees the read's slots. A bank has no mode: the model
-writes it in train-mode forwards only.
+changes the slot array ``filled_view`` hands out in place, so a read's
+backward must run before its bank's next write. Both writers ensure it:
+``train.train_step`` writes after its last backward, and
+``Model.forward(mode="train")`` swaps in a copy first. A bank has no mode.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ class MemoryBank:
         self.written = np.zeros(self.num_classes, dtype=np.int64)
 
     def write(self, rows, class_ids):
-        """Copy (n, D) detached rows into their classes' ring slots, in row order.
+        """Copy (n, D) detached rows into their classes' ring slots in place, in row order.
 
         The result is exactly that of n one-row writes: of more than
         capacity[c] rows of one class only the newest capacity[c] are kept.
@@ -50,15 +50,13 @@ class MemoryBank:
             raise ValueError(f"rows {rows.shape} do not match ({len(cls)}, {self.dim})")
         if len(cls) and not (0 <= cls.min() and cls.max() < self.num_classes):
             raise ValueError(f"class ids out of range [0, {self.num_classes})")
-        slots = self.slots.copy()
         for c in np.unique(cls):
             own = rows[cls == c]
             n, cap = len(own), self.per_class_capacity[c]
             # row j of n lands on ring position written + j; later rows overwrite
             kept = np.arange(max(n - cap, 0), n)
-            slots[self.class_start[c] + (self.written[c] + kept) % cap] = own[kept]
+            self.slots[self.class_start[c] + (self.written[c] + kept) % cap] = own[kept]
             self.written[c] += n
-        self.slots = slots
 
     @property
     def filled(self):

@@ -4,9 +4,10 @@ Activations keep one leading axis per image: (B, N, D) tokens through the
 blocks, (B, N) pooling weights, a (B, 1, D) pooled vector and (B, C)
 logits. The forward GEMMs run in fixed 16-image tiles (see autodiff), so
 an image's logits do not depend on the rest of the batch. ``forward`` and
-the chunked train step (``train._train_step``) share one private forward,
+the chunked train step (``train.train_step``) share one private forward,
 ``_forward``, which takes the drawn write tokens and returns the pending
-bank writes, a flat list of (bank, rows, class ids); ``_write`` makes them.
+bank writes, a flat list of (bank, rows, class ids). An eval ``forward``
+records no autodiff graph.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -105,11 +106,11 @@ class Model:
                 t_override=None, capture=None):
         """(B, C) logits for a standardized (B, C, H, W) image batch.
 
-        eval mode only reads the banks and changes no model state. train
-        mode writes each block's queries to its banks under the given
-        labels, drawing write tokens from rng; a train forward missing
-        either raises before any bank changes. capture, when a dict,
-        receives the last block's retrieval weights, local_alpha
+        eval mode only reads the banks, records no graph and changes no
+        model state. train mode writes each block's queries to its banks
+        under the given labels, drawing write tokens from rng; a train
+        forward missing either raises before any bank changes. capture,
+        when a dict, receives the last block's retrieval weights, local_alpha
         (B·N, K_local) and global_alpha (B, K_global), and pool_weights (B, N).
         """
         if mode not in ("train", "eval"):
@@ -119,11 +120,15 @@ class Model:
         if mode == "train" and rng is None:
             raise ValueError("train mode needs an rng for write-token sampling")
         images = self._images(images)
-        picks = self._write_tokens(len(images), rng) if mode == "train" else None
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
+        if mode == "eval":
+            with ad.no_grad():
+                return self._forward(images, t_steps, None, None, capture)[0]
+        picks = self._write_tokens(len(images), rng)
         logits, writes = self._forward(images, t_steps, picks, labels, capture)
-        # every read above saw the banks as they stood before this batch
-        self._write(writes)
+        for bank, rows, cls in writes:
+            bank.slots = bank.slots.copy()  # this graph's reads keep their slots
+            bank.write(rows, cls)
         return logits
 
     def _images(self, images):
@@ -149,8 +154,8 @@ class Model:
 
         picks None reads only, and writes is empty. Otherwise picks holds
         the blocks' write-token indices (``_write_tokens``) and writes each
-        block's pending (bank, rows, class ids), local then global, for
-        ``_write``. Every read sees the banks as they stood before this call.
+        block's pending (bank, rows, class ids), local then global. Every
+        read sees the banks as they stood before this call.
         """
         patches = self._patchify(images)
         b = images.shape[0]
@@ -172,12 +177,6 @@ class Model:
         if capture is not None:
             capture["pool_weights"] = pool.value.copy()
         return logits, writes
-
-    @staticmethod
-    def _write(writes):
-        """Make pending writes, as ``_forward`` returns them, in list order."""
-        for bank, rows, cls in writes:
-            bank.write(rows, cls)
 
 
 # ------------------------------------------------------------- checkpoint IO
@@ -289,7 +288,7 @@ def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
 
 def load_checkpoint(path):
     """-> (float32 model, meta dict, rng or None). The model's banks hold
-    the saved slots: eval forwards read them, train forwards go on writing
+    the saved slots: eval forwards read them, train steps go on writing
     them. Rejects bad magic, version skew, truncation, trailing bytes, a
     record unlike the one ``_records`` lists at its place, non-finite
     parameters and bad bank states. Optimizer records are checked, not

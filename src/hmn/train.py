@@ -23,8 +23,9 @@ once. A bank stores rows written in parts as it stores them in one write,
 so an image's forward bits and the bank state after the step are those of
 one whole-batch train forward; only the gradient sums regroup by chunk.
 
-``eval_batches`` is the one eval-mode batch loop under ``evaluate`` and
-every ``hmn.analysis`` diagnostic. An empty dataset raises ``ValueError``
+``train_step`` is the one bank writer. ``eval_batches``, the one eval-mode
+batch loop under ``evaluate`` and every ``hmn.analysis`` diagnostic, opens
+no ``no_grad`` scope of its own. An empty dataset raises ``ValueError``
 there, and ``train()`` rejects an empty training or test set up front.
 """
 
@@ -62,8 +63,7 @@ def eval_batches(model, dataset, batch_size=None, capture=False):
 
     batch_size None means the config's; any size below 1 raises
     ``ValueError``. capture holds the last-block retrieval and pooling
-    weights, or is None. The forwards record no autodiff graph; the scope
-    closes before each yield, so the caller's own code runs outside it.
+    weights, or is None.
     """
     if len(dataset) == 0:
         raise ValueError("the dataset is empty; nothing to evaluate")
@@ -75,9 +75,7 @@ def eval_batches(model, dataset, batch_size=None, capture=False):
         sl = slice(start, min(start + bsz, len(dataset)))
         x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
         cap = {} if capture else None
-        with ad.no_grad():
-            logits = model.forward(x, mode="eval", capture=cap)
-        yield dataset.labels[sl], logits.value, cap
+        yield dataset.labels[sl], model.forward(x, capture=cap).value, cap
 
 
 def evaluate(model, dataset, batch_size=None):
@@ -97,7 +95,7 @@ def _write_line(path, line, mode="a"):
         fh.write(line + "\n")
 
 
-def _train_step(model, x, labels, rng):
+def train_step(model, x, labels, rng):
     """Forward and backward over a batch in consecutive _CHUNK-image
     chunks, then every chunk's bank writes, in chunk order; returns (mean
     loss, count of correct argmaxes).
@@ -120,7 +118,8 @@ def _train_step(model, x, labels, rng):
         loss_sum += float(loss.value)
         correct += int((logits.value.argmax(axis=1) == labels[sl]).sum())
         pending += writes
-    model._write(pending)
+    for bank, rows, cls in pending:
+        bank.write(rows, cls)
     return loss_sum, correct
 
 
@@ -167,7 +166,7 @@ def train(cfg, log=print):
             lr = lr_at(epoch + (step_i + 0.5) / steps, cfg)
             ad.zero_grad(params.values())
             try:
-                loss, right = _train_step(model, x, labels, rng)
+                loss, right = train_step(model, x, labels, rng)
             except FloatingPointError as e:
                 raise TrainingDiverged(
                     f"non-finite value at epoch {epoch} step {step_i}: {e}; "

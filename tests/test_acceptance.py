@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 
 from hmn.analysis import consistency, hit_rate, robustness, sweep
-from hmn.autodiff import Tensor
+from hmn.autodiff import Tensor, zero_grad
 from hmn.config import load_config
 from hmn.data import (DataFormatError, load_cifar10, load_fashion_mnist)
 from hmn.gradcheck import model_gradcheck
 from hmn.memory import MemoryBank
 from hmn.model import Model, load_checkpoint
 from hmn.retrieval import refine_rows, retrieve_rows, variance_probe
-from hmn.train import evaluate, train
+from hmn.train import evaluate, train, train_step
 
 from conftest import make_tiny_cfg
 from test_kernels import oracle_unfold
@@ -141,8 +141,9 @@ def test_structural_equivalences(capfd, tmp_path, rng):
     x = rng.standard_normal((4, 1, 8, 8))
     gen = np.random.default_rng(5)
     labels = np.array([0, 1, 0, 1])
-    model.forward(x, mode="train", labels=labels, rng=gen)
-    model.forward(x, mode="train", labels=labels, rng=gen)
+    train_step(model, x, labels, gen)
+    train_step(model, x, labels, gen)
+    zero_grad(model.parameters().values())
     for name, p in model.parameters().items():
         if "head_w" in name:
             p.value = rng.standard_normal(p.value.shape) * 0.5

@@ -318,6 +318,20 @@ def test_cli_robustness_keeps_checkpoints_of_equal_t_apart(capsys, trained_tiny,
     assert f"{t} #1" in svg and f"{t} #2" in svg
 
 
+@pytest.mark.parametrize("families", ["gaussian,bogus", "occlusion_px"])
+def test_cli_robustness_rejects_unknown_families(capsys, trained_tiny, tmp_path, families):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "rob")
+    rc, out, err = run_cli(capsys, "analyze", "robustness", "--ckpt", ckpt, "--out", dest,
+                           "--families", families)
+    assert rc == 1 and out == ""
+    rec = json.loads(err.strip())
+    unknown = families.split(",")[-1]
+    assert rec["error"] == "ValueError" and repr(unknown) in rec["message"]
+    assert all(repr(f) in rec["message"] for f in ("contrast", "gaussian", "occlusion"))
+    assert not os.path.exists(dest)
+
+
 def test_cli_sweep(capsys, tmp_path):
     cfg = make_tiny_cfg(tmp_path / "base", epochs=1, warmup_epochs=0,
                         synth_train_per_class=10, synth_test_per_class=5)

@@ -69,6 +69,20 @@ def test_write_is_detached_copy():
     np.testing.assert_array_equal(slots[0], [1.0, 2.0])
 
 
+def test_write_changes_only_the_written_rows_in_place(rng):
+    # classes 0 and 1 hold slots 0..2 and 3..5; one write to each wraps
+    # class 0's ring, and no other slot's bytes move
+    bank = MemoryBank(2, 6, 3)
+    bank.write(rng.standard_normal((4, 3)), [0, 0, 1, 0])
+    slots, before = bank.slots, bank.slots.copy()
+    rows = rng.standard_normal((2, 3))
+    bank.write(rows, [0, 1])
+    assert bank.slots is slots
+    np.testing.assert_array_equal(slots[[0, 4]], rows)
+    for i in (1, 2, 3, 5):
+        assert slots[i].tobytes() == before[i].tobytes(), i
+
+
 def test_validation():
     bank = MemoryBank(2, 4, 3)
     with pytest.raises(ValueError):

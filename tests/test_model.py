@@ -17,7 +17,7 @@ from hmn.data import load_dataset, standardize
 from hmn.memory import MemoryBank
 from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
-from hmn.train import eval_batches, evaluate
+from hmn.train import eval_batches, evaluate, train_step
 
 from conftest import make_tiny_cfg
 
@@ -37,7 +37,8 @@ def fill_via_training_steps(cfg, model, rng, steps=2, batch=4):
     for _ in range(steps):
         imgs = std_images(cfg, batch, rng)
         labels = rng.integers(0, cfg.num_classes, size=batch)
-        model.forward(imgs, mode="train", labels=labels, rng=rng)
+        train_step(model, imgs, labels, rng)
+    ad.zero_grad(model.parameters().values())
     # the head starts at zero, which would blank the logits and make
     # output comparisons vacuous
     for t in (model.head_w, model.head_b):
@@ -126,6 +127,21 @@ def test_eval_forward_changes_no_model_state(tmp_path, rng, scope, capture, t_st
     assert_state_unchanged(model, state)
     if capture:
         assert cap["local_alpha"] is not None and cap["global_alpha"] is not None
+
+
+def test_eval_forward_records_no_graph_and_restores_recording(tmp_path, rng):
+    cfg, model = tiny_model(tmp_path)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    logits = model.forward(std_images(cfg, 3, rng))
+    assert not logits.requires_grad and logits._parents == ()
+    assert ad._recording
+    bad = std_images(cfg, 3, rng)
+    bad[1, 0, 2, 3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        model.forward(bad)
+    assert ad._recording
+    w = ad.Tensor(np.ones(2), requires_grad=True)
+    assert ad.add(w, w).requires_grad
 
 
 @pytest.mark.parametrize("case", ["bad shape", "bad shape eval", "no labels", "no rng"])
@@ -350,7 +366,8 @@ def test_checkpoint_reserialization_is_byte_identical(tmp_path, rng):
 def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, monkeypatch):
     cfg, model, _ = checkpointed(tmp_path, rng)
     _, test = load_dataset(cfg)
-    graph = model.forward(standardize(test.images, cfg.norm_mean, cfg.norm_std))
+    x = model._images(standardize(test.images, cfg.norm_mean, cfg.norm_std))
+    graph = model._forward(x, cfg.t_steps, None, None)[0]
     assert graph.requires_grad
     acc = evaluate(model, test, batch_size=7)
     assert acc == int((graph.value.argmax(axis=1) == test.labels).sum()) / len(test)

@@ -21,7 +21,7 @@ from hmn.cli import main
 from hmn.data import synth_blobs
 from hmn.model import Model, blas_threads, load_checkpoint
 from hmn.optim import lr_at
-from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train
+from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train, train_step
 
 from conftest import make_tiny_cfg
 
@@ -300,7 +300,7 @@ def whole_batch_step(model, x, labels, rng):
 
 def chunked_step(model, x, labels, rng):
     ad.zero_grad(model.parameters().values())
-    train_mod._train_step(model, x, labels, rng)
+    train_step(model, x, labels, rng)
 
 
 def assert_same_banks_and_rng(a, b):
@@ -342,6 +342,22 @@ def test_chunked_step_matches_a_whole_batch_step(tmp_path, batch, dtype):
                 assert np.abs(gc - gw).max() <= 1e-12 * np.abs(gw).max(), name
 
 
+def test_train_step_writes_every_bank_in_place(tmp_path):
+    # 40 images are two chunks; the second step overwrites slots the first
+    # filled, and each bank keeps its one slot array throughout
+    cfg = make_tiny_cfg(tmp_path, n_blocks=2)
+    model = Model(cfg, np.random.default_rng(0))
+    arrays = [b.slots for b in model.banks().values()]
+    rng = np.random.default_rng(1)
+    for step in range(2):
+        ds = synth_blobs(cfg.num_classes, 20, tuple(cfg.image_size), seed=3 + step)
+        before = [a.copy() for a in arrays]
+        train_step(model, (ds.images - cfg.norm_mean) / cfg.norm_std, ds.labels, rng)
+        for (name, bank), slots, old in zip(model.banks().items(), arrays, before):
+            assert bank.slots is slots, name
+            assert not np.array_equal(slots, old), name
+
+
 def test_chunked_step_loss_is_the_batch_mean(tmp_path):
     cfg = make_tiny_cfg(tmp_path, n_blocks=1)
     ds = synth_blobs(cfg.num_classes, 40, tuple(cfg.image_size), seed=3)
@@ -352,7 +368,7 @@ def test_chunked_step_loss_is_the_batch_mean(tmp_path):
     with ad.no_grad():
         logits = model.forward(x, mode="eval").value
     want = float(ad.cross_entropy(logits, ds.labels).value)
-    loss, right = train_mod._train_step(model, x, ds.labels, np.random.default_rng(2))
+    loss, right = train_step(model, x, ds.labels, np.random.default_rng(2))
     assert abs(loss - want) <= 1e-13 * want
     assert right == int((logits.argmax(axis=1) == ds.labels).sum())
 
