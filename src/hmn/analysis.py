@@ -210,7 +210,10 @@ def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
 # ------------------------------------------------------------- robustness
 
 def _with_identity(family, grid):
-    """(identity severity, grid with the identity severity first if absent)."""
+    """(identity severity, grid with the identity severity first if absent);
+    a family with no identity severity raises ValueError."""
+    if family not in _IDENTITY:
+        raise ValueError(f"unknown corruption family {family!r}; valid: {sorted(_IDENTITY)}")
     ident = _IDENTITY[family]
     grid = list(grid)
     return ident, grid if ident in grid else [ident] + grid
@@ -219,13 +222,13 @@ def _with_identity(family, grid):
 def robustness(models, dataset, grids=None, seed=1234, batch_size=64):
     """Accuracy per (model, family, severity); rows at the identity severity
     equal clean accuracy exactly. Returns a list of row dicts."""
-    grids = grids or DEFAULT_GRIDS
+    grids = [(family, *_with_identity(family, sevs))
+             for family, sevs in sorted((grids or DEFAULT_GRIDS).items())]
     rows = []
     for label, model in models:
         clean_acc = evaluate(model, dataset, batch_size)
         corrupted_accs = []
-        for fi, (family, sevs) in enumerate(sorted(grids.items())):
-            ident, grid = _with_identity(family, sevs)
+        for fi, (family, ident, grid) in enumerate(grids):
             for si, sev in enumerate(grid):
                 if sev == ident:
                     acc = clean_acc

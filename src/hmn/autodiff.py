@@ -21,7 +21,11 @@ on its height. The property holds in float32, which models compute in, at
 every shipped shape. In float64 it fails at some shapes whose n is not a
 multiple of 8, where OpenBLAS's dgemm rounds the last columns of a
 tile's last rows differently; the desk shape's 500-slot local read is
-one (tests/test_autodiff.py lists the shapes checked).
+one (tests/test_autodiff.py lists the shapes checked). A train step and
+an eval forward hand these ops 32-image chunks (``model._CHUNK``), two
+tiles each, so a chunk makes the same GEMM calls as its rows of the
+whole batch would, and its R×K and (R, k²·D) intermediates stay one
+chunk's size whatever the batch.
 group_weighted_sum, whose operands both vary by image, keeps one GEMM per
 image. Row ops work on the last axis. Backwards never produce logits, so
 each gradient GEMM is one BLAS call over all rows. Inside a ``no_grad()``

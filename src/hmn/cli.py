@@ -92,6 +92,8 @@ def cmd_analyze(args):
     unknown = [f for f in args.families.split(",") if f not in analysis.DEFAULT_GRIDS]
     if args.what == "robustness" and unknown:
         raise ValueError(f"unknown --families {unknown}; valid: {sorted(analysis.DEFAULT_GRIDS)}")
+    if args.what == "consistency":  # an unknown --family raises before --out is made
+        analysis._with_identity(args.family, [])
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
     os.makedirs(args.out, exist_ok=True)

@@ -7,7 +7,10 @@ an image's logits do not depend on the rest of the batch. ``forward`` and
 the chunked train step (``train.train_step``) share one private forward,
 ``_forward``, which takes the drawn write tokens and returns the pending
 bank writes, a flat list of (bank, rows, class ids). An eval ``forward``
-records no autodiff graph.
+records no autodiff graph and runs ``_forward`` over consecutive
+``_CHUNK``-image chunks, the train step's chunks, so its working memory
+is one chunk's whatever the batch size. A chunk is a whole number of
+tiles, so every GEMM call and every output bit is the whole batch's.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -39,6 +42,10 @@ from .optim import Adam
 
 MAGIC = b"HMN1"
 VERSION = 2
+
+# images per _forward call of an eval forward or a train step: two of the
+# forward GEMMs' 16-image tiles, so a chunk's tiles are the whole batch's
+_CHUNK = 2 * ad._TILE
 
 
 class Model:
@@ -107,11 +114,14 @@ class Model:
         """(B, C) logits for a standardized (B, C, H, W) image batch.
 
         eval mode only reads the banks, records no graph and changes no
-        model state. train mode writes each block's queries to its banks
-        under the given labels, drawing write tokens from rng; a train
-        forward missing either raises before any bank changes. capture,
-        when a dict, receives the last block's retrieval weights, local_alpha
-        (B·N, K_local) and global_alpha (B, K_global), and pool_weights (B, N).
+        model state; it runs in consecutive _CHUNK-image chunks and
+        concatenates their logits. train mode runs the whole batch at once
+        and writes each block's queries to its banks under the given
+        labels, drawing write tokens from rng; a train forward missing
+        either raises before any bank changes. capture, when a dict,
+        receives the last block's retrieval weights, local_alpha
+        (B·N, K_local) and global_alpha (B, K_global), each None while its
+        bank is empty, and pool_weights (B, N).
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -122,8 +132,18 @@ class Model:
         images = self._images(images)
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         if mode == "eval":
+            logits, caps = [], []
             with ad.no_grad():
-                return self._forward(images, t_steps, None, None, capture)[0]
+                for start in range(0, len(images), _CHUNK):
+                    cap = None if capture is None else {}
+                    chunk = images[start:start + _CHUNK]
+                    logits.append(self._forward(chunk, t_steps, None, None, cap)[0].value)
+                    caps.append(cap)
+            if capture is not None:
+                for key, first in caps[0].items():
+                    capture[key] = None if first is None else np.concatenate(
+                        [cap[key] for cap in caps])
+            return ad.Tensor(np.concatenate(logits))
         picks = self._write_tokens(len(images), rng)
         logits, writes = self._forward(images, t_steps, picks, labels, capture)
         for bank, rows, cls in writes:

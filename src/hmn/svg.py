@@ -1,11 +1,14 @@
 """Dependency-free SVG line charts with deterministic byte output."""
 
-from xml.sax.saxutils import escape
-
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 42, 48
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
           "#8c564b", "#e377c2", "#7f7f7f"]
+
+
+def escape(text):
+    """text with &, > and < as XML entities, & first."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x):

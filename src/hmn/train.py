@@ -13,8 +13,9 @@ The BLAS thread count is part of the contract because some GEMMs, the
 local memory mix among them, round differently at 1 and 2 threads.
 
 A train step runs forward and backward over consecutive chunks of
-``_CHUNK`` = 32 images, two of the forward GEMMs' 16-image tiles, so it
-holds one chunk's autodiff graph at a time rather than the whole batch's.
+``model._CHUNK`` = 32 images, two of the forward GEMMs' 16-image tiles, so
+it holds one chunk's autodiff graph at a time rather than the whole
+batch's; an eval ``Model.forward`` runs in the same chunks.
 Every chunk reads the banks as they stood before the step; each chunk's
 loss is its cross-entropy sum over the batch size, and the gradients
 accumulate in the leaves' .grad. After the last chunk's backward, the
@@ -25,8 +26,9 @@ one whole-batch train forward; only the gradient sums regroup by chunk.
 
 ``train_step`` is the one bank writer. ``eval_batches``, the one eval-mode
 batch loop under ``evaluate`` and every ``hmn.analysis`` diagnostic, opens
-no ``no_grad`` scope of its own. An empty dataset raises ``ValueError``
-there, and ``train()`` rejects an empty training or test set up front.
+no ``no_grad`` scope and makes no chunks of its own: the eval forward
+does both. An empty dataset raises ``ValueError`` there, and ``train()``
+rejects an empty training or test set up front.
 """
 
 import os
@@ -36,13 +38,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as data_mod
-from .model import Model, save_checkpoint
+from .model import _CHUNK, Model, save_checkpoint
 from .optim import Adam, lr_at
-
-
-# images per forward + backward in a train step: two of the forward GEMMs'
-# 16-image tiles, so a chunk's tiles are the whole batch's tiles
-_CHUNK = 2 * ad._TILE
 
 
 class TrainingDiverged(RuntimeError):
@@ -62,8 +59,10 @@ def eval_batches(model, dataset, batch_size=None, capture=False):
     """Yield (labels, logits, capture) per eval batch, in dataset order.
 
     batch_size None means the config's; any size below 1 raises
-    ``ValueError``. capture holds the last-block retrieval and pooling
-    weights, or is None.
+    ``ValueError``. A batch's forward runs in ``_CHUNK``-image chunks
+    whatever its size, so batch_size sets how many images a yield holds,
+    not the forward's working memory. capture holds the last-block
+    retrieval and pooling weights, or is None.
     """
     if len(dataset) == 0:
         raise ValueError("the dataset is empty; nothing to evaluate")

@@ -1,11 +1,14 @@
 """Corruptions, retrieval diagnostics, and the sweep driver."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmn
 import hmn.autodiff as ad
 from hmn.analysis import (CONSISTENCY_GRID_PX, DEFAULT_GRIDS, _rank_slots,
                           consistency, corrupt, corrupt_dataset, hit_rate,
@@ -259,6 +262,27 @@ def test_robustness_multiple_models_and_files(tiny_run, tmp_path):
     lines = Path(paths[0]).read_text().strip().split("\n")
     assert lines[0] == "model,t_steps,family,severity,accuracy,n"
     assert (tmp_path / "robustness_gaussian.svg").exists()
+
+
+def test_robustness_and_consistency_reject_an_unknown_family(tiny_run):
+    cfg, model, test = tiny_run
+    valid = r"\['contrast', 'gaussian', 'occlusion', 'occlusion_px'\]"
+    with pytest.raises(ValueError, match="'bogus'.*" + valid):
+        robustness([("tiny", model)], test, grids={"bogus": [0.1]})
+    with pytest.raises(ValueError, match="'bogus'.*" + valid):
+        consistency(model, test, family="bogus")
+
+
+def test_importing_analysis_loads_no_network_modules():
+    # svg's escape is local: xml.sax.saxutils would pull in urllib.request,
+    # http.client and ssl at every fresh process's import
+    heavy = ("xml.sax", "urllib.request", "http.client", "ssl")
+    code = f"import sys, hmn.analysis; print([m for m in {heavy!r} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(hmn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -------------------------------------------------------------- consistency

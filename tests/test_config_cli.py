@@ -332,6 +332,19 @@ def test_cli_robustness_rejects_unknown_families(capsys, trained_tiny, tmp_path,
     assert not os.path.exists(dest)
 
 
+def test_cli_consistency_rejects_an_unknown_family(capsys, trained_tiny, tmp_path):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "cons")
+    rc, out, err = run_cli(capsys, "analyze", "consistency", "--ckpt", ckpt, "--out", dest,
+                           "--family", "bogus")
+    assert rc == 1 and out == ""
+    rec = json.loads(err.strip())
+    assert rec["error"] == "ValueError" and "'bogus'" in rec["message"]
+    assert all(repr(f) in rec["message"]
+               for f in ("contrast", "gaussian", "occlusion", "occlusion_px"))
+    assert not os.path.exists(dest)
+
+
 def test_cli_sweep(capsys, tmp_path):
     cfg = make_tiny_cfg(tmp_path / "base", epochs=1, warmup_epochs=0,
                         synth_train_per_class=10, synth_test_per_class=5)

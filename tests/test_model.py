@@ -2,6 +2,7 @@
 
 import contextlib
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,7 +20,7 @@ from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
 from hmn.train import eval_batches, evaluate, train_step
 
-from conftest import make_tiny_cfg
+from conftest import assert_same_bits, make_tiny_cfg
 
 POOL_E = 0.7310585786300048792511592  # e/(e+1) to 25 digits
 
@@ -256,6 +257,65 @@ def test_batch_independence_across_a_tile_boundary(tmp_path, rng, dtype):
             alone = model.forward(imgs[i:i + 1]).value
             np.testing.assert_array_equal(in_order[i], alone[0])
             np.testing.assert_array_equal(reversed_[i], alone[0])
+
+
+@pytest.mark.parametrize("t_steps,dtype,filled", [
+    (0, np.float32, True), (1, np.float32, True), (1, np.float64, True),
+    (1, np.float32, False)], ids=["T0", "T1", "T1-float64", "empty-bank"])
+def test_chunked_eval_forward_matches_whole_and_per_image_forwards(
+        tmp_path, rng, t_steps, dtype, filled):
+    # two full chunks and a short one; T=0 captures the diagnostic read and an
+    # empty bank captures None
+    cfg = make_tiny_cfg(tmp_path, t_steps=t_steps)
+    model = Model(cfg, dtype=dtype)
+    if filled:
+        fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    else:
+        for t in (model.head_w, model.head_b):
+            t.value = rng.normal(0.0, 0.5, size=t.value.shape).astype(model.dtype)
+    b = 2 * model_mod._CHUNK + 5
+    imgs = std_images(cfg, b, rng)
+    capture = {}
+    logits = model.forward(imgs, capture=capture).value
+    whole_cap = {}
+    with ad.no_grad():
+        whole = model._forward(model._images(imgs), t_steps, None, None, whole_cap)[0].value
+    singles = [{} for _ in range(b)]
+    alone = np.concatenate([model.forward(imgs[i:i + 1], capture=singles[i]).value
+                            for i in range(b)])
+    assert_same_bits(logits, whole)
+    assert_same_bits(logits, alone)
+    assert set(capture) == {"local_alpha", "global_alpha", "pool_weights"}
+    for key, got in capture.items():
+        if not filled and key != "pool_weights":
+            assert got is None and whole_cap[key] is None
+            assert all(cap[key] is None for cap in singles)
+            continue
+        assert_same_bits(got, whole_cap[key])
+        assert_same_bits(got, np.concatenate([cap[key] for cap in singles]))
+
+
+def test_eval_forward_memory_does_not_grow_with_the_batch(tmp_path, rng):
+    # an unfold of k²·D = 144 floats per token against 16 input pixels: a
+    # whole-batch forward's working set grows about 9× as fast as its input
+    cfg = make_tiny_cfg(tmp_path, image_size=[16, 16], d_emb=16, d_lat=16,
+                        k_local=64, k_global=16)
+    model = Model(cfg)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, 8 * model_mod._CHUNK, rng)
+
+    def peak(x):
+        tracemalloc.start()
+        try:
+            logits = model.forward(x).value
+            return tracemalloc.get_traced_memory()[1], logits
+        finally:
+            tracemalloc.stop()
+
+    peak(imgs[:model_mod._CHUNK])  # warm up one-off allocations
+    small, _ = peak(imgs[:model_mod._CHUNK])
+    large, logits = peak(imgs)
+    assert large <= small + imgs.astype(np.float32).nbytes + logits.nbytes
 
 
 def test_t_override(tmp_path, rng):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hmn.svg import render_svg
+from hmn.svg import escape, render_svg
 
 
 def test_byte_identical_across_calls(tmp_path):
@@ -52,6 +52,12 @@ def test_title_markup_is_escaped(tmp_path):
     assert "x &lt; y &amp; z" in text
     assert "a&lt;b" in text
     xml.dom.minidom.parseString(text)
+
+
+def test_escape_matches_the_standard_library():
+    from xml.sax.saxutils import escape as sax_escape
+    for text in ["a<b", "x < y & z", "&amp;", "<&>", ">>&<<", "plain", ""]:
+        assert escape(text) == sax_escape(text)
 
 
 def test_no_series_rejected(tmp_path):
