@@ -11,8 +11,8 @@ directory.
 Every diagnostic runs over ``train.eval_batches``, the loop ``evaluate``
 uses, and works on whole batches: one stable ranking of each batch's
 retrieval weights, then array expressions over it. An empty dataset
-raises ``ValueError``. The per-image loop left in ``corrupt_dataset`` is
-the rng contract: one stream, drawn in image index order.
+raises ``ValueError``. ``corrupt`` takes a whole batch too, and draws
+from one stream in image index order, as a per-image loop would.
 """
 
 import dataclasses
@@ -49,47 +49,47 @@ HIT_TOPK = (1, 5)
 
 # ------------------------------------------------------------- corruptions
 
-def corrupt(image, family, severity, rng):
-    """One corrupted copy of a (C, H, W) image in [0, 1] pixel space."""
-    img = np.asarray(image, dtype=np.float64)
-    c, h, w = img.shape
+def corrupt(images, family, severity, rng):
+    """Corrupted copy of an (n, C, H, W) batch in [0, 1] pixel space.
+
+    The draws come off rng image by image in index order, as n one-image
+    calls would take them. The identity severity, and an occlusion area
+    that rounds to side 0, give a copy and draw nothing.
+    """
+    imgs = np.asarray(images, dtype=np.float64)
+    n, _, h, w = imgs.shape
+    if family not in _IDENTITY:
+        raise ValueError(f"unknown corruption family {family!r}")
+    if family == "gaussian" and severity < 0:
+        raise ValueError(f"gaussian sigma must be >= 0, got {severity}")
+    if family == "contrast" and severity < 0:
+        raise ValueError(f"contrast factor must be >= 0, got {severity}")
+    side = None
+    if family == "occlusion":
+        if not 0.0 <= severity < 1.0:
+            raise ValueError(f"occlusion area must be in [0, 1), got {severity}")
+        side = min(int(round(np.sqrt(severity * h * w))), h, w)
+    elif family == "occlusion_px":
+        side = int(severity)
+        if side < 0 or side > min(h, w):
+            raise ValueError(f"occlusion side must be in [0, {min(h, w)}], got {severity}")
+    if severity == _IDENTITY[family] or side == 0:
+        return imgs.copy()
     if family == "gaussian":
-        if severity < 0:
-            raise ValueError(f"gaussian sigma must be >= 0, got {severity}")
-        if severity == 0:
-            return img.copy()
-        return np.clip(img + rng.normal(0.0, severity, size=img.shape), 0.0, 1.0)
-    if family in ("occlusion", "occlusion_px"):
-        if family == "occlusion":
-            if not 0.0 <= severity < 1.0:
-                raise ValueError(f"occlusion area must be in [0, 1), got {severity}")
-            side = int(round(np.sqrt(severity * h * w)))
-        else:
-            side = int(severity)
-            if side < 0 or side > min(h, w):
-                raise ValueError(f"occlusion side must be in [0, {min(h, w)}], got {severity}")
-        if side == 0:
-            return img.copy()
-        side = min(side, min(h, w))
-        top = int(rng.integers(0, h - side + 1))
-        left = int(rng.integers(0, w - side + 1))
-        out = img.copy()
-        out[:, top:top + side, left:left + side] = 0.0
-        return out
+        return np.clip(imgs + rng.normal(0.0, severity, size=imgs.shape), 0.0, 1.0)
     if family == "contrast":
-        if severity < 0:
-            raise ValueError(f"contrast factor must be >= 0, got {severity}")
-        if severity == 1.0:
-            return img.copy()
-        mean = img.mean(axis=(1, 2), keepdims=True)
-        return np.clip(mean + severity * (img - mean), 0.0, 1.0)
-    raise ValueError(f"unknown corruption family {family!r}")
+        mean = imgs.mean(axis=(2, 3), keepdims=True)
+        return np.clip(mean + severity * (imgs - mean), 0.0, 1.0)
+    # each image's (top, left) corner, then its side × side square in every channel
+    top, left = rng.integers(0, [h - side + 1, w - side + 1], size=(n, 2)).T[..., None, None]
+    ys, xs = np.ogrid[:h, :w]
+    hide = (ys >= top) & (ys < top + side) & (xs >= left) & (xs < left + side)
+    return np.where(hide[:, None], 0.0, imgs)
 
 
 def corrupt_dataset(dataset, family, severity, seed):
     """Deterministic corrupted copy; one rng stream, image index order."""
-    rng = np.random.default_rng(seed)
-    images = np.stack([corrupt(img, family, severity, rng) for img in dataset.images])
+    images = corrupt(dataset.images, family, severity, np.random.default_rng(seed))
     return data_mod.Dataset(images, dataset.labels.copy(), dataset.num_classes,
                             dataset.name)
 
@@ -209,11 +209,19 @@ def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
 
 # ------------------------------------------------------------- robustness
 
-def _with_identity(family, grid):
-    """(identity severity, grid with the identity severity first if absent);
-    a family with no identity severity raises ValueError."""
+def _checked_grid(family, grid, images):
+    """(identity severity, grid with the identity severity first if absent).
+
+    grid None is consistency's default: the CONSISTENCY_GRID_PX sides that
+    fit the images. An unknown family, or a severity ``corrupt`` rejects at
+    the images' size, raises ValueError; each severity is tried on an
+    empty batch, which draws nothing."""
     if family not in _IDENTITY:
         raise ValueError(f"unknown corruption family {family!r}; valid: {sorted(_IDENTITY)}")
+    if grid is None:
+        grid = [side for side in CONSISTENCY_GRID_PX if side <= min(images.shape[2:])]
+    for sev in grid:
+        corrupt(images[:0], family, sev, np.random.default_rng(0))
     ident = _IDENTITY[family]
     grid = list(grid)
     return ident, grid if ident in grid else [ident] + grid
@@ -222,7 +230,7 @@ def _with_identity(family, grid):
 def robustness(models, dataset, grids=None, seed=1234, batch_size=64):
     """Accuracy per (model, family, severity); rows at the identity severity
     equal clean accuracy exactly. Returns a list of row dicts."""
-    grids = [(family, *_with_identity(family, sevs))
+    grids = [(family, *_checked_grid(family, sevs, dataset.images))
              for family, sevs in sorted((grids or DEFAULT_GRIDS).items())]
     rows = []
     for label, model in models:
@@ -277,7 +285,7 @@ def consistency(model, dataset, family="occlusion_px", grid=None, seed=4321,
     one. The same slot counts as cosine exactly 1; a zero slot as 0.
     """
     slots = _last_bank(model, branch).slots.astype(np.float64)
-    ident, grid = _with_identity(family, CONSISTENCY_GRID_PX if grid is None else grid)
+    ident, grid = _checked_grid(family, grid, dataset.images)
 
     def top5(ds):
         # the local branch scores the argmax-pooling token, as hit_rate does

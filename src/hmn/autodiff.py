@@ -703,20 +703,17 @@ def unfold_matmul(x, h, w, k, weight, bias):
     return _node(out, (x, weight, bias), bwd, "unfold_matmul")
 
 
-def cross_entropy(logits, labels):
-    """Mean negative log softmax probability of the true labels, 0-d."""
-    return _cross_entropy(logits, labels, len(labels))
-
-
-def _cross_entropy(logits, labels, total):
+def cross_entropy(logits, labels, total=None):
     """Negative log softmax probability of the true labels, summed and
-    divided by total. A train step over chunks of a batch divides each
-    chunk's sum by the batch size, so the chunks' gradients add up to
-    those of the batch mean."""
+    divided by total, 0-d; total None means the row count, so the mean.
+    A train step over chunks of a batch divides each chunk's sum by the
+    batch size, so the chunks' gradients add up to those of the batch
+    mean."""
     logits = as_tensor(logits)
     lv = logits.value
     labels = np.asarray(labels, dtype=np.int64)
     bsz, ncls = lv.shape
+    total = bsz if total is None else total
     if labels.shape != (bsz,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {bsz}")
     if labels.min() < 0 or labels.max() >= ncls:

@@ -34,7 +34,7 @@ def _vec(value, n, dtype):
 
 
 class HMNBlock:
-    def __init__(self, cfg, rng, dtype=np.float64):
+    def __init__(self, cfg, rng, dtype):
         self.cfg = cfg
         self.h_p, self.w_p = cfg.grid_shape
         k, d_e, d_l, r = cfg.k, cfg.d_emb, cfg.d_lat, cfg.mlp_ratio

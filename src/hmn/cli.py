@@ -92,10 +92,11 @@ def cmd_analyze(args):
     unknown = [f for f in args.families.split(",") if f not in analysis.DEFAULT_GRIDS]
     if args.what == "robustness" and unknown:
         raise ValueError(f"unknown --families {unknown}; valid: {sorted(analysis.DEFAULT_GRIDS)}")
-    if args.what == "consistency":  # an unknown --family raises before --out is made
-        analysis._with_identity(args.family, [])
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
+    grid = [float(v) for v in args.grid.split(",")] if args.grid else None
+    if args.what == "consistency":  # a bad --family or --grid raises before --out is made
+        analysis._checked_grid(args.family, grid, test.images)
     os.makedirs(args.out, exist_ok=True)
     if args.what == "hit-rate":
         outputs = []
@@ -125,7 +126,6 @@ def cmd_analyze(args):
         paths = analysis.write_robustness(rows, args.out)
         _emit({"outputs": paths})
     elif args.what == "consistency":
-        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
         rows = analysis.consistency(model, test, family=args.family, grid=grid,
                                     seed=args.seed, batch_size=args.batch_size,
                                     branch=branch)

@@ -18,6 +18,7 @@ CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+AUGMENT_PAD = 4  # zero border around an image before its random crop
 
 
 class DataFormatError(ValueError):
@@ -80,10 +81,7 @@ def load_cifar10(data_dir):
     train = Dataset(np.concatenate([p[0] for p in parts]),
                     np.concatenate([p[1] for p in parts]), 10, "cifar10")
     ti, tl = _read_cifar_file(os.path.join(data_dir, CIFAR_TEST_FILE), 10000)
-    test = Dataset(ti, tl, 10, "cifar10")
-    if len(train) != 50000 or len(test) != 10000:
-        raise DataFormatError("cifar10 split counts must be 50000/10000")
-    return train, test
+    return train, Dataset(ti, tl, 10, "cifar10")
 
 
 def _open_maybe_gzip(path):
@@ -220,23 +218,22 @@ def longtail_subsample(dataset, ratio, seed):
 
 # ------------------------------------------------------------- augmentation
 
-def augment(image, rng, crop=True, flip=True, pad=4):
-    """Pad-and-random-crop then horizontal flip with probability 0.5.
+def augment(image, rng):
+    """Pad by AUGMENT_PAD, random crop back to size, then horizontal flip
+    with probability 0.5.
 
     Draw order per image: crop row offset, crop column offset, flip
-    uniform. Both flags off is the identity.
+    uniform. Offsets (AUGMENT_PAD, AUGMENT_PAD) are the identity crop.
     """
-    out = image
-    if crop:
-        c, h, w = out.shape
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=out.dtype)
-        padded[:, pad:pad + h, pad:pad + w] = out
-        dy = int(rng.integers(0, 2 * pad + 1))
-        dx = int(rng.integers(0, 2 * pad + 1))
-        out = padded[:, dy:dy + h, dx:dx + w]
-    if flip:
-        if rng.random() < 0.5:
-            out = out[:, :, ::-1]
+    c, h, w = image.shape
+    pad = AUGMENT_PAD
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=image.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = image
+    dy = int(rng.integers(0, 2 * pad + 1))
+    dx = int(rng.integers(0, 2 * pad + 1))
+    out = padded[:, dy:dy + h, dx:dx + w]
+    if rng.random() < 0.5:
+        out = out[:, :, ::-1]
     return np.ascontiguousarray(out)
 
 

@@ -22,8 +22,8 @@ def _ticks(lo, hi, n=5):
     return [lo + i * step for i in range(n)], lo, hi
 
 
-def render_svg(series, labels, path, title="", xlabel="", ylabel=""):
-    """Write a line chart; series is a list of (xs, ys) pairs.
+def render_svg(series, labels, path, title, xlabel, ylabel):
+    """Write a titled line chart with labelled axes from (xs, ys) series.
 
     Identical inputs give byte-identical files (fixed layout, fixed float
     formatting, no timestamps).
@@ -53,9 +53,8 @@ def render_svg(series, labels, path, title="", xlabel="", ylabel=""):
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
+    out.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
     # frame and ticks
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                f'fill="none" stroke="#333" stroke-width="1"/>')
@@ -71,14 +70,12 @@ def render_svg(series, labels, path, title="", xlabel="", ylabel=""):
                    f'stroke="#333"/>')
         out.append(f'<text x="{MARGIN_L - 9}" y="{y}" text-anchor="end" dy="4" '
                    f'font-family="sans-serif" font-size="11">{_fmt_val(ty)}</text>')
-    if xlabel:
-        out.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 10}" '
-                   f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-                   f'{escape(xlabel)}</text>')
-    if ylabel:
-        cy = MARGIN_T + plot_h // 2
-        out.append(f'<text x="16" y="{cy}" text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="12" transform="rotate(-90 16 {cy})">{escape(ylabel)}</text>')
+    out.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 10}" '
+               f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+               f'{escape(xlabel)}</text>')
+    cy = MARGIN_T + plot_h // 2
+    out.append(f'<text x="16" y="{cy}" text-anchor="middle" font-family="sans-serif" '
+               f'font-size="12" transform="rotate(-90 16 {cy})">{escape(ylabel)}</text>')
     for i, (xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))

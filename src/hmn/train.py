@@ -112,7 +112,7 @@ def train_step(model, x, labels, rng):
     for start in range(0, b, _CHUNK):
         sl = slice(start, start + _CHUNK)
         logits, writes = model._forward(x[sl], model.cfg.t_steps, picks[:, sl], labels[sl])
-        loss = ad._cross_entropy(logits, labels[sl], b)
+        loss = ad.cross_entropy(logits, labels[sl], b)
         ad.backward(loss)
         loss_sum += float(loss.value)
         correct += int((logits.value.argmax(axis=1) == labels[sl]).sum())

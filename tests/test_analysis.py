@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hmn
+import hmn.analysis as analysis_mod
 import hmn.autodiff as ad
 from hmn.analysis import (CONSISTENCY_GRID_PX, DEFAULT_GRIDS, _rank_slots,
                           consistency, corrupt, corrupt_dataset, hit_rate,
@@ -33,7 +34,7 @@ def tiny_run(trained_tiny):
 # ------------------------------------------------------------- corruptions
 
 def test_gaussian_zero_severity_is_exact_copy(rng):
-    img = rng.random((3, 8, 8))
+    img = rng.random((1, 3, 8, 8))
     out = corrupt(img, "gaussian", 0.0, rng)
     np.testing.assert_array_equal(out, img)
     assert out is not img
@@ -41,7 +42,7 @@ def test_gaussian_zero_severity_is_exact_copy(rng):
 
 def test_gaussian_moments(rng):
     # mid-gray input so the [0,1] clip almost never engages
-    img = np.full((1, 500, 500), 0.5)
+    img = np.full((1, 1, 500, 500), 0.5)
     deltas = []
     for _ in range(4):
         deltas.append(corrupt(img, "gaussian", 0.1, rng) - img)
@@ -51,8 +52,8 @@ def test_gaussian_moments(rng):
 
 
 def test_occlusion_area_to_side(rng):
-    img = np.ones((1, 16, 16))
-    out = corrupt(img, "occlusion", 0.25, rng)
+    img = np.ones((1, 1, 16, 16))
+    out = corrupt(img, "occlusion", 0.25, rng)[0]
     # side = round(sqrt(0.25 * 256)) = 8
     assert (out == 0.0).sum() == 64
     # the zeros form one solid square
@@ -61,38 +62,38 @@ def test_occlusion_area_to_side(rng):
 
 
 def test_occlusion_pixel_side(rng):
-    img = np.ones((2, 10, 10))
+    img = np.ones((1, 2, 10, 10))
     out = corrupt(img, "occlusion_px", 5, rng)
     assert (out == 0.0).sum() == 2 * 25  # both channels
 
 
 def test_occlusion_zero_is_copy(rng):
-    img = rng.random((1, 8, 8))
+    img = rng.random((1, 1, 8, 8))
     np.testing.assert_array_equal(corrupt(img, "occlusion", 0.0, rng), img)
     np.testing.assert_array_equal(corrupt(img, "occlusion_px", 0, rng), img)
 
 
 def test_contrast_identity_factor_is_exact_copy(rng):
-    img = rng.random((3, 8, 8))
+    img = rng.random((1, 3, 8, 8))
     out = corrupt(img, "contrast", 1.0, rng)
     np.testing.assert_array_equal(out, img)
 
 
 def test_contrast_preserves_channel_means(rng):
-    img = 0.3 + 0.4 * rng.random((3, 8, 8))  # stays clear of the clip
+    img = 0.3 + 0.4 * rng.random((1, 3, 8, 8))  # stays clear of the clip
     out = corrupt(img, "contrast", 0.5, rng)
-    np.testing.assert_allclose(out.mean(axis=(1, 2)), img.mean(axis=(1, 2)), rtol=1e-12)
+    np.testing.assert_allclose(out.mean(axis=(2, 3)), img.mean(axis=(2, 3)), rtol=1e-12)
 
 
 def test_contrast_zero_flattens_to_mean(rng):
-    img = rng.random((2, 6, 6))
+    img = rng.random((1, 2, 6, 6))
     out = corrupt(img, "contrast", 0.0, rng)
     for c in range(2):
-        np.testing.assert_allclose(out[c], img[c].mean(), rtol=1e-12)
+        np.testing.assert_allclose(out[0, c], img[0, c].mean(), rtol=1e-12)
 
 
 def test_corruption_validation(rng):
-    img = np.ones((1, 8, 8))
+    img = np.ones((1, 1, 8, 8))
     with pytest.raises(ValueError):
         corrupt(img, "gaussian", -0.1, rng)
     with pytest.raises(ValueError):
@@ -111,6 +112,65 @@ def test_corrupt_dataset_deterministic(rng):
     b = corrupt_dataset(ds, "gaussian", 0.2, seed=[9, 0, 1])
     np.testing.assert_array_equal(a.images, b.images)
     assert a.labels is not ds.labels
+
+
+def reference_corrupt(image, family, severity, rng):
+    """One corrupted copy of a (C, H, W) image, the one-image-per-call form
+    the batch ``corrupt`` must match draw for draw."""
+    img = np.asarray(image, dtype=np.float64)
+    c, h, w = img.shape
+    if family == "gaussian":
+        if severity == 0:
+            return img.copy()
+        return np.clip(img + rng.normal(0.0, severity, size=img.shape), 0.0, 1.0)
+    if family in ("occlusion", "occlusion_px"):
+        if family == "occlusion":
+            side = int(round(np.sqrt(severity * h * w)))
+        else:
+            side = int(severity)
+        if side == 0:
+            return img.copy()
+        side = min(side, min(h, w))
+        top = int(rng.integers(0, h - side + 1))
+        left = int(rng.integers(0, w - side + 1))
+        out = img.copy()
+        out[:, top:top + side, left:left + side] = 0.0
+        return out
+    if severity == 1.0:
+        return img.copy()
+    mean = img.mean(axis=(1, 2), keepdims=True)
+    return np.clip(mean + severity * (img - mean), 0.0, 1.0)
+
+
+IDENTITY = {"gaussian": 0.0, "occlusion": 0.0, "occlusion_px": 0, "contrast": 1.0}
+
+# (family, severity): identity and non-identity severities of every family;
+# 0.0005 is an occlusion area that rounds to side 0 at every shape below,
+# 0.9 one whose side is clamped to the short edge of the non-square image,
+# and 16 a pixel side equal to the short edge
+CORRUPTIONS = [("gaussian", 0.0), ("gaussian", 0.1), ("gaussian", 0.3),
+               ("occlusion", 0.0), ("occlusion", 0.0005), ("occlusion", 0.1),
+               ("occlusion", 0.9),
+               ("occlusion_px", 0), ("occlusion_px", 4), ("occlusion_px", 16),
+               ("contrast", 1.0), ("contrast", 0.0), ("contrast", 0.5),
+               ("contrast", 1.5)]
+
+
+@pytest.mark.parametrize("family,severity", CORRUPTIONS)
+@pytest.mark.parametrize("shape", [(0, 1, 16, 16), (1, 3, 16, 16), (7, 1, 16, 24),
+                                   (7, 3, 20, 16)])
+def test_batch_corrupt_matches_per_image_reference(family, severity, shape):
+    images = np.random.default_rng(5).random(shape)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    got = corrupt(images, family, severity, rng)
+    want = np.array([reference_corrupt(img, family, severity, ref_rng)
+                     for img in images]).reshape(shape)
+    assert got is not images
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if severity == IDENTITY[family] or (family, severity) == ("occlusion", 0.0005):
+        # a copy draws nothing
+        assert rng.bit_generator.state == np.random.default_rng(17).bit_generator.state
 
 
 # ---------------------------------------------------------------- hit rate
@@ -273,6 +333,17 @@ def test_robustness_and_consistency_reject_an_unknown_family(tiny_run):
         consistency(model, test, family="bogus")
 
 
+def no_eval(*args, **kwargs):
+    raise AssertionError("an eval ran before the grid was checked")
+
+
+def test_robustness_checks_every_severity_before_the_first_eval(tiny_run, monkeypatch):
+    cfg, model, test = tiny_run
+    monkeypatch.setattr(analysis_mod, "evaluate", no_eval)
+    with pytest.raises(ValueError, match="occlusion area must be in"):
+        robustness([("tiny", model)], test, grids={"occlusion": [0.1, 1.5]})
+
+
 def test_importing_analysis_loads_no_network_modules():
     # svg's escape is local: xml.sax.saxutils would pull in urllib.request,
     # http.client and ssl at every fresh process's import
@@ -319,6 +390,20 @@ def test_consistency_files(tiny_run, tmp_path):
 
 def test_default_consistency_grid_is_pixel_sides():
     assert CONSISTENCY_GRID_PX == [4, 8, 12, 16, 20]
+
+
+def test_default_consistency_grid_keeps_the_sides_that_fit(tiny_run):
+    cfg, model, test = tiny_run
+    assert test.images.shape[2:] == (8, 8)
+    rows = consistency(model, test, seed=11)
+    assert [r["severity"] for r in rows] == [0.0, 4, 8]
+
+
+def test_consistency_checks_the_grid_before_the_first_eval(tiny_run, monkeypatch):
+    cfg, model, test = tiny_run
+    monkeypatch.setattr(analysis_mod, "eval_batches", no_eval)
+    with pytest.raises(ValueError, match=r"occlusion side must be in \[0, 8\], got 20"):
+        consistency(model, test, grid=[4, 20])
 
 
 # ------------------------------- batch-wide analyses vs a per-image reference

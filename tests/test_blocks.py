@@ -38,7 +38,7 @@ def block_cfg(**overrides):
 
 def make_block(seed=0, **overrides):
     cfg = block_cfg(**overrides)
-    return cfg, HMNBlock(cfg, np.random.default_rng(seed))
+    return cfg, HMNBlock(cfg, np.random.default_rng(seed), np.float64)
 
 
 def make_model(seed=0, **overrides):

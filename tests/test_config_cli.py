@@ -10,6 +10,7 @@ import pytest
 from hmn.cli import main
 from hmn.config import RunConfig, config_from_dict, load_config
 from hmn.model import Model
+from hmn.train import train
 
 from conftest import make_tiny_cfg
 
@@ -272,6 +273,36 @@ def test_cli_analyze_consistency(capsys, trained_tiny, tmp_path):
                            "--grid", "2,4")
     assert rc == 0, err
     assert os.path.exists(os.path.join(dest, "consistency.csv"))
+
+
+@pytest.fixture(scope="module")
+def trained_16px(tmp_path_factory):
+    """final.ckpt of a one-epoch tiny run on 16×16 images."""
+    cfg = make_tiny_cfg(tmp_path_factory.mktemp("trained_16px"), image_size=[16, 16],
+                        epochs=1, warmup_epochs=0, synth_train_per_class=10,
+                        synth_test_per_class=5)
+    train(cfg, log=lambda *_: None)
+    return os.path.join(cfg.out_dir, "final.ckpt")
+
+
+def test_cli_consistency_default_grid_fits_the_image(capsys, trained_16px, tmp_path):
+    dest = str(tmp_path / "cons")
+    rc, out, err = run_cli(capsys, "analyze", "consistency", "--ckpt", trained_16px,
+                           "--out", dest)
+    assert rc == 0, err
+    rows = open(os.path.join(dest, "consistency.csv")).read().strip().split("\n")[1:]
+    assert [row.split(",")[2] for row in rows] == ["0.0", "4", "8", "12", "16"]
+
+
+def test_cli_consistency_checks_the_grid_before_out_is_made(capsys, trained_16px, tmp_path):
+    dest = str(tmp_path / "cons")
+    rc, out, err = run_cli(capsys, "analyze", "consistency", "--ckpt", trained_16px,
+                           "--out", dest, "--grid", "4,20")
+    assert rc == 1 and out == ""
+    rec = json.loads(err.strip())
+    assert rec == {"error": "ValueError",
+                   "message": "occlusion side must be in [0, 16], got 20.0"}
+    assert not os.path.exists(dest)
 
 
 def test_cli_analyze_weights_reads_the_branch_option(capsys, trained_tiny, tmp_path):

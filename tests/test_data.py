@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hmn.config import RunConfig
-from hmn.data import (CIFAR_RECORD, DataFormatError, Dataset, _read_cifar_file,
+from hmn.data import (AUGMENT_PAD, CIFAR_RECORD, DataFormatError, Dataset, _read_cifar_file,
                       augment, blob_template, load_cifar10, load_dataset,
                       load_fashion_mnist, load_idx, longtail_subsample,
                       standardize, stratified_fraction, synth_blobs)
@@ -273,45 +273,44 @@ def test_longtail_rejects_ratio_below_one():
 # ------------------------------------------------------------- augmentation
 
 class StubRng:
-    """Scripted draws standing in for a Generator."""
+    """Scripted draws standing in for a Generator; once a script runs out,
+    its draws come from gen."""
 
-    def __init__(self, ints=(), floats=()):
+    def __init__(self, ints=(), floats=(), gen=None):
         self.ints = list(ints)
         self.floats = list(floats)
+        self.gen = gen
 
     def integers(self, lo, hi):
-        return self.ints.pop(0)
+        return self.ints.pop(0) if self.ints else self.gen.integers(lo, hi)
 
     def random(self):
-        return self.floats.pop(0)
+        return self.floats.pop(0) if self.floats else self.gen.random()
 
 
-def test_augment_flags_off_is_identity(rng):
-    img = rng.random((1, 8, 8))
-    out = augment(img, rng, crop=False, flip=False)
-    np.testing.assert_array_equal(out, img)
+CENTER = [AUGMENT_PAD, AUGMENT_PAD]  # the identity crop's offsets
+NO_FLIP, FLIP = 0.9, 0.1  # flip uniforms on either side of 0.5
 
 
 def test_augment_center_crop_is_identity(rng):
     img = rng.random((1, 8, 8))
-    out = augment(img, StubRng(ints=[4, 4]), crop=True, flip=False, pad=4)
+    out = augment(img, StubRng(ints=CENTER, floats=[NO_FLIP]))
     np.testing.assert_array_equal(out, img)
 
 
 def test_augment_double_flip_is_identity(rng):
     img = rng.random((1, 8, 8))
-    once = augment(img, StubRng(floats=[0.1]), crop=False, flip=True)
+    once = augment(img, StubRng(ints=CENTER, floats=[FLIP]))
     assert not np.array_equal(once, img)
-    twice = augment(once, StubRng(floats=[0.1]), crop=False, flip=True)
+    twice = augment(once, StubRng(ints=CENTER, floats=[FLIP]))
     np.testing.assert_array_equal(twice, img)
 
 
 def test_augment_flip_probability_half():
     img = np.zeros((1, 2, 2))
     img[0, 0, 0] = 1.0
-    gen = np.random.default_rng(2024)
-    flips = sum(augment(img, gen, crop=False, flip=True)[0, 0, 0] == 0.0
-                for _ in range(100000))
+    gen = StubRng(ints=CENTER * 100000, gen=np.random.default_rng(2024))
+    flips = sum(augment(img, gen)[0, 0, 0] == 0.0 for _ in range(100000))
     assert abs(flips / 100000 - 0.5) < 0.01
 
 
@@ -328,13 +327,13 @@ def recover_crop_offsets(out, h, w, pad):
 
 def test_augment_crop_offsets_cover_grid_uniformly():
     h = w = 8
-    pad = 4
+    pad = AUGMENT_PAD
     img = (np.arange(h * w, dtype=np.float64) + 1.0).reshape(1, h, w)
-    gen = np.random.default_rng(99)
     counts = np.zeros((2 * pad + 1, 2 * pad + 1), dtype=np.int64)
     draws = 81 * 300
+    gen = StubRng(floats=[NO_FLIP] * draws, gen=np.random.default_rng(99))
     for _ in range(draws):
-        out = augment(img, gen, crop=True, flip=False, pad=pad)
+        out = augment(img, gen)
         dy, dx = recover_crop_offsets(out, h, w, pad)
         counts[dy, dx] += 1
     assert counts.sum() == draws
