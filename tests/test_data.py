@@ -292,6 +292,17 @@ CENTER = [AUGMENT_PAD, AUGMENT_PAD]  # the identity crop's offsets
 NO_FLIP, FLIP = 0.9, 0.1  # flip uniforms on either side of 0.5
 
 
+def test_augment_flags_off_is_identity(rng):
+    # With no crop offset and no flip drawn, augment hands back the image
+    # unchanged: same values, dtype and shape for a multi-channel,
+    # non-square image, as a contiguous array of its own.
+    img = rng.random((3, 6, 10)).astype(np.float32)
+    out = augment(img, StubRng(ints=CENTER, floats=[NO_FLIP]))
+    assert out.dtype == img.dtype and out.flags["C_CONTIGUOUS"]
+    assert not np.shares_memory(out, img)
+    np.testing.assert_array_equal(out, img)
+
+
 def test_augment_center_crop_is_identity(rng):
     img = rng.random((1, 8, 8))
     out = augment(img, StubRng(ints=CENTER, floats=[NO_FLIP]))
