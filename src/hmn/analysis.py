@@ -9,10 +9,11 @@ give the same results. Each writes CSV plus SVG under an output
 directory.
 
 Every diagnostic runs over ``train.eval_batches``, the loop ``evaluate``
-uses, and works on whole batches: one stable ranking of each batch's
-retrieval weights, then array expressions over it. An empty dataset
-raises ``ValueError``. ``corrupt`` takes a whole batch too, and draws
-from one stream in image index order, as a per-image loop would.
+uses, keeps only the retrieval weight rows it ranks, and works on whole
+batches: one stable ranking of each batch's rows, then array expressions
+over it. An empty dataset raises ``ValueError``. ``corrupt`` takes a
+whole batch too, and draws from one stream in image index order, as a
+per-image loop would.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import svg
+from .retrieval import retrieve_rows
 from .train import _write_line, eval_batches, evaluate, train as run_train
 
 # sweep axis -> RunConfig field; the field's annotation casts the values
@@ -100,8 +102,7 @@ def _last_bank(model, branch):
     """The last block's bank for branch, once it holds at least one slot."""
     if branch not in ("local", "global"):
         raise ValueError(f"branch must be local or global, got {branch!r}")
-    last = model.blocks[-1]
-    bank = last.bank_local if branch == "local" else last.bank_global
+    bank = getattr(model.blocks[-1], f"bank_{branch}")
     if not bank.any_filled:
         raise ValueError(f"last-block {branch} bank is empty")
     return bank
@@ -116,19 +117,26 @@ def _rank_slots(alpha):
 
 def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
     """Yield (labels (n,), alpha (n, t, K)) per eval batch: last-block
-    retrieval weight rows.
+    retrieval weight rows for branch, kept chunk by chunk through capture.
 
     The global branch has t=1. The local branch gives the token picked by
     the pooling weights (argmax), t=1, or every token with all_tokens,
-    t=N. Callers check the bank with ``_last_bank`` first.
+    t=N. Where refinement read no bank (T=0, β=0), one plain read of the
+    block's queries stands in. An empty bank raises ValueError.
     """
-    for labels, _, cap in eval_batches(model, dataset, batch_size, capture=True):
-        alpha = cap[f"{branch}_alpha"]
-        alpha = alpha.reshape(len(labels), -1, alpha.shape[-1])
-        if branch == "local" and not all_tokens:
-            picked = cap["pool_weights"].argmax(axis=1)
-            alpha = alpha[np.arange(len(labels)), picked][:, None]
-        yield labels, alpha
+    bank, last = _last_bank(model, branch), model.blocks[-1]
+    rows = []
+
+    def keep(owner, name, q, weights):
+        if owner is last and name == branch:
+            rows.append((retrieve_rows(q, bank)[0] if weights is None else weights).value)
+        elif name == "pool" and branch == "local" and not all_tokens:
+            alpha = rows.pop()
+            rows.append(alpha[np.arange(len(alpha)), weights.value.argmax(axis=1)][:, None])
+
+    for labels, _ in eval_batches(model, dataset, batch_size, capture=keep):
+        yield labels, np.concatenate(rows)
+        rows.clear()
 
 
 # ----------------------------------------------------------------- hit rate
@@ -149,7 +157,7 @@ def hit_rate(model, dataset, branch="global", all_tokens=False, batch_size=64):
             # per image: the share of its rows with a same-class slot in the top k
             hits[k] += float(same[..., :k].any(axis=-1).mean(axis=1).sum())
     c = model.cfg.num_classes
-    report = {"branch": branch, "n": len(dataset), "all_tokens": bool(all_tokens)}
+    report = {"branch": branch, "n": len(dataset), "all_tokens": all_tokens and branch == "local"}
     for k in HIT_TOPK:
         report[f"top{k}_pct"] = 100.0 * hits[k] / len(dataset)
         report[f"chance_top{k}_pct"] = 100.0 * (1.0 - (1.0 - 1.0 / c) ** k)
@@ -212,14 +220,16 @@ def write_weight_profile(profile, slot_class, class_id, out_dir, branch):
 def _checked_grid(family, grid, images):
     """(identity severity, grid with the identity severity first if absent).
 
-    grid None is consistency's default: the CONSISTENCY_GRID_PX sides that
-    fit the images. An unknown family, or a severity ``corrupt`` rejects at
-    the images' size, raises ValueError; each severity is tried on an
-    empty batch, which draws nothing."""
+    grid None is consistency's default: DEFAULT_GRIDS[family], for
+    occlusion_px the CONSISTENCY_GRID_PX sides that fit the images. An
+    unknown family, or a severity ``corrupt`` rejects at the images' size,
+    raises ValueError; each severity is tried on an empty batch, which
+    draws nothing."""
     if family not in _IDENTITY:
         raise ValueError(f"unknown corruption family {family!r}; valid: {sorted(_IDENTITY)}")
     if grid is None:
-        grid = [side for side in CONSISTENCY_GRID_PX if side <= min(images.shape[2:])]
+        fit = [side for side in CONSISTENCY_GRID_PX if side <= min(images.shape[2:])]
+        grid = DEFAULT_GRIDS.get(family, fit)
     for sev in grid:
         corrupt(images[:0], family, sev, np.random.default_rng(0))
     ident = _IDENTITY[family]
@@ -229,9 +239,12 @@ def _checked_grid(family, grid, images):
 
 def robustness(models, dataset, grids=None, seed=1234, batch_size=64):
     """Accuracy per (model, family, severity); rows at the identity severity
-    equal clean accuracy exactly. Returns a list of row dicts."""
+    equal clean accuracy exactly. Returns a list of row dicts; grids with
+    no corrupted severity to average raise ValueError."""
     grids = [(family, *_checked_grid(family, sevs, dataset.images))
              for family, sevs in sorted((grids or DEFAULT_GRIDS).items())]
+    if all(sev == ident for _, ident, grid in grids for sev in grid):
+        raise ValueError("robustness needs a corrupted severity; every grid is the identity")
     rows = []
     for label, model in models:
         clean_acc = evaluate(model, dataset, batch_size)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .memory import MemoryBank
-from .retrieval import refine_rows, retrieve_rows
+from .retrieval import refine_rows
 
 
 def _linear(rng, fan_in, fan_out, dtype):
@@ -67,27 +67,20 @@ class HMNBlock:
                  "norm_in_gain", "norm_in_bias", "norm_mlp_gain", "norm_mlp_bias"]
         return OrderedDict((f"{prefix}.{n}", getattr(self, n)) for n in names)
 
-    def _refine(self, q, bank, beta, t_steps, capture, key):
-        """Refined queries; with capture, also keep the retrieval weights.
-
-        The captured weights are the last refinement step's alpha, one row
-        per query row ((B·N, K) local, (B, K) global). alpha is formed from
-        the read's weights only here, under capture; without it the
-        weights are dropped unread. When refinement skips the bank at T=0
-        or β=0, a plain diagnostic retrieval of a filled bank stands in; an
-        empty bank captures None.
-        """
+    def _refine(self, q, bank, beta, t_steps, capture, branch):
+        """Refined queries; capture, when given, is called once with the read:
+        capture(block, branch, q, weights), q the branch's unrefined queries,
+        (B, N, D_lat) local or (B, 1, D_lat) global, and weights the last
+        refinement step's ReadWeights, None where refinement read no bank
+        (T=0, β=0 or an empty bank). The block forms no alpha."""
         z, weights = refine_rows(q, bank, beta, t_steps)
         if capture is not None:
-            if weights is None and bank.any_filled:
-                weights = retrieve_rows(q.detach(), bank)[0]
-            alpha = None if weights is None else weights.value
-            capture[key] = None if alpha is None else alpha.reshape(-1, alpha.shape[-1])
+            capture(self, branch, q, weights)
         return z
 
     def _local_branch(self, x, t_steps, picks, labels, capture, writes):
         q = ad.unfold_matmul(x, self.h_p, self.w_p, self.cfg.k, self.W_loc_in, self.b_loc_in)
-        z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local_alpha")
+        z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local")
         out = ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, self.b_loc_out)
         if picks is not None:
             # a pure copy: image i's rows q[i, picks[i]], in image order
@@ -99,8 +92,7 @@ class HMNBlock:
     def _global_branch(self, x, t_steps, picks, labels, capture, writes):
         g = ad.mean_rows(x)
         qg = ad.matmul(g, self.W_glob_in, self.b_glob_in)
-        zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, capture,
-                          "global_alpha")
+        zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, capture, "global")
         out = ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, self.b_glob_out)
         if picks is not None:
             writes.append((self.bank_global, qg.value[:, 0], labels))
@@ -112,7 +104,8 @@ class HMNBlock:
         picks None only reads, and writes is empty. Otherwise picks holds
         each image's (B, write_sample) write-token indices and labels its
         class, and writes lists the (bank, rows, class ids) this batch
-        stores in the local bank, then the global bank, unwritten.
+        stores in the local bank, then the global bank, unwritten. capture
+        is the per-read callable of ``_refine``, local read first.
         """
         writes = []
         x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)

@@ -94,8 +94,8 @@ def cmd_analyze(args):
         raise ValueError(f"unknown --families {unknown}; valid: {sorted(analysis.DEFAULT_GRIDS)}")
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
-    grid = [float(v) for v in args.grid.split(",")] if args.grid else None
     if args.what == "consistency":  # a bad --family or --grid raises before --out is made
+        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
         analysis._checked_grid(args.family, grid, test.images)
     os.makedirs(args.out, exist_ok=True)
     if args.what == "hit-rate":

@@ -9,8 +9,9 @@ the chunked train step (``train.train_step``) share one private forward,
 bank writes, a flat list of (bank, rows, class ids). An eval ``forward``
 records no autodiff graph and runs ``_forward`` over consecutive
 ``_CHUNK``-image chunks, the train step's chunks, so its working memory
-is one chunk's whatever the batch size. A chunk is a whole number of
-tiles, so every GEMM call and every output bit is the whole batch's.
+is one chunk's whatever the batch size, also under ``capture``, which
+sees each chunk's reads. A chunk is a whole number of tiles, so every
+GEMM call and every output bit is the whole batch's.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -118,10 +119,10 @@ class Model:
         concatenates their logits. train mode runs the whole batch at once
         and writes each block's queries to its banks under the given
         labels, drawing write tokens from rng; a train forward missing
-        either raises before any bank changes. capture, when a dict,
-        receives the last block's retrieval weights, local_alpha
-        (B·N, K_local) and global_alpha (B, K_global), each None while its
-        bank is empty, and pool_weights (B, N).
+        either raises before any bank changes. capture, a callable, sees
+        each chunk's reads: every block calls capture(block, branch, q,
+        weights) (``HMNBlock._refine``), then the model capture(model,
+        "pool", None, pool), pool the Tensor of (b, N) pooling weights.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -132,18 +133,10 @@ class Model:
         images = self._images(images)
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         if mode == "eval":
-            logits, caps = [], []
             with ad.no_grad():
-                for start in range(0, len(images), _CHUNK):
-                    cap = None if capture is None else {}
-                    chunk = images[start:start + _CHUNK]
-                    logits.append(self._forward(chunk, t_steps, None, None, cap)[0].value)
-                    caps.append(cap)
-            if capture is not None:
-                for key, first in caps[0].items():
-                    capture[key] = None if first is None else np.concatenate(
-                        [cap[key] for cap in caps])
-            return ad.Tensor(np.concatenate(logits))
+                return ad.Tensor(np.concatenate([
+                    self._forward(images[i:i + _CHUNK], t_steps, None, None, capture)[0].value
+                    for i in range(0, len(images), _CHUNK)]))
         picks = self._write_tokens(len(images), rng)
         logits, writes = self._forward(images, t_steps, picks, labels, capture)
         for bank, rows, cls in writes:
@@ -175,7 +168,8 @@ class Model:
         picks None reads only, and writes is empty. Otherwise picks holds
         the blocks' write-token indices (``_write_tokens``) and writes each
         block's pending (bank, rows, class ids), local then global. Every
-        read sees the banks as they stood before this call.
+        read sees the banks as they stood before this call. capture is
+        ``forward``'s per-read callable, handed to every block.
         """
         patches = self._patchify(images)
         b = images.shape[0]
@@ -183,19 +177,17 @@ class Model:
         # fixed height, so an image's rows never see the rest of the batch
         tok = ad.matmul(ad.Tensor(patches), self.patch_proj, self.patch_bias)
         tok = ad.add(tok, self.pos_embed)
-        last = len(self.blocks) - 1
         writes = []
         for i, blk in enumerate(self.blocks):
-            cap = capture if (capture is not None and i == last) else None
             tok, w = blk.forward(tok, t_steps, None if picks is None else picks[i],
-                                 labels, cap)
+                                 labels, capture)
             writes += w
         scores = ad.reshape(ad.matmul(tok, self.W_att), (b, self.cfg.n_tokens))
         pool = ad.softmax_rows(scores)
         v = ad.group_weighted_sum(pool, tok)
         logits = ad.reshape(ad.matmul(v, self.head_w, self.head_b), (b, -1))
         if capture is not None:
-            capture["pool_weights"] = pool.value.copy()
+            capture(self, "pool", None, pool)
         return logits, writes
 
 

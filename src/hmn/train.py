@@ -55,14 +55,14 @@ def prepare_datasets(cfg):
     return train, test
 
 
-def eval_batches(model, dataset, batch_size=None, capture=False):
-    """Yield (labels, logits, capture) per eval batch, in dataset order.
+def eval_batches(model, dataset, batch_size=None, capture=None):
+    """Yield (labels, logits) per eval batch, in dataset order.
 
     batch_size None means the config's; any size below 1 raises
     ``ValueError``. A batch's forward runs in ``_CHUNK``-image chunks
     whatever its size, so batch_size sets how many images a yield holds,
-    not the forward's working memory. capture holds the last-block
-    retrieval and pooling weights, or is None.
+    not the forward's working memory. capture goes to each batch's
+    ``Model.forward``, which calls it per chunk before the yield.
     """
     if len(dataset) == 0:
         raise ValueError("the dataset is empty; nothing to evaluate")
@@ -73,14 +73,13 @@ def eval_batches(model, dataset, batch_size=None, capture=False):
     for start in range(0, len(dataset), bsz):
         sl = slice(start, min(start + bsz, len(dataset)))
         x = data_mod.standardize(dataset.images[sl], cfg.norm_mean, cfg.norm_std)
-        cap = {} if capture else None
-        yield dataset.labels[sl], model.forward(x, capture=cap).value, cap
+        yield dataset.labels[sl], model.forward(x, capture=capture).value
 
 
 def evaluate(model, dataset, batch_size=None):
     """Top-1 accuracy in eval mode: banks read, never written; no graph."""
     correct = sum(int((logits.argmax(axis=1) == labels).sum())
-                  for labels, logits, _ in eval_batches(model, dataset, batch_size))
+                  for labels, logits in eval_batches(model, dataset, batch_size))
     return correct / len(dataset)
 
 

@@ -10,7 +10,6 @@ import pytest
 
 import hmn
 import hmn.analysis as analysis_mod
-import hmn.autodiff as ad
 from hmn.analysis import (CONSISTENCY_GRID_PX, DEFAULT_GRIDS, _rank_slots,
                           consistency, corrupt, corrupt_dataset, hit_rate,
                           robustness, sweep, weight_profile, write_consistency,
@@ -218,6 +217,14 @@ def test_hit_rate_all_tokens_mode(tiny_run):
     assert 0.0 <= r["top1_pct"] <= 100.0
 
 
+def test_hit_rate_reports_all_tokens_only_where_it_applies(tiny_run):
+    # the global branch has one row per image: all_tokens changes nothing there
+    cfg, model, test = tiny_run
+    r = hit_rate(model, test, branch="global", all_tokens=True)
+    assert r["all_tokens"] is False
+    assert r == hit_rate(model, test, branch="global")
+
+
 def test_hit_rate_requires_a_filled_bank_and_a_known_branch(tmp_path, tiny_run):
     cfg, _, test = tiny_run
     fresh = Model(make_tiny_cfg(tmp_path))
@@ -344,6 +351,14 @@ def test_robustness_checks_every_severity_before_the_first_eval(tiny_run, monkey
         robustness([("tiny", model)], test, grids={"occlusion": [0.1, 1.5]})
 
 
+def test_robustness_needs_a_corrupted_severity(tiny_run, monkeypatch):
+    cfg, model, test = tiny_run
+    monkeypatch.setattr(analysis_mod, "evaluate", no_eval)
+    for grids in ({"gaussian": [0.0]}, {"gaussian": [0.0], "contrast": [1.0, 1.0]}):
+        with pytest.raises(ValueError, match="corrupted severity"):
+            robustness([("tiny", model)], test, grids=grids)
+
+
 def test_importing_analysis_loads_no_network_modules():
     # svg's escape is local: xml.sax.saxutils would pull in urllib.request,
     # http.client and ssl at every fresh process's import
@@ -399,6 +414,14 @@ def test_default_consistency_grid_keeps_the_sides_that_fit(tiny_run):
     assert [r["severity"] for r in rows] == [0.0, 4, 8]
 
 
+@pytest.mark.parametrize("family", sorted(DEFAULT_GRIDS))
+def test_default_consistency_grid_follows_the_family(tiny_run, family):
+    cfg, model, test = tiny_run
+    ident = 1.0 if family == "contrast" else 0.0
+    rows = consistency(model, test, family=family, seed=11)
+    assert [r["severity"] for r in rows] == [ident] + DEFAULT_GRIDS[family]
+
+
 def test_consistency_checks_the_grid_before_the_first_eval(tiny_run, monkeypatch):
     cfg, model, test = tiny_run
     monkeypatch.setattr(analysis_mod, "eval_batches", no_eval)
@@ -414,20 +437,23 @@ REF_BATCH = 7
 
 def reference_rows(model, dataset, branch, all_tokens=False):
     """Per image: (label, its last-block weight rows), from one forward over
-    the whole set and a plain loop over images."""
-    cfg, n_tok = model.cfg, model.cfg.n_tokens
-    cap = {}
-    with ad.no_grad():
-        model.forward(standardize(dataset.images, cfg.norm_mean, cfg.norm_std), capture=cap)
-    alpha = cap[f"{branch}_alpha"]
+    the whole set, whose capture hook collects every chunk's reads, and a
+    plain loop over images."""
+    cfg, last = model.cfg, model.blocks[-1]
+    reads = {branch: [], "pool": []}
+
+    def collect(owner, name, q, weights):
+        if owner is last and name == branch or name == "pool":
+            reads[name].append(weights.value)
+
+    model.forward(standardize(dataset.images, cfg.norm_mean, cfg.norm_std), capture=collect)
+    alpha, pool = (np.concatenate(reads[key]) for key in (branch, "pool"))
     for i, label in enumerate(dataset.labels):
-        if branch == "global":
-            yield label, alpha[i:i + 1]
-        elif all_tokens:
-            yield label, alpha[i * n_tok:(i + 1) * n_tok]
+        if branch == "global" or all_tokens:
+            yield label, alpha[i]
         else:
-            t = i * n_tok + int(np.argmax(cap["pool_weights"][i]))
-            yield label, alpha[t:t + 1]
+            t = int(np.argmax(pool[i]))
+            yield label, alpha[i, t:t + 1]
 
 
 def reference_order(row):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import hmn.autodiff as ad
-import hmn.blocks
 import hmn.memory
 import hmn.retrieval
 from hmn.blocks import HMNBlock
@@ -92,7 +91,6 @@ def test_banks_not_read_on_short_circuit(rng, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hmn.retrieval, "retrieve_rows", spy)
-    monkeypatch.setattr(hmn.blocks, "retrieve_rows", spy)
 
     x = tokens_for(cfg, 2, rng)
     block.forward(x, 0)
@@ -103,12 +101,12 @@ def test_banks_not_read_on_short_circuit(rng, monkeypatch):
     block.forward(x, 3)
     assert calls == []
 
-    # empty banks are skipped too, capture's diagnostic read included
+    # empty banks are skipped too, and the capture hook is handed no weights
     cfg2, fresh = make_block(seed=5)
-    capture = {}
-    fresh.forward(x, 3, capture=capture)
+    seen = []
+    fresh.forward(x, 3, capture=lambda blk, branch, q, w: seen.append((blk, branch, w)))
     assert calls == []
-    assert capture == {"local_alpha": None, "global_alpha": None}
+    assert seen == [(fresh, "local", None), (fresh, "global", None)]
 
     # sanity: a live retrieval path does hit the spy
     block.beta_local.value = np.array([0.2])
@@ -233,47 +231,53 @@ def test_global_branch_permutation_invariant_within_image(rng):
     np.testing.assert_allclose(a.value, b.value, atol=1e-12)
 
 
+def recorder():
+    """(reads, hook): the hook appends each read it is handed as (block,
+    branch, queries, alpha), alpha None where refinement read no bank."""
+    reads = []
+
+    def hook(blk, branch, q, weights):
+        reads.append((blk, branch, q.value, None if weights is None else weights.value))
+    return reads, hook
+
+
 def test_capture_records_retrieval_weights(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    capture = {}
-    block.forward(x, 2, capture=capture)
-    assert capture["local_alpha"].shape == (2 * cfg.n_tokens, cfg.k_local)
-    assert capture["global_alpha"].shape == (2, cfg.k_global)
-    np.testing.assert_allclose(capture["global_alpha"].sum(axis=1), np.ones(2), rtol=1e-12)
+    reads, hook = recorder()
+    block.forward(x, 2, capture=hook)
+    assert [(blk, branch) for blk, branch, _, _ in reads] == [(block, "local"),
+                                                              (block, "global")]
+    (_, _, q, local), (_, _, qg, glob) = reads
+    assert q.shape == (2, cfg.n_tokens, cfg.d_lat) and qg.shape == (2, 1, cfg.d_lat)
+    assert local.shape == (2, cfg.n_tokens, cfg.k_local)
+    assert glob.shape == (2, 1, cfg.k_global)
+    np.testing.assert_allclose(glob.sum(axis=-1), np.ones((2, 1)), rtol=1e-12)
 
-    # T=0 still captures a diagnostic retrieval
-    capture = {}
-    block.forward(x, 0, capture=capture)
-    assert capture["global_alpha"].shape == (2, cfg.k_global)
-
-    # empty banks capture None
-    cfg2, fresh = make_block(seed=5)
-    capture = {}
-    fresh.forward(x, 2, capture=capture)
-    assert capture["local_alpha"] is None and capture["global_alpha"] is None
+    # T=0 reads no bank: the hook gets the queries and no weights
+    reads, hook = recorder()
+    block.forward(x, 0, capture=hook)
+    assert [(q.shape, alpha) for _, _, q, alpha in reads] == [
+        ((2, cfg.n_tokens, cfg.d_lat), None), ((2, 1, cfg.d_lat), None)]
 
 
-def rerun_alpha(block, tokens, t_steps):
-    """Captured weights from a second, detached refinement of each branch's
-    queries, stepped in plain numpy without the β=0 short-circuit: the last
-    step's alpha, or a plain retrieval when no step read the bank."""
+def rerun_reads(block, tokens, t_steps, beta):
+    """(queries, alpha) per branch from a second, detached refinement of
+    each branch's queries, stepped in plain numpy: the last step's alpha,
+    None when refinement reads no bank (T=0 or β=0)."""
     cfg = block.cfg
     x = ad.layernorm_rows(tokens, block.norm_in_gain, block.norm_in_bias)
     q = ad.unfold_matmul(x, block.h_p, block.w_p, cfg.k, block.W_loc_in, block.b_loc_in)
     g = ad.mean_rows(x)
     qg = ad.matmul(g, block.W_glob_in, block.b_glob_in)
-    out = {}
-    for key, query, bank, beta in (("local_alpha", q, block.bank_local, block.beta_local),
-                                   ("global_alpha", qg, block.bank_global, block.beta_global)):
+    out = []
+    for query, bank in ((q, block.bank_local), (qg, block.bank_global)):
         z, alpha = query.detach(), None
-        for _ in range(t_steps):
+        for _ in range(t_steps if beta else 0):
             alpha, m = hmn.retrieval.retrieve_rows(z, bank)
-            z = ad.Tensor(z.value + float(beta.value) * (m.value - z.value))
-        if alpha is None:
-            alpha, _ = hmn.retrieval.retrieve_rows(query.detach(), bank)
-        out[key] = alpha.value.reshape(-1, alpha.shape[-1])
+            z = ad.Tensor(z.value + beta * (m.value - z.value))
+        out.append((query.value, None if alpha is None else alpha.value))
     return out
 
 
@@ -290,14 +294,17 @@ def test_capture_reuses_the_refinement_weights(rng, fill, t_steps, beta):
     block.beta_local.value = np.float64(beta)
     block.beta_global.value = np.float64(beta)
     x = tokens_for(cfg, 3, rng)
-    want = rerun_alpha(block, x, t_steps)
+    want = rerun_reads(block, x, t_steps, beta)
     for scope in (ad.no_grad, contextlib.nullcontext):
-        capture = {}
+        reads, hook = recorder()
         with scope():
-            block.forward(x, t_steps, capture=capture)
-        assert set(capture) == {"local_alpha", "global_alpha"}
-        for key in capture:
-            np.testing.assert_array_equal(capture[key], want[key])
+            block.forward(x, t_steps, capture=hook)
+        assert len(reads) == len(want)
+        for (_, _, q, alpha), (want_q, want_alpha) in zip(reads, want):
+            np.testing.assert_array_equal(q, want_q)
+            assert (alpha is None) == (want_alpha is None)
+            if alpha is not None:
+                np.testing.assert_array_equal(alpha, want_alpha)
 
 
 @pytest.mark.parametrize("t_steps,beta", [(0, 0.3), (3, 0.3), (3, 0.0)])
@@ -310,7 +317,7 @@ def test_capture_leaves_outputs_and_gradients_unchanged(rng, t_steps, beta):
     proj = ad.Tensor(rng.standard_normal((cfg.d_emb, 1)))
     params = list(block.parameters("b").values())
     runs = []
-    for capture in (None, {}):
+    for capture in (None, recorder()[1]):
         ad.zero_grad(params)
         out = block.forward(x, t_steps, capture=capture)[0]
         ad.backward(total(ad.matmul(out, proj)))

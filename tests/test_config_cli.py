@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from hmn.analysis import DEFAULT_GRIDS
 from hmn.cli import main
 from hmn.config import RunConfig, config_from_dict, load_config
 from hmn.model import Model
@@ -303,6 +304,25 @@ def test_cli_consistency_checks_the_grid_before_out_is_made(capsys, trained_16px
     assert rec == {"error": "ValueError",
                    "message": "occlusion side must be in [0, 16], got 20.0"}
     assert not os.path.exists(dest)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "occlusion", "contrast"])
+def test_cli_consistency_default_grid_follows_the_family(capsys, trained_16px, tmp_path,
+                                                         family):
+    dest = str(tmp_path / "cons")
+    rc, out, err = run_cli(capsys, "analyze", "consistency", "--ckpt", trained_16px,
+                           "--out", dest, "--family", family)
+    assert rc == 0, err
+    rows = open(os.path.join(dest, "consistency.csv")).read().strip().split("\n")[1:]
+    ident = "1.0" if family == "contrast" else "0.0"
+    assert [row.split(",")[2] for row in rows] == [ident] + [repr(v) for v in DEFAULT_GRIDS[family]]
+
+
+def test_cli_only_consistency_reads_the_grid(capsys, trained_tiny, tmp_path):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    rc, out, err = run_cli(capsys, "analyze", "hit-rate", "--ckpt", ckpt,
+                           "--out", str(tmp_path / "hit"), "--grid", "x")
+    assert rc == 0, err
 
 
 def test_cli_analyze_weights_reads_the_branch_option(capsys, trained_tiny, tmp_path):

@@ -56,10 +56,12 @@ def test_default_model_computes_in_float32(tmp_path, op_dtypes):
         assert t.value.dtype == np.float32, name
         assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
     evaluate(model, test)
-    for _, logits, capture in eval_batches(model, test, capture=True):
+    reads = []
+    for _, logits in eval_batches(model, test, capture=lambda *read: reads.append(read)):
         assert logits.dtype == np.float32
-        for key, arr in capture.items():
-            assert arr.dtype == np.float32, key
+    for _, name, q, weights in reads:
+        for arr in (weights.value,) if q is None else (q.value, weights.value):
+            assert arr.dtype == np.float32, name
     for name, bank in model.banks().items():
         assert bank.any_filled and bank.slots.dtype == np.float32, name
     assert {"gelu", "memory_read", "hopfield_update", "unfold_matmul",

@@ -14,7 +14,7 @@ import hmn.autodiff as ad
 import hmn.model as model_mod
 from hmn.analysis import hit_rate
 from hmn.config import RunConfig
-from hmn.data import load_dataset, standardize
+from hmn.data import Dataset, load_dataset, standardize
 from hmn.memory import MemoryBank
 from hmn.model import MAGIC, Model, load_checkpoint, save_checkpoint
 from hmn.optim import Adam
@@ -32,6 +32,27 @@ def tiny_model(tmp_path, **overrides):
 
 def std_images(cfg, batch, rng):
     return rng.standard_normal((batch, cfg.in_channels, *cfg.image_size))
+
+
+def recorder(model):
+    """(reads, hook): a capture hook that forms and keeps every read it is
+    handed, per key (block index, branch) or "pool"; alpha is None where
+    refinement read no bank."""
+    reads = {}
+
+    def hook(owner, branch, q, weights):
+        key = "pool" if owner is model else (model.blocks.index(owner), branch)
+        reads.setdefault(key, []).append(None if weights is None else weights.value)
+    return reads, hook
+
+
+def captured(model, imgs):
+    """(logits, reads): an eval forward under a recorder, each key's chunks
+    concatenated; a key whose reads are None maps to None."""
+    reads, hook = recorder(model)
+    logits = model.forward(imgs, capture=hook).value
+    return logits, {key: None if parts[0] is None else np.concatenate(parts)
+                    for key, parts in reads.items()}
 
 
 def fill_via_training_steps(cfg, model, rng, steps=2, batch=4):
@@ -122,12 +143,11 @@ def test_eval_forward_changes_no_model_state(tmp_path, rng, scope, capture, t_st
     cfg, model = tiny_model(tmp_path, t_steps=t_steps)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     state = model_state(model)
-    cap = {} if capture else None
+    reads, hook = recorder(model)
     with scope():
-        model.forward(std_images(cfg, 3, rng), capture=cap)
+        model.forward(std_images(cfg, 3, rng), capture=hook if capture else None)
     assert_state_unchanged(model, state)
-    if capture:
-        assert cap["local_alpha"] is not None and cap["global_alpha"] is not None
+    assert len(reads) == (2 * cfg.n_blocks + 1 if capture else 0)
 
 
 def test_eval_forward_records_no_graph_and_restores_recording(tmp_path, rng):
@@ -174,17 +194,14 @@ def test_two_way_pool_oracle(rng):
 def test_zero_attention_pools_to_mean(tmp_path, rng):
     cfg, model = tiny_model(tmp_path)
     model.W_att.value = np.zeros_like(model.W_att.value)
-    capture = {}
-    model.forward(std_images(cfg, 3, rng), capture=capture)
-    np.testing.assert_array_equal(capture["pool_weights"],
-                                  np.full((3, cfg.n_tokens), 1.0 / cfg.n_tokens))
+    _, reads = captured(model, std_images(cfg, 3, rng))
+    np.testing.assert_array_equal(reads["pool"], np.full((3, cfg.n_tokens), 1.0 / cfg.n_tokens))
 
 
 def test_pool_weights_sum_to_one(tmp_path, rng):
     cfg, model = tiny_model(tmp_path)
-    capture = {}
-    model.forward(std_images(cfg, 2, rng), capture=capture)
-    np.testing.assert_allclose(capture["pool_weights"].sum(axis=1), np.ones(2), rtol=1e-12)
+    _, reads = captured(model, std_images(cfg, 2, rng))
+    np.testing.assert_allclose(reads["pool"].sum(axis=1), np.ones(2), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- invariants
@@ -264,8 +281,8 @@ def test_batch_independence_across_a_tile_boundary(tmp_path, rng, dtype):
     (1, np.float32, False)], ids=["T0", "T1", "T1-float64", "empty-bank"])
 def test_chunked_eval_forward_matches_whole_and_per_image_forwards(
         tmp_path, rng, t_steps, dtype, filled):
-    # two full chunks and a short one; T=0 captures the diagnostic read and an
-    # empty bank captures None
+    # two full chunks and a short one; at T=0 or from an empty bank no block
+    # reads, and the hook is handed None for every branch
     cfg = make_tiny_cfg(tmp_path, t_steps=t_steps)
     model = Model(cfg, dtype=dtype)
     if filled:
@@ -275,24 +292,22 @@ def test_chunked_eval_forward_matches_whole_and_per_image_forwards(
             t.value = rng.normal(0.0, 0.5, size=t.value.shape).astype(model.dtype)
     b = 2 * model_mod._CHUNK + 5
     imgs = std_images(cfg, b, rng)
-    capture = {}
-    logits = model.forward(imgs, capture=capture).value
-    whole_cap = {}
+    logits, reads = captured(model, imgs)
+    whole_reads, hook = recorder(model)
     with ad.no_grad():
-        whole = model._forward(model._images(imgs), t_steps, None, None, whole_cap)[0].value
-    singles = [{} for _ in range(b)]
-    alone = np.concatenate([model.forward(imgs[i:i + 1], capture=singles[i]).value
-                            for i in range(b)])
+        whole = model._forward(model._images(imgs), t_steps, None, None, hook)[0].value
+    singles = [captured(model, imgs[i:i + 1]) for i in range(b)]
     assert_same_bits(logits, whole)
-    assert_same_bits(logits, alone)
-    assert set(capture) == {"local_alpha", "global_alpha", "pool_weights"}
-    for key, got in capture.items():
-        if not filled and key != "pool_weights":
-            assert got is None and whole_cap[key] is None
-            assert all(cap[key] is None for cap in singles)
+    assert_same_bits(logits, np.concatenate([lg for lg, _ in singles]))
+    assert len(reads) == 2 * cfg.n_blocks + 1
+    for key, got in reads.items():
+        (want,) = whole_reads[key]
+        if key != "pool" and (t_steps == 0 or not filled):
+            assert got is None and want is None
+            assert all(r[key] is None for _, r in singles)
             continue
-        assert_same_bits(got, whole_cap[key])
-        assert_same_bits(got, np.concatenate([cap[key] for cap in singles]))
+        assert_same_bits(got, want)
+        assert_same_bits(got, np.concatenate([r[key] for _, r in singles]))
 
 
 def test_eval_forward_memory_does_not_grow_with_the_batch(tmp_path, rng):
@@ -316,6 +331,30 @@ def test_eval_forward_memory_does_not_grow_with_the_batch(tmp_path, rng):
     small, _ = peak(imgs[:model_mod._CHUNK])
     large, logits = peak(imgs)
     assert large <= small + imgs.astype(np.float32).nbytes + logits.nbytes
+
+
+@pytest.mark.parametrize("branch", ["global", "local"])
+def test_captured_analysis_memory_does_not_grow_with_the_batch(tmp_path, branch):
+    # 64 tokens of 16 features per 64-pixel image: a captured forward that
+    # kept whole batches' weights would grow far faster than the batch input
+    cfg, model = tiny_model(tmp_path, patch_size=1, d_emb=16, d_lat=16, k_local=64,
+                            k_global=16)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    n = 8 * model_mod._CHUNK
+    probe = Dataset(np.random.default_rng(1).random((n, cfg.in_channels, *cfg.image_size)),
+                    np.arange(n) % cfg.num_classes, cfg.num_classes, "probe")
+
+    def peak(batch_size):
+        tracemalloc.start()
+        try:
+            hit_rate(model, probe, branch=branch, batch_size=batch_size)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(model_mod._CHUNK)  # warm up one-off allocations
+    small = peak(model_mod._CHUNK)
+    assert peak(n) <= 1.5 * small
 
 
 def test_t_override(tmp_path, rng):
@@ -433,10 +472,14 @@ def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, mo
     assert acc == int((graph.value.argmax(axis=1) == test.labels).sum()) / len(test)
     cases = (("local", False), ("local", True), ("global", False))
     reports = [hit_rate(model, test, branch=b, all_tokens=a, batch_size=7) for b, a in cases]
-    # the scope covers the forwards only, never the caller's loop body
+    # the scope covers the forwards, the capture hook's calls among them, but
+    # never the caller's loop body
     w = ad.Tensor(np.ones(2), requires_grad=True)
-    for _ in eval_batches(model, test, batch_size=7, capture=True):
+    hooked = []
+    for _ in eval_batches(model, test, batch_size=7,
+                          capture=lambda *read: hooked.append(ad._recording)):
         assert ad.add(w, w).requires_grad
+    assert hooked and not any(hooked)
     # the same entry points with the scope switched off build the full graph
     monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
     assert evaluate(model, test, batch_size=7) == acc
@@ -452,19 +495,22 @@ def test_captured_arrays_do_not_depend_on_the_scope(tmp_path, rng, t_steps):
     plain = model.forward(imgs).value
     runs = []
     for scope in (ad.no_grad, contextlib.nullcontext):
-        capture = {}
         with scope():
-            logits = model.forward(imgs, capture=capture).value
+            logits, reads = captured(model, imgs)
         np.testing.assert_array_equal(logits, plain)
-        runs.append(capture)
-    assert set(runs[0]) == {"local_alpha", "global_alpha", "pool_weights"}
-    for key in runs[0]:
-        np.testing.assert_array_equal(runs[0][key], runs[1][key])
+        runs.append(reads)
+    assert len(runs[0]) == 2 * cfg.n_blocks + 1
+    for key, got in runs[0].items():
+        if got is None:  # T=0 reads no bank
+            assert runs[1][key] is None
+        else:
+            np.testing.assert_array_equal(got, runs[1][key])
 
 
 def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):
     """Training and uncaptured eval forwards never divide a read's weights into
-    alpha; a captured forward does so once per branch, at the last block."""
+    alpha; an analysis forms it once per chunk, for its own branch at the last
+    block, so a global-branch analysis never forms local alpha."""
     cfg, model = tiny_model(tmp_path, t_steps=2, n_blocks=2)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     reads = []
@@ -479,10 +525,42 @@ def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):
     evaluate(model, test, batch_size=7)
     model.forward(imgs, mode="train", labels=np.array([0, 1, 0]), rng=np.random.default_rng(1))
     assert reads == []
-    capture = {}
-    model.forward(imgs, capture=capture)
-    assert reads == [(3, cfg.n_tokens, cfg.k_local), (3, 1, cfg.k_global)]
-    assert capture["local_alpha"].shape == (3 * cfg.n_tokens, cfg.k_local)
+    sizes = [len(test.labels[i:i + 7]) for i in range(0, len(test), 7)]
+    hit_rate(model, test, branch="global", batch_size=7)
+    assert reads == [(n, 1, cfg.k_global) for n in sizes]
+    reads.clear()
+    hit_rate(model, test, branch="local", batch_size=7)
+    assert reads == [(n, cfg.n_tokens, cfg.k_local) for n in sizes]
+
+
+@pytest.mark.parametrize("branch", ["local", "global"])
+@pytest.mark.parametrize("off", ["T0", "beta0"])
+def test_unrefined_analysis_reads_once_per_chunk(tmp_path, rng, monkeypatch, off, branch):
+    """Where refinement reads no bank, an analysis makes one plain read per
+    chunk, at the last block and for its own branch only."""
+    cfg, model = tiny_model(tmp_path, n_blocks=2, t_steps=0 if off == "T0" else 1)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    if off == "beta0":
+        for blk in model.blocks:
+            blk.beta_local.value = np.zeros_like(blk.beta_local.value)
+            blk.beta_global.value = np.zeros_like(blk.beta_global.value)
+    queries = []
+    real = ad.memory_read
+
+    def spy(z, slots, mask):
+        queries.append((len(slots), ad.as_tensor(z).shape))
+        return real(z, slots, mask)
+
+    monkeypatch.setattr(ad, "memory_read", spy)
+    n = 2 * model_mod._CHUNK + 5
+    probe = Dataset(rng.random((n, cfg.in_channels, *cfg.image_size)),
+                    np.arange(n) % cfg.num_classes, cfg.num_classes, "probe")
+    hit_rate(model, probe, branch=branch, batch_size=64)
+    last = model.blocks[-1]
+    bank, rows = ((last.bank_local, cfg.n_tokens) if branch == "local"
+                  else (last.bank_global, 1))
+    want = (len(bank.filled_view()[0]), (rows, cfg.d_lat))
+    assert queries == [(want[0], (b, *want[1])) for b in (32, 32, 5)]
 
 
 def test_checkpoint_with_optimizer_state_loads(tmp_path, rng):
