@@ -102,7 +102,8 @@ def _last_bank(model, branch):
     """The last block's bank for branch, once it holds at least one slot."""
     if branch not in ("local", "global"):
         raise ValueError(f"branch must be local or global, got {branch!r}")
-    bank = getattr(model.blocks[-1], f"bank_{branch}")
+    last = model.blocks[-1]
+    bank = last.bank_local if branch == "local" else last.bank_global
     if not bank.any_filled:
         raise ValueError(f"last-block {branch} bank is empty")
     return bank
@@ -157,7 +158,7 @@ def hit_rate(model, dataset, branch="global", all_tokens=False, batch_size=64):
             # per image: the share of its rows with a same-class slot in the top k
             hits[k] += float(same[..., :k].any(axis=-1).mean(axis=1).sum())
     c = model.cfg.num_classes
-    report = {"branch": branch, "n": len(dataset), "all_tokens": all_tokens and branch == "local"}
+    report = {"branch": branch, "n": len(dataset), "all_tokens": bool(all_tokens) and branch == "local"}
     for k in HIT_TOPK:
         report[f"top{k}_pct"] = 100.0 * hits[k] / len(dataset)
         report[f"chance_top{k}_pct"] = 100.0 * (1.0 - (1.0 - 1.0 / c) ** k)

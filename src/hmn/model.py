@@ -121,8 +121,9 @@ class Model:
         labels, drawing write tokens from rng; a train forward missing
         either raises before any bank changes. capture, a callable, sees
         each chunk's reads: every block calls capture(block, branch, q,
-        weights) (``HMNBlock._refine``), then the model capture(model,
-        "pool", None, pool), pool the Tensor of (b, N) pooling weights.
+        weights) (``HMNBlock._refine``). Then comes the one event that is no
+        read, told apart by name alone: capture(model, "pool", None, pool),
+        pool the plain Tensor of the chunk's (b, N) pooling weights.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")

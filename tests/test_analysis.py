@@ -1,5 +1,6 @@
 """Corruptions, retrieval diagnostics, and the sweep driver."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ import pytest
 import hmn
 import hmn.analysis as analysis_mod
 from hmn.analysis import (CONSISTENCY_GRID_PX, DEFAULT_GRIDS, _rank_slots,
-                          consistency, corrupt, corrupt_dataset, hit_rate,
-                          robustness, sweep, weight_profile, write_consistency,
-                          write_hit_rate_csv, write_robustness, write_sweep,
-                          write_weight_profile)
+                          _sample_rows, consistency, corrupt, corrupt_dataset,
+                          hit_rate, robustness, sweep, weight_profile,
+                          write_consistency, write_hit_rate_csv, write_robustness,
+                          write_sweep, write_weight_profile)
 from hmn.data import Dataset, load_dataset, standardize
 from hmn.model import Model, load_checkpoint
+from hmn.retrieval import retrieve_rows
 from hmn.train import evaluate
 
 from conftest import make_tiny_cfg
@@ -438,12 +440,17 @@ REF_BATCH = 7
 def reference_rows(model, dataset, branch, all_tokens=False):
     """Per image: (label, its last-block weight rows), from one forward over
     the whole set, whose capture hook collects every chunk's reads, and a
-    plain loop over images."""
+    plain loop over images. Where refinement read no bank, a plain read of
+    the unrefined queries stands in."""
     cfg, last = model.cfg, model.blocks[-1]
     reads = {branch: [], "pool": []}
 
     def collect(owner, name, q, weights):
-        if owner is last and name == branch or name == "pool":
+        if name == "pool":
+            reads[name].append(weights.value)
+        elif owner is last and name == branch:
+            if weights is None:
+                weights, _ = retrieve_rows(q.detach(), last_bank(model, branch))
             reads[name].append(weights.value)
 
     model.forward(standardize(dataset.images, cfg.norm_mean, cfg.norm_std), capture=collect)
@@ -500,6 +507,56 @@ def test_weight_profile_matches_per_image_reference(tiny_run, branch):
     acc = np.zeros(last_bank(model, branch).total_slots)
     for _, rows in reference_rows(model, sub, branch):
         acc += rows[0]
+    profile, _ = weight_profile(model, test, 1, branch=branch, batch_size=REF_BATCH)
+    np.testing.assert_allclose(profile, acc / len(sub), rtol=1e-12)
+
+
+def unrefined_replica(model, off):
+    """A copy of model whose refinement reads no bank: T=0 over the full
+    banks ("T0"), or every β zeroed with two of each class's slots filled,
+    so every read is masked ("beta0")."""
+    cfg = dataclasses.replace(model.cfg, t_steps=0) if off == "T0" else model.cfg
+    out = Model(cfg, dtype=model.dtype)
+    for t, src in zip(out.parameters().values(), model.parameters().values()):
+        t.value = src.value.copy()
+    for bank, src in zip(out.banks().values(), model.banks().values()):
+        state = src.state_dict()
+        if off == "beta0":
+            state["written"] = np.minimum(state["written"], 2)
+        bank.load_state(state)
+    if off == "beta0":
+        for blk in out.blocks:
+            blk.beta_local.value = np.zeros_like(blk.beta_local.value)
+            blk.beta_global.value = np.zeros_like(blk.beta_global.value)
+    return out
+
+
+@pytest.mark.parametrize("branch,all_tokens",
+                         [("global", False), ("local", False), ("local", True)])
+@pytest.mark.parametrize("off", ["T0", "beta0"])
+def test_unrefined_analyses_match_per_image_reference(tiny_run, off, branch, all_tokens):
+    """At T=0 and at β=0 the analysis reads the bank itself; its rows equal
+    the reference's plain reads bit for bit, and so do its reports."""
+    cfg, trained, test = tiny_run
+    model = unrefined_replica(trained, off)
+    bank = last_bank(model, branch)
+    assert off == "T0" or not bank.filled_view()[2].all()
+    got = [rows for _, alpha in _sample_rows(model, test, branch, REF_BATCH, all_tokens)
+           for rows in alpha]
+    want = list(reference_rows(model, test, branch, all_tokens))
+    assert len(got) == len(want) == len(test)
+    for rows, (_, ref) in zip(got, want):
+        np.testing.assert_array_equal(rows, ref)
+    report = hit_rate(model, test, branch=branch, all_tokens=all_tokens, batch_size=REF_BATCH)
+    pcts = reference_hit_pcts(model, test, branch, all_tokens)
+    for key in pcts:
+        np.testing.assert_allclose(report[key], pcts[key], rtol=1e-12)
+    if all_tokens:
+        return
+    sub = test.subset(np.flatnonzero(test.labels == 1))
+    acc = np.zeros(bank.total_slots)
+    for _, ref in reference_rows(model, sub, branch):
+        acc += ref[0]
     profile, _ = weight_profile(model, test, 1, branch=branch, batch_size=REF_BATCH)
     np.testing.assert_allclose(profile, acc / len(sub), rtol=1e-12)
 

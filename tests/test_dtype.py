@@ -60,7 +60,7 @@ def test_default_model_computes_in_float32(tmp_path, op_dtypes):
     for _, logits in eval_batches(model, test, capture=lambda *read: reads.append(read)):
         assert logits.dtype == np.float32
     for _, name, q, weights in reads:
-        for arr in (weights.value,) if q is None else (q.value, weights.value):
+        for arr in (weights.value,) if name == "pool" else (q.value, weights.value):
             assert arr.dtype == np.float32, name
     for name, bank in model.banks().items():
         assert bank.any_filled and bank.slots.dtype == np.float32, name

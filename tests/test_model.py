@@ -40,8 +40,8 @@ def recorder(model):
     refinement read no bank."""
     reads = {}
 
-    def hook(owner, branch, q, weights):
-        key = "pool" if owner is model else (model.blocks.index(owner), branch)
+    def hook(owner, name, q, weights):
+        key = name if name == "pool" else (model.blocks.index(owner), name)
         reads.setdefault(key, []).append(None if weights is None else weights.value)
     return reads, hook
 
