@@ -62,6 +62,8 @@ def corrupt(images, family, severity, rng):
     n, _, h, w = imgs.shape
     if family not in _IDENTITY:
         raise ValueError(f"unknown corruption family {family!r}")
+    if not np.isfinite(severity):
+        raise ValueError(f"{family} severity must be finite, got {severity}")
     if family == "gaussian" and severity < 0:
         raise ValueError(f"gaussian sigma must be >= 0, got {severity}")
     if family == "contrast" and severity < 0:
@@ -73,6 +75,8 @@ def corrupt(images, family, severity, rng):
         side = min(int(round(np.sqrt(severity * h * w))), h, w)
     elif family == "occlusion_px":
         side = int(severity)
+        if side != severity:
+            raise ValueError(f"occlusion side must be a whole number, got {severity}")
         if side < 0 or side > min(h, w):
             raise ValueError(f"occlusion side must be in [0, {min(h, w)}], got {severity}")
     if severity == _IDENTITY[family] or side == 0:

@@ -181,9 +181,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def detach(self):
-        return Tensor(self.value)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.value.shape}{flag})"

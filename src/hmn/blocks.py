@@ -8,11 +8,11 @@ project back. Global branch: mean-pool the image's tokens into a
 (B, 1, D_emb) row, same treatment against the global bank; adding it to
 the local branch broadcasts it to all the image's tokens. The branch sum
 feeds a two-layer MLP whose output rides a skip connection from the block
-input. Every linear map adds its bias inside its ``matmul``. A block never
-writes its banks: given write tokens, ``forward`` returns the detached
-queries each bank would store as (bank, rows, class ids), and the model
-writes them once every read of the step is done, so retrieval always sees
-pre-batch state. Parameters, β and bank slots all hold the block's dtype.
+input. Every linear map adds its bias inside its ``matmul``. A block only
+reads its banks: each read hands its unrefined queries to the caller's
+capture callable, through which the train step queues the rows it writes
+once every read of the step is done (``Model._writer``). Parameters, β
+and bank slots all hold the block's dtype.
 """
 
 from collections import OrderedDict
@@ -68,51 +68,36 @@ class HMNBlock:
         return OrderedDict((f"{prefix}.{n}", getattr(self, n)) for n in names)
 
     def _refine(self, q, bank, beta, t_steps, capture, branch):
-        """Refined queries; capture, when given, is called once with the read:
-        capture(block, branch, q, weights), q the branch's unrefined queries,
-        (B, N, D_lat) local or (B, 1, D_lat) global, and weights the last
-        refinement step's ReadWeights, None where refinement read no bank
-        (T=0, β=0 or an empty bank). The block forms no alpha."""
+        """Refined queries; capture, when given, is called once with every
+        read: capture(block, branch, q, weights), q the branch's unrefined
+        queries, (B, N, D_lat) local or (B, 1, D_lat) global, and weights the
+        last refinement step's ReadWeights, None where refinement read no
+        bank (T=0, β=0 or an empty bank), which still makes the call: the
+        bank writes depend on it. The block forms no alpha."""
         z, weights = refine_rows(q, bank, beta, t_steps)
         if capture is not None:
             capture(self, branch, q, weights)
         return z
 
-    def _local_branch(self, x, t_steps, picks, labels, capture, writes):
+    def _local_branch(self, x, t_steps, capture):
         q = ad.unfold_matmul(x, self.h_p, self.w_p, self.cfg.k, self.W_loc_in, self.b_loc_in)
         z = self._refine(q, self.bank_local, self.beta_local, t_steps, capture, "local")
-        out = ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, self.b_loc_out)
-        if picks is not None:
-            # a pure copy: image i's rows q[i, picks[i]], in image order
-            rows = q.value[np.arange(len(picks))[:, None], picks]
-            writes.append((self.bank_local, rows.reshape(-1, rows.shape[-1]),
-                           np.repeat(labels, picks.shape[1])))
-        return out
+        return ad.matmul(ad.concat_last_axis(z, q), self.W_loc_out, self.b_loc_out)
 
-    def _global_branch(self, x, t_steps, picks, labels, capture, writes):
+    def _global_branch(self, x, t_steps, capture):
         g = ad.mean_rows(x)
         qg = ad.matmul(g, self.W_glob_in, self.b_glob_in)
         zg = self._refine(qg, self.bank_global, self.beta_global, t_steps, capture, "global")
-        out = ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, self.b_glob_out)
-        if picks is not None:
-            writes.append((self.bank_global, qg.value[:, 0], labels))
-        return out
+        return ad.matmul(ad.concat_last_axis(zg, qg), self.W_glob_out, self.b_glob_out)
 
-    def forward(self, tokens, t_steps, picks=None, labels=None, capture=None):
-        """(out, writes) for (B, N, D_emb) tokens; out has their shape.
-
-        picks None only reads, and writes is empty. Otherwise picks holds
-        each image's (B, write_sample) write-token indices and labels its
-        class, and writes lists the (bank, rows, class ids) this batch
-        stores in the local bank, then the global bank, unwritten. capture
-        is the per-read callable of ``_refine``, local read first.
-        """
-        writes = []
+    def forward(self, tokens, t_steps, capture=None):
+        """Output for (B, N, D_emb) tokens, of their shape. capture is the
+        per-read callable of ``_refine``, local read first."""
         x = ad.layernorm_rows(tokens, self.norm_in_gain, self.norm_in_bias)
-        local = self._local_branch(x, t_steps, picks, labels, capture, writes)
-        glob = self._global_branch(x, t_steps, picks, labels, capture, writes)
+        local = self._local_branch(x, t_steps, capture)
+        glob = self._global_branch(x, t_steps, capture)
         f = ad.add(local, glob)
         y = ad.layernorm_rows(f, self.norm_mlp_gain, self.norm_mlp_bias)
         hidden = ad.gelu(ad.matmul(y, self.W1, self.b1))
         mlp_out = ad.matmul(hidden, self.W2, self.b2)
-        return ad.add(tokens, mlp_out), writes
+        return ad.add(tokens, mlp_out)

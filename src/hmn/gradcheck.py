@@ -56,6 +56,6 @@ def model_gradcheck(t_steps=1, seed=0):
     y_fix = ds.labels[:batch]
 
     def build():
-        return ad.cross_entropy(model._forward(x_fix, cfg.t_steps, None, None)[0], y_fix)
+        return ad.cross_entropy(model._forward(x_fix, cfg.t_steps), y_fix)
 
     return ad.check_gradients(build, list(params.values()), step=1e-5, floor=1e-6)

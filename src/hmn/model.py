@@ -5,8 +5,8 @@ blocks, (B, N) pooling weights, a (B, 1, D) pooled vector and (B, C)
 logits. The forward GEMMs run in fixed 16-image tiles (see autodiff), so
 an image's logits do not depend on the rest of the batch. ``forward`` and
 the chunked train step (``train.train_step``) share one private forward,
-``_forward``, which takes the drawn write tokens and returns the pending
-bank writes, a flat list of (bank, rows, class ids). An eval ``forward``
+``_forward``, which only reads the banks; a train step's reads queue its
+writes through the capture ``_writer`` returns. An eval ``forward``
 records no autodiff graph and runs ``_forward`` over consecutive
 ``_CHUNK``-image chunks, the train step's chunks, so its working memory
 is one chunk's whatever the batch size, also under ``capture``, which
@@ -116,14 +116,14 @@ class Model:
 
         eval mode only reads the banks, records no graph and changes no
         model state; it runs in consecutive _CHUNK-image chunks and
-        concatenates their logits. train mode runs the whole batch at once
-        and writes each block's queries to its banks under the given
-        labels, drawing write tokens from rng; a train forward missing
-        either raises before any bank changes. capture, a callable, sees
-        each chunk's reads: every block calls capture(block, branch, q,
-        weights) (``HMNBlock._refine``). Then comes the one event that is no
-        read, told apart by name alone: capture(model, "pool", None, pool),
-        pool the plain Tensor of the chunk's (b, N) pooling weights.
+        concatenates their logits. capture, a callable, sees each chunk's
+        reads: every block calls capture(block, branch, q, weights)
+        (``HMNBlock._refine``). Then comes the one event that is no read,
+        told apart by name alone: capture(model, "pool", None, pool), pool
+        the plain Tensor of the chunk's (b, N) pooling weights. train mode
+        runs the whole batch at once and writes the rows ``_writer`` picks
+        under labels, drawing write tokens from rng; one missing either, or
+        given a capture, raises before any bank changes.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -131,15 +131,18 @@ class Model:
             raise ValueError("train mode needs one label per image for bank writes")
         if mode == "train" and rng is None:
             raise ValueError("train mode needs an rng for write-token sampling")
+        if mode == "train" and capture is not None:
+            raise ValueError("train mode takes no capture: its reads queue the bank writes")
         images = self._images(images)
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         if mode == "eval":
             with ad.no_grad():
                 return ad.Tensor(np.concatenate([
-                    self._forward(images[i:i + _CHUNK], t_steps, None, None, capture)[0].value
+                    self._forward(images[i:i + _CHUNK], t_steps, capture).value
                     for i in range(0, len(images), _CHUNK)]))
-        picks = self._write_tokens(len(images), rng)
-        logits, writes = self._forward(images, t_steps, picks, labels, capture)
+        writes = []
+        logits = self._forward(images, t_steps,
+                               self._writer(self._write_tokens(len(images), rng), labels, writes))
         for bank, rows, cls in writes:
             bank.slots = bank.slots.copy()  # this graph's reads keep their slots
             bank.write(rows, cls)
@@ -163,33 +166,41 @@ class Model:
         return np.array([[np.sort(rng.choice(n, size=s, replace=False)) for _ in range(b)]
                          for _ in self.blocks])
 
-    def _forward(self, images, t_steps, picks, labels, capture=None):
-        """(logits, writes) for a standardized (B, C, H, W) batch.
+    def _writer(self, picks, labels, writes):
+        """The capture callable that queues each read's pending bank write
+        on writes as (bank, rows, class ids), unwritten. picks holds the
+        blocks' write tokens (``_write_tokens``) and labels the classes of
+        the images read. A local read queues a copy of each image's picked
+        queries q[i, picks[i]], in image order, a global read each image's
+        query; the "pool" event queues nothing."""
+        def capture(block, branch, q, weights):
+            if branch == "local":
+                p = picks[self.blocks.index(block)]
+                rows = q.value[np.arange(len(p))[:, None], p]
+                writes.append((block.bank_local, rows.reshape(-1, rows.shape[-1]),
+                               np.repeat(labels, p.shape[1])))
+            elif branch == "global":
+                writes.append((block.bank_global, q.value[:, 0], labels))
+        return capture
 
-        picks None reads only, and writes is empty. Otherwise picks holds
-        the blocks' write-token indices (``_write_tokens``) and writes each
-        block's pending (bank, rows, class ids), local then global. Every
-        read sees the banks as they stood before this call. capture is
-        ``forward``'s per-read callable, handed to every block.
-        """
+    def _forward(self, images, t_steps, capture=None):
+        """Logits for a standardized (B, C, H, W) batch, reading the banks
+        only; capture, ``forward``'s or a ``_writer``, goes to every block."""
         patches = self._patchify(images)
         b = images.shape[0]
         # tokens are (B, N, D): every matmul below runs in 16-image tiles of
         # fixed height, so an image's rows never see the rest of the batch
         tok = ad.matmul(ad.Tensor(patches), self.patch_proj, self.patch_bias)
         tok = ad.add(tok, self.pos_embed)
-        writes = []
-        for i, blk in enumerate(self.blocks):
-            tok, w = blk.forward(tok, t_steps, None if picks is None else picks[i],
-                                 labels, capture)
-            writes += w
+        for blk in self.blocks:
+            tok = blk.forward(tok, t_steps, capture)
         scores = ad.reshape(ad.matmul(tok, self.W_att), (b, self.cfg.n_tokens))
         pool = ad.softmax_rows(scores)
         v = ad.group_weighted_sum(pool, tok)
         logits = ad.reshape(ad.matmul(v, self.head_w, self.head_b), (b, -1))
         if capture is not None:
             capture(self, "pool", None, pool)
-        return logits, writes
+        return logits
 
 
 # ------------------------------------------------------------- checkpoint IO

@@ -99,10 +99,12 @@ def train_step(model, x, labels, rng):
     loss, count of correct argmaxes).
 
     The write tokens of all blocks are drawn first, so the rng stream is
-    that of ``Model.forward(mode="train")``, and every chunk reads the banks
-    as they stood before the step. Each chunk's loss is its cross-entropy
-    sum divided by the batch size; its gradients add into the leaves'
-    .grad, which the caller zeroes before and steps the optimizer on after.
+    that of ``Model.forward(mode="train")``. A chunk's reads queue the rows
+    the banks store through its capture, ``model._writer``, and every chunk
+    reads the banks as they stood before the step. Each chunk's loss is its
+    cross-entropy sum divided by the batch size; its gradients add into the
+    leaves' .grad, which the caller zeroes before and steps the optimizer on
+    after.
     """
     x = model._images(x)
     b = len(x)
@@ -110,12 +112,12 @@ def train_step(model, x, labels, rng):
     loss_sum, correct, pending = 0.0, 0, []
     for start in range(0, b, _CHUNK):
         sl = slice(start, start + _CHUNK)
-        logits, writes = model._forward(x[sl], model.cfg.t_steps, picks[:, sl], labels[sl])
+        logits = model._forward(x[sl], model.cfg.t_steps,
+                                model._writer(picks[:, sl], labels[sl], pending))
         loss = ad.cross_entropy(logits, labels[sl], b)
         ad.backward(loss)
         loss_sum += float(loss.value)
         correct += int((logits.value.argmax(axis=1) == labels[sl]).sum())
-        pending += writes
     for bank, rows, cls in pending:
         bank.write(rows, cls)
     return loss_sum, correct

@@ -11,6 +11,7 @@ import pytest
 
 import hmn
 import hmn.analysis as analysis_mod
+import hmn.autodiff as ad
 from hmn.analysis import (CONSISTENCY_GRID_PX, DEFAULT_GRIDS, _rank_slots,
                           _sample_rows, consistency, corrupt, corrupt_dataset,
                           hit_rate, robustness, sweep, weight_profile,
@@ -105,6 +106,22 @@ def test_corruption_validation(rng):
         corrupt(img, "contrast", -1.0, rng)
     with pytest.raises(ValueError):
         corrupt(img, "vignette", 0.5, rng)
+
+
+@pytest.mark.parametrize("family,severity,message", [
+    ("gaussian", float("nan"), "finite"), ("gaussian", float("inf"), "finite"),
+    ("contrast", float("nan"), "finite"), ("contrast", float("inf"), "finite"),
+    ("occlusion", float("nan"), "finite"), ("occlusion_px", float("inf"), "finite"),
+    ("occlusion_px", 4.5, "whole number"), ("occlusion_px", -0.5, "whole number")])
+def test_corrupt_rejects_severities_it_cannot_apply(rng, family, severity, message):
+    with pytest.raises(ValueError, match=message):
+        corrupt(np.ones((2, 1, 8, 8)), family, severity, rng)
+
+
+def test_occlusion_side_may_be_a_whole_float():
+    img = np.ones((2, 1, 8, 8))
+    np.testing.assert_array_equal(corrupt(img, "occlusion_px", 4.0, np.random.default_rng(1)),
+                                  corrupt(img, "occlusion_px", 4, np.random.default_rng(1)))
 
 
 def test_corrupt_dataset_deterministic(rng):
@@ -450,7 +467,7 @@ def reference_rows(model, dataset, branch, all_tokens=False):
             reads[name].append(weights.value)
         elif owner is last and name == branch:
             if weights is None:
-                weights, _ = retrieve_rows(q.detach(), last_bank(model, branch))
+                weights, _ = retrieve_rows(ad.Tensor(q.value), last_bank(model, branch))
             reads[name].append(weights.value)
 
     model.forward(standardize(dataset.images, cfg.norm_mean, cfg.norm_std), capture=collect)

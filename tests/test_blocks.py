@@ -11,6 +11,7 @@ import hmn.retrieval
 from hmn.blocks import HMNBlock
 from hmn.config import RunConfig
 from hmn.model import Model
+from hmn.train import train_step
 
 from conftest import total
 
@@ -65,7 +66,7 @@ def test_shape_contract(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 3, rng)
-    out = block.forward(x, 2)[0]
+    out = block.forward(x, 2)
     assert out.value.shape == x.value.shape
 
 
@@ -73,10 +74,10 @@ def test_zero_steps_equals_zero_beta_bitwise(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    out_t0 = block.forward(x, 0)[0]
+    out_t0 = block.forward(x, 0)
     block.beta_local.value = np.array([0.0])
     block.beta_global.value = np.array([0.0])
-    out_b0 = block.forward(x, 3)[0]
+    out_b0 = block.forward(x, 3)
     np.testing.assert_array_equal(out_t0.value, out_b0.value)
 
 
@@ -119,8 +120,8 @@ def test_empty_bank_forward_matches_zero_steps(rng):
     cfg, block = make_block()
     x = tokens_for(cfg, 2, rng)
     assert not block.bank_local.any_filled
-    out_live = block.forward(x, 3)[0]
-    out_t0 = block.forward(x, 0)[0]
+    out_live = block.forward(x, 3)
+    out_t0 = block.forward(x, 0)
     np.testing.assert_array_equal(out_live.value, out_t0.value)
 
 
@@ -130,7 +131,7 @@ def test_zeroed_mlp_makes_block_identity(rng):
     block.W2.value = np.zeros_like(block.W2.value)
     block.b2.value = np.zeros_like(block.b2.value)
     x = tokens_for(cfg, 2, rng)
-    out = block.forward(x, 2)[0]
+    out = block.forward(x, 2)
     np.testing.assert_array_equal(out.value, x.value)
 
 
@@ -157,21 +158,45 @@ def test_write_accounting(rng):
 
 
 def test_write_rows_are_each_images_picked_queries(rng):
-    # the one fancy index over the drawn tokens against the per-image loop
-    cfg, block = make_block(write_sample=2, k_local=8, k_global=8)
+    # the writer's one fancy index over the drawn tokens against the
+    # per-image loop, taken from the reads of a block forward
+    cfg, model = make_model(write_sample=2, k_local=8, k_global=8)
+    block = model.blocks[0]
     x = tokens_for(cfg, 3, rng)
-    picks = np.array([[0, 3], [1, 2], [2, 3]])
-    _, writes = block.forward(x, 1, picks, np.array([0, 1, 0]))
+    picks = np.array([[[0, 3], [1, 2], [2, 3]]])
+    writes = []
+    writer = model._writer(picks, np.array([0, 1, 0]), writes)
+    block.forward(x, 1, capture=writer)
+    writer(model, "pool", None, ad.Tensor(np.ones((3, cfg.n_tokens))))  # queues nothing
     (bank, rows, cls), (gbank, grows, gcls) = writes
     xn = ad.layernorm_rows(x, block.norm_in_gain, block.norm_in_bias)
     q = ad.unfold_matmul(xn, block.h_p, block.w_p, cfg.k, block.W_loc_in, block.b_loc_in).value
-    want = np.concatenate([q[i, picks[i]] for i in range(3)])
+    want = np.concatenate([q[i, picks[0, i]] for i in range(3)])
     assert bank is block.bank_local and gbank is block.bank_global
-    assert not bank.any_filled and not gbank.any_filled  # returned, not written
+    assert not bank.any_filled and not gbank.any_filled  # queued, not written
     assert rows.tobytes() == want.tobytes()
     np.testing.assert_array_equal(cls, [0, 0, 1, 1, 0, 0])
     assert grows.shape == (3, cfg.d_lat)
     np.testing.assert_array_equal(gcls, [0, 1, 0])
+
+
+@pytest.mark.parametrize("off", [dict(t_steps=0), dict(beta_init=0.0)], ids=["T0", "beta0"])
+def test_unrefined_train_step_writes_the_rows_of_a_refined_one(rng, off):
+    """The writes ride on the reads' capture calls, which refinement makes
+    also where it reads no bank: a train step at T=0 or with β zeroed
+    writes every bank as a T=1 step over the same filled banks does."""
+    states = []
+    for overrides in (dict(t_steps=1), off):
+        cfg, model = make_model(write_sample=2, k_local=8, k_global=8, **overrides)
+        batches = np.random.default_rng(4)
+        for step in range(2):  # the first step fills the banks the second reads
+            train_step(model, images_for(cfg, 3, batches), np.array([0, 1, 1]),
+                       np.random.default_rng(step))
+        states.append([bank.state_dict() for bank in model.banks().values()])
+    assert all(bank.any_filled for bank in model.banks().values())
+    for refined, unrefined in zip(*states):
+        for field, arr in refined.items():
+            assert arr.tobytes() == unrefined[field].tobytes(), field
 
 
 def test_train_forward_writes_each_bank_once(rng, monkeypatch):
@@ -211,7 +236,7 @@ def test_global_addend_uniform_within_image(rng):
     cfg, block = make_block()
     fill_banks(block, rng)
     x = tokens_for(cfg, 2, rng)
-    out = block._global_branch(x, 2, None, None, None, [])
+    out = block._global_branch(x, 2, None)
     # one row per image, which the branch sum broadcasts to every token
     assert out.shape == (2, 1, cfg.d_emb)
     addend = ad.add(ad.Tensor(np.zeros(x.shape)), out).value
@@ -226,8 +251,8 @@ def test_global_branch_permutation_invariant_within_image(rng):
     xv = rng.standard_normal((2, cfg.n_tokens, cfg.d_emb))
     perm = xv.copy()
     perm[0] = xv[0][::-1]
-    a = block._global_branch(ad.Tensor(xv), 1, None, None, None, [])
-    b = block._global_branch(ad.Tensor(perm), 1, None, None, None, [])
+    a = block._global_branch(ad.Tensor(xv), 1, None)
+    b = block._global_branch(ad.Tensor(perm), 1, None)
     np.testing.assert_allclose(a.value, b.value, atol=1e-12)
 
 
@@ -273,7 +298,7 @@ def rerun_reads(block, tokens, t_steps, beta):
     qg = ad.matmul(g, block.W_glob_in, block.b_glob_in)
     out = []
     for query, bank in ((q, block.bank_local), (qg, block.bank_global)):
-        z, alpha = query.detach(), None
+        z, alpha = ad.Tensor(query.value), None
         for _ in range(t_steps if beta else 0):
             alpha, m = hmn.retrieval.retrieve_rows(z, bank)
             z = ad.Tensor(z.value + beta * (m.value - z.value))
@@ -319,7 +344,7 @@ def test_capture_leaves_outputs_and_gradients_unchanged(rng, t_steps, beta):
     runs = []
     for capture in (None, recorder()[1]):
         ad.zero_grad(params)
-        out = block.forward(x, t_steps, capture=capture)[0]
+        out = block.forward(x, t_steps, capture=capture)
         ad.backward(total(ad.matmul(out, proj)))
         runs.append((out.value, [p.grad for p in params]))
     (plain, plain_grads), (captured, captured_grads) = runs
@@ -346,7 +371,7 @@ def test_block_gradients_match_finite_differences(rng):
     params = list(block.parameters("b").values()) + [x]
 
     def build():
-        out = block.forward(x, 2)[0]
+        out = block.forward(x, 2)
         return total(ad.matmul(out, proj))
 
     assert ad.check_gradients(build, params, step=1e-6) < 1e-5

@@ -306,6 +306,21 @@ def test_cli_consistency_checks_the_grid_before_out_is_made(capsys, trained_16px
     assert not os.path.exists(dest)
 
 
+@pytest.mark.parametrize("family,grid,message", [
+    ("gaussian", "nan", "gaussian severity must be finite, got nan"),
+    ("contrast", "nan", "contrast severity must be finite, got nan"),
+    ("occlusion_px", "4.5", "occlusion side must be a whole number, got 4.5"),
+    ("occlusion_px", "-0.5", "occlusion side must be a whole number, got -0.5")])
+def test_cli_consistency_rejects_severities_it_cannot_apply(capsys, trained_16px, tmp_path,
+                                                            family, grid, message):
+    dest = str(tmp_path / "cons")
+    rc, out, err = run_cli(capsys, "analyze", "consistency", "--ckpt", trained_16px,
+                           "--out", dest, "--family", family, f"--grid={grid}")
+    assert rc == 1 and out == ""
+    assert json.loads(err.strip()) == {"error": "ValueError", "message": message}
+    assert not os.path.exists(dest)
+
+
 @pytest.mark.parametrize("family", ["gaussian", "occlusion", "contrast"])
 def test_cli_consistency_default_grid_follows_the_family(capsys, trained_16px, tmp_path,
                                                          family):

@@ -165,7 +165,8 @@ def test_eval_forward_records_no_graph_and_restores_recording(tmp_path, rng):
     assert ad.add(w, w).requires_grad
 
 
-@pytest.mark.parametrize("case", ["bad shape", "bad shape eval", "no labels", "no rng"])
+@pytest.mark.parametrize("case", ["bad shape", "bad shape eval", "no labels", "no rng",
+                                  "train capture"])
 def test_rejected_forward_changes_no_model_state(tmp_path, rng, case):
     cfg, model = tiny_model(tmp_path)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
@@ -175,9 +176,13 @@ def test_rejected_forward_changes_no_model_state(tmp_path, rng, case):
     kwargs = {"bad shape": dict(images=bad, mode="train", labels=labels, rng=rng),
               "bad shape eval": dict(images=bad, mode="eval"),
               "no labels": dict(images=good, mode="train", rng=rng),
-              "no rng": dict(images=good, mode="train", labels=labels)}[case]
+              "no rng": dict(images=good, mode="train", labels=labels),
+              "train capture": dict(images=good, mode="train", labels=labels, rng=rng,
+                                    capture=lambda *event: events.append(event))}[case]
+    events = []
     with pytest.raises(ValueError):
         model.forward(**kwargs)
+    assert events == []
     assert_state_unchanged(model, state)
 
 
@@ -295,7 +300,7 @@ def test_chunked_eval_forward_matches_whole_and_per_image_forwards(
     logits, reads = captured(model, imgs)
     whole_reads, hook = recorder(model)
     with ad.no_grad():
-        whole = model._forward(model._images(imgs), t_steps, None, None, hook)[0].value
+        whole = model._forward(model._images(imgs), t_steps, hook).value
     singles = [captured(model, imgs[i:i + 1]) for i in range(b)]
     assert_same_bits(logits, whole)
     assert_same_bits(logits, np.concatenate([lg for lg, _ in singles]))
@@ -466,7 +471,7 @@ def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, mo
     cfg, model, _ = checkpointed(tmp_path, rng)
     _, test = load_dataset(cfg)
     x = model._images(standardize(test.images, cfg.norm_mean, cfg.norm_std))
-    graph = model._forward(x, cfg.t_steps, None, None)[0]
+    graph = model._forward(x, cfg.t_steps)
     assert graph.requires_grad
     acc = evaluate(model, test, batch_size=7)
     assert acc == int((graph.value.argmax(axis=1) == test.labels).sum()) / len(test)
