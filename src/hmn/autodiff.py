@@ -22,10 +22,10 @@ every shipped shape. In float64 it fails at some shapes whose n is not a
 multiple of 8, where OpenBLAS's dgemm rounds the last columns of a
 tile's last rows differently; the desk shape's 500-slot local read is
 one (tests/test_autodiff.py lists the shapes checked). A train step and
-an eval forward hand these ops 32-image chunks (``model._CHUNK``), two
-tiles each, so a chunk makes the same GEMM calls as its rows of the
-whole batch would, and its R×K and (R, k²·D) intermediates stay one
-chunk's size whatever the batch.
+an eval forward work in 32-image chunks (``model._CHUNK``), two tiles
+each, so a chunk makes the same GEMM calls as its rows of the whole batch
+would, and its R×K and (R, k²·D) intermediates stay one chunk's size
+whatever the batch.
 group_weighted_sum, whose operands both vary by image, keeps one GEMM per
 image. Row ops work on the last axis. Backwards never produce logits, so
 each gradient GEMM is one BLAS call over all rows. Inside a ``no_grad()``
@@ -33,6 +33,20 @@ scope ops still compute and check their values but record no graph, so
 inference holds no activations beyond the ones still referenced.
 backward() takes the graph apart as it walks it, so after a training step
 only the leaves' gradients remain.
+
+Lanes: a chunk's tiles are its lanes. Inside a ``lanes()`` scope every
+GEMM runs on one BLAS thread, and the scope runs a chunk's two lanes
+concurrently, lane 0 in the calling thread and lane 1 on one persistent
+worker thread, where the BLAS had two threads or more. Most of a step is
+elementwise and copy passes that numpy runs in one thread, so the
+second core does more as a lane than as a second BLAS thread. A train
+step's lane runs its own forward, cross-entropy and backward; lane 1's
+backward takes a sink, so its leaf gradients are added after lane 0's.
+So a lane makes the same calls, and its gradients meet in the same
+order, whether the lanes run concurrently or one after another: the bits
+do not depend on the BLAS thread count. Lanes share only what they read
+(parameters, bank slots, ``_recording``); lane 0's backward alone adds
+into .grad while they run.
 
 Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
@@ -81,29 +95,40 @@ rebuilds it from its input, a pure copy with the same bits, for dW.
 """
 
 import contextlib
+import contextvars
 import math
+import os
+import threading
+import types
 
 import numpy as np
 
-from . import kernels
+from . import _blas, kernels
 
 _FINITE_MSG = "{} produced non-finite values"
 _EPS = 1e-12
 
-# read by _node; off inside a no_grad() scope
+# read by _node; off while any no_grad() scope is open. Process-wide, so
+# that lanes run under their caller's scope; a count of open scopes, so
+# that scopes overlapping across threads leave it on once all have closed
 _recording = True
+_no_grad_scopes = 0
+_no_grad_lock = threading.Lock()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Scope in which op outputs keep no parents and no backward closure."""
-    global _recording
-    prev = _recording
-    _recording = False
+    global _recording, _no_grad_scopes
+    with _no_grad_lock:
+        _no_grad_scopes += 1
+        _recording = False
     try:
         yield
     finally:
-        _recording = prev
+        with _no_grad_lock:
+            _no_grad_scopes -= 1
+            _recording = _no_grad_scopes == 0
 
 
 def _finite(name, arr):
@@ -205,20 +230,31 @@ def _node(value, inputs, bwd, name):
     return out
 
 
+class _Walk(threading.local):
+    # the leaf-gradient sink of the backward walking in this thread, if any
+    sink = None
+
+
+_walk = _Walk()
+
+
 def _accum(node, g, own=False):
     """Add g into node.grad; None (an input that requires no grad) takes
     nothing. The first write stores a copy of g, since g may be a dout or
     a view of one that other parents also receive; with own=True, g
-    itself, which the calling backward built and reads no more."""
+    itself, which the calling backward built and reads no more. Inside a
+    backward given a sink, a leaf's gradient goes to the sink instead."""
     if node is None:
         return
+    if node._backward is None and _walk.sink is not None:
+        node = _walk.sink.setdefault(node, Node())
     if node.grad is None:
         node.grad = g if own else g.copy()
     else:
         node.grad += g
 
 
-def backward(loss):
+def backward(loss, sink=None):
     """Backpropagate from a scalar loss, accumulating into leaf .grad additively.
 
     The graph is taken apart as the walk goes. Nodes run in reverse
@@ -227,6 +263,11 @@ def backward(loss):
     Leaves (tensors no op produced) keep their .grad. A graph can be walked
     once; a walk that reaches an already-walked node raises. A loss that
     requires no grad has no graph, and nothing happens.
+
+    With sink, a dict, the walk leaves every .grad of a leaf alone and
+    accumulates the leaf's gradient in sink[leaf node] instead, a Node of
+    its own; ``accumulate`` later adds it into .grad. So a lane can walk
+    its graph while another lane's walk adds into the same leaves.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
@@ -248,21 +289,116 @@ def backward(loss):
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents if p not in seen)
     loss.node.grad = np.ones_like(loss.value)
-    while topo:
-        node = topo.pop()
-        if node._backward is None:
-            continue
-        node._backward(node.grad)
-        node._backward = None
-        node._parents = ()
-        node.grad = None
-        node._walked = True
+    _walk.sink = sink
+    try:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            node.grad = None
+            node._walked = True
+    finally:
+        _walk.sink = None
+
+
+def accumulate(sink):
+    """Add the leaf gradients a backward collected in sink into the leaves' .grad."""
+    for leaf, held in sink.items():
+        _accum(leaf, held.grad, own=True)
 
 
 def zero_grad(tensors):
     for t in tensors:
         if t.node is not None:
             t.node.grad = None
+
+
+# ---------------------------------------------------------------- lanes
+
+# the one worker thread that runs lane 1, made on first use, and the lock
+# that one lanes() scope at a time holds while it may use it
+_pool = None
+_pool_free = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child has the pool object but not its thread
+    global _pool, _pool_free
+    _pool, _pool_free = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+class _Lanes:
+    """What a ``lanes()`` scope yields: ``concurrent`` says whether run()
+    may put a second lane on the worker thread."""
+
+    def __init__(self, concurrent):
+        self.concurrent = concurrent
+
+    def run(self, fns):
+        """Call each of fns, one lane each, at most two; their results in
+        lane order. Lane 0 runs in the calling thread and lane 1, when
+        concurrent, on the worker, in a copy of the caller's contextvars
+        context (``np.errstate`` among them); otherwise after lane 0. Both
+        lanes end before either's error is raised, lane 0's first, except
+        that a BrokenBarrierError, the mark of a lane stopped by the other
+        lane's failure, yields to the other lane's error."""
+        if not self.concurrent or len(fns) < 2:
+            return [fn() for fn in fns]
+        first, second = fns
+        future = _pool.submit(contextvars.copy_context().run, second)
+        errors = []
+        try:
+            out = first()
+        except BaseException as e:  # re-raised below, once lane 1 has ended
+            errors.append(e)
+        if future.exception() is not None:  # waits for lane 1
+            errors.append(future.exception())
+        if errors:
+            errors.sort(key=lambda e: isinstance(e, threading.BrokenBarrierError))
+            raise errors[0]
+        return [out, future.result()]
+
+
+def _replaced():
+    """Whether a function of this module has been swapped for another, such
+    as a tracer's or a test's wrapper: its thread safety is unknown (a
+    span tracer with one stack per process is not safe), so lanes then run
+    one after another."""
+    return any(globals()[name] is not fn for name, fn in _OWN.items())
+
+
+@contextlib.contextmanager
+def lanes():
+    """Scope for running a chunk's tiles as lanes: every GEMM in it runs on
+    one BLAS thread (``_blas.one_thread``), and it yields a ``_Lanes``.
+    Lanes run concurrently when the BLAS had at least two threads at entry,
+    no function of this module has been replaced (``_replaced``) and no
+    other scope holds the worker; so a scope opened inside a lane, a
+    capture or another thread's scope runs its lanes one after another, as
+    does a process without the library. Either way each lane makes the
+    same calls, so the results are the same bits."""
+    global _pool
+    ambient = _blas.threads()
+    with _blas.one_thread():
+        if (ambient is None or ambient < 2 or _replaced()
+                or not _pool_free.acquire(blocking=False)):
+            yield _Lanes(False)
+            return
+        try:
+            if _pool is None:
+                # imported on first use: it costs a few ms of every import
+                from concurrent.futures import ThreadPoolExecutor
+                _pool = ThreadPoolExecutor(1, thread_name_prefix="hmn-lane")
+            yield _Lanes(True)
+        finally:
+            _pool_free.release()
 
 
 # ---------------------------------------------------------------- linear maps
@@ -551,21 +687,39 @@ class ReadWeights:
 
     e holds the read's unnormalized weights (R×K) and s their row sums
     (R×1). Each read of ``value`` divides them; ``shape`` is e's. No graph:
-    α is a diagnostic, and gradients reach z through m.
+    α is a diagnostic, and gradients reach z through m. ``stack`` joins
+    the reads of consecutive images, such as a chunk's lanes, without
+    copying their e: ``shape`` then counts every part's rows, and
+    ``value`` divides each part into its rows of one output.
     """
 
-    __slots__ = ("_e", "_s")
+    __slots__ = ("_e", "_s", "_more")
 
-    def __init__(self, e, s):
-        self._e, self._s = e, s
+    def __init__(self, e, s, more=()):
+        # more: the (e, s) parts of the rows that follow, when stacked
+        self._e, self._s, self._more = e, s, tuple(more)
+
+    def _parts(self):
+        return ((self._e, self._s),) + self._more
+
+    @classmethod
+    def stack(cls, reads):
+        """One ReadWeights whose rows are those of reads, in order."""
+        (e, s), *more = (part for r in reads for part in r._parts())
+        return cls(e, s, more)
 
     @property
     def shape(self):
-        return self._e.shape
+        return (sum(len(e) for e, _ in self._parts()), *self._e.shape[1:])
 
     @property
     def value(self):
-        return self._e / self._s
+        out = np.empty(self.shape, dtype=self._e.dtype)
+        start = 0
+        for e, s in self._parts():
+            np.divide(e, s, out=out[start:start + len(e)])
+            start += len(e)
+        return out
 
 
 def memory_read(z, slots, mask):
@@ -783,3 +937,8 @@ def check_gradients(build, tensors, step=1e-5, floor=1e-7):
         fd = fd_gradient(f, t.value.copy(), step=step)
         worst = max(worst, max_rel_err(analytic, fd, floor=floor))
     return worst
+
+
+# the module's own functions, for _replaced
+_OWN = {name: fn for name, fn in globals().items()
+        if isinstance(fn, types.FunctionType) and fn.__module__ == __name__}

@@ -11,7 +11,9 @@ records no autodiff graph and runs ``_forward`` over consecutive
 ``_CHUNK``-image chunks, the train step's chunks, so its working memory
 is one chunk's whatever the batch size, also under ``capture``, which
 sees each chunk's reads. A chunk is a whole number of tiles, so every
-GEMM call and every output bit is the whole batch's.
+GEMM call and every output bit is the whole batch's. Where it can, a
+chunk runs its two tiles as concurrent lanes (``autodiff.lanes``), one
+``_forward`` each, with every GEMM on one BLAS thread.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -22,19 +24,25 @@ Also the versioned binary checkpoint format: saving writes the records
 model of the stored config. Parameters and slots are stored as
 little-endian float32, write counts as int64. Loading takes the records as
 they are, so a float32 model's save→load round trip is exact, and a
-checkpoint saved again after loading is byte-identical under the same
-BLAS thread setting. The metadata records the saving process's setting,
-``blas_threads``, because some GEMMs round differently at another thread
-count; a resave under another setting records that one instead.
+checkpoint saved again after loading is byte-identical in the same
+process setting. The metadata records the saving process's BLAS thread
+setting, ``blas_threads``, the OpenBLAS kernel family that ran,
+``blas_kernel``, and the numpy version, ``numpy``. The thread count does
+not change the bits where ``_blas`` can pin GEMMs to one thread; the
+kernel family and numpy's random streams may; a resave elsewhere
+records that process's values instead.
 """
 
+import functools
 import json
 import os
 import struct
+import threading
 from collections import OrderedDict
 
 import numpy as np
 
+from . import _blas
 from . import autodiff as ad
 from .blocks import HMNBlock
 from .config import config_from_dict
@@ -44,9 +52,53 @@ from .optim import Adam
 MAGIC = b"HMN1"
 VERSION = 2
 
-# images per _forward call of an eval forward or a train step: two of the
-# forward GEMMs' 16-image tiles, so a chunk's tiles are the whole batch's
+# images per chunk of an eval forward or a train step: two of the forward
+# GEMMs' 16-image tiles, so a chunk's tiles are the whole batch's. Each
+# tile is a lane, one _forward call
 _CHUNK = 2 * ad._TILE
+# seconds a lane waits at a read for the other lane before it takes the
+# other for hung and stops
+_MEET_TIMEOUT_S = 300.0
+
+
+def _chunks(n):
+    """The lanes of n images, chunk by chunk: each _CHUNK-image chunk as
+    the slices of its 16-image tiles."""
+    return [[slice(j, min(j + ad._TILE, n)) for j in range(i, min(i + _CHUNK, n), ad._TILE)]
+            for i in range(0, n, _CHUNK)]
+
+
+def _meeting(capture, n):
+    """(barrier, n lane captures) that meet at every read. When all n lanes
+    have made one capture call, capture sees their merged event once: q
+    and the pool weights concatenated in lane order, a read's weights one
+    ``ReadWeights.stack`` of the lanes' (no copy of e), None where no lane
+    read a bank. An error in capture breaks the barrier, so the other
+    lanes stop with BrokenBarrierError; a lane that raises must abort it."""
+    events = [None] * n
+
+    def merge():
+        try:
+            owner, name = events[0][:2]
+            qs, ws = [ev[2] for ev in events], [ev[3] for ev in events]
+            q = None if qs[0] is None else ad.Tensor(np.concatenate([x.value for x in qs]))
+            if name == "pool":
+                w = ad.Tensor(np.concatenate([x.value for x in ws]))
+            else:
+                w = None if ws[0] is None else ad.ReadWeights.stack(ws)
+            capture(owner, name, q, w)
+        finally:
+            events[:] = [None] * n
+
+    barrier = threading.Barrier(n, merge, timeout=_MEET_TIMEOUT_S)
+
+    def lane_capture(i):
+        def meet(owner, name, q, weights):
+            events[i] = (owner, name, q, weights)
+            barrier.wait()
+        return meet
+
+    return barrier, [lane_capture(i) for i in range(n)]
 
 
 class Model:
@@ -116,12 +168,19 @@ class Model:
 
         eval mode only reads the banks, records no graph and changes no
         model state; it runs in consecutive _CHUNK-image chunks and
-        concatenates their logits. capture, a callable, sees each chunk's
-        reads: every block calls capture(block, branch, q, weights)
+        concatenates their logits. A chunk's 16-image tiles run as two
+        concurrent lanes, one ``_forward`` each, where ``autodiff.lanes``
+        allows; otherwise one ``_forward`` runs the chunk. Both give the
+        same bits. capture, a callable, sees each chunk's reads: every
+        block calls capture(block, branch, q, weights)
         (``HMNBlock._refine``). Then comes the one event that is no read,
         told apart by name alone: capture(model, "pool", None, pool), pool
-        the plain Tensor of the chunk's (b, N) pooling weights. train mode
-        runs the whole batch at once and writes the rows ``_writer`` picks
+        the plain Tensor of the chunk's (b, N) pooling weights. Concurrent
+        lanes meet at each read, and capture sees the chunk's merged event
+        once: q and pool concatenated in lane order, weights one
+        ``ReadWeights.stack`` of the lanes' reads. train mode
+        runs the whole batch at once, at the process's BLAS setting, and
+        writes the rows ``_writer`` picks
         under labels, drawing write tokens from rng; one missing either, or
         given a capture, raises before any bank changes.
         """
@@ -136,10 +195,10 @@ class Model:
         images = self._images(images)
         t_steps = self.cfg.t_steps if t_override is None else int(t_override)
         if mode == "eval":
-            with ad.no_grad():
+            with ad.no_grad(), ad.lanes() as lanes:
                 return ad.Tensor(np.concatenate([
-                    self._forward(images[i:i + _CHUNK], t_steps, capture).value
-                    for i in range(0, len(images), _CHUNK)]))
+                    logits for tiles in _chunks(len(images))
+                    for logits in self._eval_chunk(images, tiles, t_steps, capture, lanes)]))
         writes = []
         logits = self._forward(images, t_steps,
                                self._writer(self._write_tokens(len(images), rng), labels, writes))
@@ -147,6 +206,30 @@ class Model:
             bank.slots = bank.slots.copy()  # this graph's reads keep their slots
             bank.write(rows, cls)
         return logits
+
+    def _eval_chunk(self, images, tiles, t_steps, capture, lanes):
+        """The logits of one chunk, whose lanes are tiles, as a list of
+        arrays in image order. Where its lanes cannot run concurrently, one
+        _forward call runs the whole chunk: the same bits, since an image's
+        rows never see the rest of the batch. Concurrent lanes under a
+        capture meet at every read (``_meeting``), so capture sees one event
+        per read per chunk either way."""
+        if not lanes.concurrent or len(tiles) < 2:
+            whole = slice(tiles[0].start, tiles[-1].stop)
+            return [self._forward(images[whole], t_steps, capture).value]
+        barrier, captures = None, [None] * len(tiles)
+        if capture is not None:
+            barrier, captures = _meeting(capture, len(tiles))
+
+        def lane(tile, cap):
+            try:
+                return self._forward(images[tile], t_steps, cap).value
+            except BaseException:
+                if barrier is not None:
+                    barrier.abort()  # the other lane stops at its next read
+                raise
+
+        return lanes.run([functools.partial(lane, tile, cap) for tile, cap in zip(tiles, captures)])
 
     def _images(self, images):
         """images as a (B, C, H, W) array of the model's dtype, B ≥ 1; any
@@ -283,7 +366,8 @@ def blas_threads():
 
 def save_checkpoint(model, path, rng=None, extra=None, optimizer=None):
     records = _records(model, optimizer)
-    meta = {"extra": extra or {}, "blas_threads": blas_threads()}
+    meta = {"extra": extra or {}, "blas_threads": blas_threads(),
+            "blas_kernel": _blas.kernel(), "numpy": np.__version__}
     if rng is not None:
         meta["rng"] = _rng_state_to_meta(rng)
     cfg_blob = model.cfg.to_json().encode("utf-8")

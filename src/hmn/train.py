@@ -1,28 +1,35 @@
 """Training and evaluation loops.
 
-Determinism contract (same seed, same BLAS build and BLAS thread count):
-all randomness flows from the config seed. Dataset generation and
-subsampling use fixed derived seeds; one generator seeded with cfg.seed
-then drives, in order, model initialization and, per epoch, the shuffle
-followed per batch by augmentation draws (row offset, column offset,
-flip; image index order) and write-token sampling (block by block, then
-image by image), all drawn before the step's first forward. Metrics land
-in metrics.csv; wall-clock goes to a separate timings.csv so the metrics
-file is byte-identical across reruns.
-The BLAS thread count is part of the contract because some GEMMs, the
-local memory mix among them, round differently at 1 and 2 threads.
+Determinism contract (same seed, same numpy, same BLAS build running the
+same kernel family): all randomness flows from the config seed. Dataset
+generation and subsampling use fixed derived seeds; one generator seeded
+with cfg.seed then drives, in order, model initialization and, per
+epoch, the shuffle followed per batch by augmentation draws (row offset,
+column offset, flip; image index order) and write-token sampling (block
+by block, then image by image), all drawn before the step's first
+forward. Metrics land in metrics.csv; wall-clock goes to a separate
+timings.csv so the metrics file is byte-identical across reruns.
+The BLAS thread count is not part of the contract where numpy's OpenBLAS
+can be reached (``_blas``): train steps and eval forwards run every GEMM
+on one BLAS thread, so they make the same calls at any setting. Without
+it, some GEMMs, the local memory mix among them, round differently at 1
+and 2 threads, and the thread count is part of the contract again.
 
 A train step runs forward and backward over consecutive chunks of
-``model._CHUNK`` = 32 images, two of the forward GEMMs' 16-image tiles, so
-it holds one chunk's autodiff graph at a time rather than the whole
-batch's; an eval ``Model.forward`` runs in the same chunks.
-Every chunk reads the banks as they stood before the step; each chunk's
-loss is its cross-entropy sum over the batch size, and the gradients
-accumulate in the leaves' .grad. After the last chunk's backward, the
-chunks' bank writes are made in chunk order, then the optimizer steps
-once. A bank stores rows written in parts as it stores them in one write,
-so an image's forward bits and the bank state after the step are those of
-one whole-batch train forward; only the gradient sums regroup by chunk.
+``model._CHUNK`` = 32 images, so it holds one chunk's autodiff graph at a
+time rather than the whole batch's; an eval ``Model.forward`` runs in the
+same chunks. A chunk's two 16-image tiles, the forward GEMMs' tiles, are
+its lanes: each runs its own forward, cross-entropy and backward, the two
+concurrently where ``autodiff.lanes`` allows, one after the other
+otherwise. Every lane reads the banks as they stood before the step; each
+lane's loss is its cross-entropy sum over the batch size. Lane 0's
+gradients accumulate in the leaves' .grad, lane 1's in a sink that is
+added after them, so the sums have one order at any thread count. After
+the last chunk, the lanes' bank writes are made in lane order, then the
+optimizer steps once. A bank stores rows written in parts as it stores
+them in one write, so an image's forward bits and the bank state after
+the step are those of one whole-batch train forward at one BLAS thread;
+only the gradient sums regroup by lane.
 
 ``train_step`` is the one bank writer. ``eval_batches``, the one eval-mode
 batch loop under ``evaluate`` and every ``hmn.analysis`` diagnostic, opens
@@ -31,6 +38,7 @@ does both. An empty dataset raises ``ValueError`` there, and ``train()``
 rejects an empty training or test set up front.
 """
 
+import functools
 import os
 import time
 
@@ -38,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data as data_mod
-from .model import _CHUNK, Model, save_checkpoint
+from .model import Model, _chunks, save_checkpoint
 from .optim import Adam, lr_at
 
 
@@ -95,29 +103,45 @@ def _write_line(path, line, mode="a"):
 
 def train_step(model, x, labels, rng):
     """Forward and backward over a batch in consecutive _CHUNK-image
-    chunks, then every chunk's bank writes, in chunk order; returns (mean
-    loss, count of correct argmaxes).
+    chunks, lane by lane, then every lane's bank writes, in lane order;
+    returns (mean loss, count of correct argmaxes).
 
     The write tokens of all blocks are drawn first, so the rng stream is
-    that of ``Model.forward(mode="train")``. A chunk's reads queue the rows
-    the banks store through its capture, ``model._writer``, and every chunk
-    reads the banks as they stood before the step. Each chunk's loss is its
-    cross-entropy sum divided by the batch size; its gradients add into the
-    leaves' .grad, which the caller zeroes before and steps the optimizer on
-    after.
+    that of ``Model.forward(mode="train")``. A chunk's lanes are its
+    16-image tiles; the two run concurrently where ``autodiff.lanes``
+    allows, every GEMM on one BLAS thread, so the result does not depend
+    on the BLAS thread count. A lane's reads queue the rows the banks
+    store through its capture, ``model._writer``, and every lane reads the
+    banks as they stood before the step. Each lane's loss is its
+    cross-entropy sum divided by the batch size. Its gradients add into
+    the leaves' .grad, which the caller zeroes before and steps the
+    optimizer on after: lane 0's directly, lane 1's through a sink added
+    once both lanes are done. An error in either lane is raised once both
+    have stopped, before any bank is written.
     """
     x = model._images(x)
     b = len(x)
     picks = model._write_tokens(b, rng)
     loss_sum, correct, pending = 0.0, 0, []
-    for start in range(0, b, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        logits = model._forward(x[sl], model.cfg.t_steps,
-                                model._writer(picks[:, sl], labels[sl], pending))
-        loss = ad.cross_entropy(logits, labels[sl], b)
-        ad.backward(loss)
-        loss_sum += float(loss.value)
-        correct += int((logits.value.argmax(axis=1) == labels[sl]).sum())
+
+    def lane(tile, sink):
+        writes = []
+        logits = model._forward(x[tile], model.cfg.t_steps,
+                                model._writer(picks[:, tile], labels[tile], writes))
+        loss = ad.cross_entropy(logits, labels[tile], b)
+        ad.backward(loss, sink)
+        return float(loss.value), int((logits.value.argmax(axis=1) == labels[tile]).sum()), writes
+
+    with ad.lanes() as lanes:
+        for tiles in _chunks(b):
+            sink = {}
+            done = lanes.run([functools.partial(lane, tile, sink if i else None)
+                              for i, tile in enumerate(tiles)])
+            ad.accumulate(sink)
+            for loss, right, writes in done:
+                loss_sum += loss
+                correct += right
+                pending += writes
     for bank, rows, cls in pending:
         bank.write(rows, cls)
     return loss_sum, correct

@@ -485,6 +485,20 @@ def test_memory_read_backward_keeps_the_bits_of_the_allocating_form(rng, dtype):
     assert_same_bits(z.grad, want_dz)
 
 
+def test_stacked_read_weights_are_the_reads_weights_in_order(rng):
+    # a chunk's lanes read separately; their stacked weights must be the
+    # rows of each read's alpha, in lane order, and share each read's e
+    slots = rng.standard_normal((12, 8)).astype(np.float32)
+    mask = np.ones(12, dtype=bool)
+    mask[[2, 7]] = False
+    reads = [ad.memory_read(rng.standard_normal((n, 9, 8)).astype(np.float32), slots, mask)[0]
+             for n in (3, 1, 2)]
+    stacked = ad.ReadWeights.stack(reads)
+    assert stacked.shape == (6, 9, 12)
+    assert_same_bits(stacked.value, np.concatenate([r.value for r in reads]))
+    assert all(e is r._e for (e, _), r in zip(stacked._parts(), reads))
+
+
 # The fused ops replaced a graph of separate nodes: matmul(a, w, bias) the
 # add of a bias to a matmul, and unfold_matmul also the unfold before it.
 # Values and gradients must keep that graph's bits: the matmul node's

@@ -2,6 +2,8 @@
 
 import contextlib
 import struct
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import hmn.autodiff as ad
 import hmn.model as model_mod
+from hmn import _blas
 from hmn.analysis import hit_rate
 from hmn.config import RunConfig
 from hmn.data import Dataset, load_dataset, standardize
@@ -322,19 +325,23 @@ def test_eval_forward_memory_does_not_grow_with_the_batch(tmp_path, rng):
                         k_local=64, k_global=16)
     model = Model(cfg)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
-    imgs = std_images(cfg, 8 * model_mod._CHUNK, rng)
+    chunks = 8
+    imgs = std_images(cfg, chunks * model_mod._CHUNK, rng)
 
-    def peak(x):
+    def peak(batches):
         tracemalloc.start()
         try:
-            logits = model.forward(x).value
-            return tracemalloc.get_traced_memory()[1], logits
+            logits = [model.forward(x).value for x in batches]
+            return tracemalloc.get_traced_memory()[1], logits[-1]
         finally:
             tracemalloc.stop()
 
-    peak(imgs[:model_mod._CHUNK])  # warm up one-off allocations
-    small, _ = peak(imgs[:model_mod._CHUNK])
-    large, logits = peak(imgs)
+    one = imgs[:model_mod._CHUNK]
+    peak([one])  # warm up one-off allocations
+    # concurrent lanes overlap differently from forward to forward, so the
+    # one-chunk peak is the highest of as many forwards as the batch has chunks
+    small, _ = peak([one] * chunks)
+    large, logits = peak([imgs])
     assert large <= small + imgs.astype(np.float32).nbytes + logits.nbytes
 
 
@@ -510,6 +517,96 @@ def test_captured_arrays_do_not_depend_on_the_scope(tmp_path, rng, t_steps):
             assert runs[1][key] is None
         else:
             np.testing.assert_array_equal(got, runs[1][key])
+
+
+def test_a_capture_error_stops_both_lanes(tmp_path, rng):
+    # the capture raises at the chunk's second read; the forward must raise
+    # it, not hang with one lane waiting for the other, and restore the
+    # BLAS thread count
+    cfg, model = tiny_model(tmp_path, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, model_mod._CHUNK, rng)
+    threads = _blas.threads()
+
+    class Stop(Exception):
+        pass
+
+    calls, raised = [], []
+
+    def capture(owner, name, q, weights):
+        calls.append(name)
+        if len(calls) == 2:
+            raise Stop
+
+    def run():
+        try:
+            model.forward(imgs, capture=capture)
+        except Stop as e:
+            raised.append(e)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and calls == ["local", "global"]
+    assert _blas.threads() == threads
+
+
+def test_a_forward_inside_a_capture_runs_and_restores_the_blas_threads(tmp_path, rng):
+    # a forward started from a capture finds the lanes busy, so it runs its
+    # own lanes one after another instead of waiting for them
+    cfg, model = tiny_model(tmp_path, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, model_mod._CHUNK, rng)
+    plain = model.forward(imgs).value
+    threads = _blas.threads()
+    inner = []
+
+    def capture(owner, name, q, weights):
+        if name == "pool":
+            inner.append(model.forward(imgs).value)
+
+    out = []
+    worker = threading.Thread(target=lambda: out.append(model.forward(imgs, capture=capture)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(out) == 1
+    assert_same_bits(out[0].value, plain)
+    assert len(inner) == 1
+    assert_same_bits(inner[0], plain)
+    assert _blas.threads() == threads
+
+
+def test_concurrent_forwards_keep_their_bits_and_the_blas_threads(tmp_path, rng):
+    # more callers than cores, switching threads often: each forward gives
+    # the logits it gives alone, and the last scope out restores the BLAS
+    # thread count and graph recording
+    cfg, model = tiny_model(tmp_path, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    batches = [std_images(cfg, model_mod._CHUNK + 3 * i, rng) for i in range(4)]
+    want = [model.forward(x).value for x in batches]
+    threads = _blas.threads()
+    got = [[] for _ in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=lambda x=x, out=out: out.extend(
+                       model.forward(x).value for _ in range(3)), daemon=True)
+                   for x, out in zip(batches, got)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for runs, logits in zip(got, want):
+        assert len(runs) == 3
+        for r in runs:
+            assert_same_bits(r, logits)
+    assert _blas.threads() == threads
+    assert ad._recording  # every forward's no_grad scope has closed
 
 
 def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):

@@ -16,10 +16,11 @@ import pytest
 import hmn
 import hmn.autodiff as ad
 import hmn.train as train_mod
+from hmn import _blas
 from hmn.analysis import hit_rate
 from hmn.cli import main
 from hmn.data import synth_blobs
-from hmn.model import Model, blas_threads, load_checkpoint
+from hmn.model import Model, blas_threads, load_checkpoint, save_checkpoint
 from hmn.optim import lr_at
 from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train, train_step
 
@@ -120,6 +121,63 @@ def test_rerun_at_a_fixed_blas_thread_count_is_byte_identical(tmp_path, threads)
     for name in ("metrics.csv", "final.ckpt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     assert checkpoint_meta(outs[0] / "final.ckpt")["blas_threads"] == str(threads)
+
+
+def split_checkpoint(path):
+    """(bytes before the metadata, metadata dict, bytes after it)."""
+    blob = Path(path).read_bytes()
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    (m,) = struct.unpack_from("<Q", blob, 16 + n)
+    return blob[:16 + n], json.loads(blob[24 + n:24 + n + m]), blob[24 + n + m:]
+
+
+def test_training_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    """Training at OPENBLAS_NUM_THREADS=1 and at min(2, nproc) writes the same
+    metrics.csv and checkpoint records, and the saved checkpoint gives the
+    same hit_rate reports. k_local = 500 makes a local read whose 500-slot
+    mix rounds differently at 1 and 2 BLAS threads unless the model pins
+    its GEMMs to one."""
+    threads = min(2, len(os.sched_getaffinity(0)))
+    if threads < 2:
+        pytest.skip("one usable CPU: there is no second BLAS thread count to compare")
+    if _blas.threads() is None:
+        pytest.skip("no OpenBLAS found through ctypes: the BLAS thread count cannot be pinned")
+    src = str(Path(hmn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for n in (1, threads):
+        cfg = make_tiny_cfg(tmp_path / str(n), image_size=[16, 16], d_emb=32, d_lat=24,
+                            n_blocks=2, k_local=500, k_global=32, write_sample=4,
+                            synth_train_per_class=64, synth_test_per_class=16,
+                            batch_size=32, epochs=2, warmup_epochs=0)
+        cfg_path = tmp_path / f"{n}.json"
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        out = Path(cfg.out_dir)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), PYTHONPATH=path)
+        for argv in (["train", "--config", str(cfg_path)],
+                     ["analyze", "hit-rate", "--ckpt", str(out / "final.ckpt"),
+                      "--out", str(out / "hit_rate")]):
+            subprocess.run([sys.executable, "-m", "hmn.cli", *argv], env=env, check=True,
+                           capture_output=True)
+        outs.append(out)
+    kernel = _blas.kernel()
+    print(f"BLAS kernel: {kernel}")
+    for name in ("metrics.csv", "hit_rate/hit_rate_local.csv", "hit_rate/hit_rate_global.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (name, kernel)
+    for name in ("best.ckpt", "final.ckpt"):
+        (head, meta, body), (head2, meta2, body2) = (split_checkpoint(o / name) for o in outs)
+        assert head == head2 and body == body2, (name, kernel)
+        assert (meta["blas_threads"], meta2["blas_threads"]) == ("1", str(threads))
+        meta2["blas_threads"] = "1"
+        assert meta == meta2, (name, kernel)
+
+
+def test_checkpoint_records_the_blas_kernel_and_numpy_version(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(Model(make_tiny_cfg(tmp_path)), path)
+    meta = checkpoint_meta(path)
+    assert meta["blas_kernel"] == _blas.kernel() != ""
+    assert meta["numpy"] == np.__version__
 
 
 def test_blas_threads_reads_openblas_then_omp_then_the_usable_cpus(monkeypatch):
@@ -311,12 +369,15 @@ def assert_same_banks_and_rng(a, b):
     assert ra.bit_generator.state == rb.bit_generator.state
 
 
-@pytest.mark.parametrize("batch,dtype", [(124, np.float64), (20, np.float32),
-                                         (32, np.float32)])
+@pytest.mark.parametrize("batch,dtype", [(124, np.float64), (20, np.float64),
+                                         (32, np.float64), (12, np.float32),
+                                         (16, np.float32)])
 def test_chunked_step_matches_a_whole_batch_step(tmp_path, batch, dtype):
     # 124 images are three full chunks and one of 28. The first step reads
     # empty banks, the second the banks the first filled; the optimizer
-    # does not run, so both steps differentiate the same parameters
+    # does not run, so both steps differentiate the same parameters. A
+    # batch of one lane (one 16-image tile) makes the whole batch's calls;
+    # in a larger one the gradients sum over lanes and chunks
     cfg = make_tiny_cfg(tmp_path, n_blocks=2, t_steps=1)
     ds = synth_blobs(cfg.num_classes, batch, tuple(cfg.image_size), seed=3)
     pair = step_pair(cfg, dtype)
@@ -335,10 +396,10 @@ def test_chunked_step_matches_a_whole_batch_step(tmp_path, batch, dtype):
                 assert step == 0 and gc is None, name
                 continue
             assert gc.dtype == dtype and gc.shape == gw.shape, name
-            if batch <= train_mod._CHUNK:
+            if batch <= ad._TILE:
                 assert gc.tobytes() == gw.tobytes(), name
             else:
-                # only the sums over chunks regroup
+                # only the sums over lanes and chunks regroup
                 assert np.abs(gc - gw).max() <= 1e-12 * np.abs(gw).max(), name
 
 
@@ -371,6 +432,47 @@ def test_chunked_step_loss_is_the_batch_mean(tmp_path):
     loss, right = train_step(model, x, ds.labels, np.random.default_rng(2))
     assert abs(loss - want) <= 1e-13 * want
     assert right == int((logits.argmax(axis=1) == ds.labels).sum())
+
+
+@pytest.mark.parametrize("bad", [0, 20])
+def test_a_non_finite_image_in_either_lane_stops_the_step(tmp_path, bad):
+    # a 32-image chunk is two lanes: images 0-15 and 16-31. Either lane's
+    # error ends the step only once both lanes have left their forwards,
+    # no bank is written, and the BLAS thread count is restored
+    cfg = make_tiny_cfg(tmp_path, n_blocks=2)
+    model = Model(cfg, np.random.default_rng(0))
+    ds = synth_blobs(cfg.num_classes, 16, tuple(cfg.image_size), seed=3)
+    x = (ds.images - cfg.norm_mean) / cfg.norm_std
+    x[bad] = np.nan
+    banks = [(b.slots.copy(), b.written.copy()) for b in model.banks().values()]
+    threads = _blas.threads()
+    inside, forward = [], model._forward
+
+    def watched(*args):
+        inside.append(None)
+        try:
+            return forward(*args)
+        finally:
+            inside.pop()
+
+    model._forward = watched
+    with pytest.raises(FloatingPointError, match=r"^matmul produced non-finite values$"):
+        train_step(model, x, ds.labels, np.random.default_rng(1))
+    assert inside == []
+    for (slots, written), bank in zip(banks, model.banks().values()):
+        assert bank.slots.tobytes() == slots.tobytes()
+        assert bank.written.tobytes() == written.tobytes()
+    assert _blas.threads() == threads
+
+
+def test_train_step_restores_the_blas_thread_count(tmp_path):
+    cfg = make_tiny_cfg(tmp_path)
+    model = Model(cfg, np.random.default_rng(0))
+    ds = synth_blobs(cfg.num_classes, 20, tuple(cfg.image_size), seed=3)
+    threads = _blas.threads()
+    train_step(model, (ds.images - cfg.norm_mean) / cfg.norm_std, ds.labels,
+               np.random.default_rng(1))
+    assert _blas.threads() == threads
 
 
 def traced_epoch_peak(tmp_path, batch_size):
