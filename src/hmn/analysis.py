@@ -23,6 +23,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import svg
+from .autodiff import ReadWeights
 from .retrieval import retrieve_rows
 from .train import _write_line, eval_batches, evaluate, train as run_train
 
@@ -126,21 +127,25 @@ def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
 
     The global branch has t=1. The local branch gives the token picked by
     the pooling weights (argmax), t=1, or every token with all_tokens,
-    t=N. Where refinement read no bank (T=0, β=0), one plain read of the
-    block's queries stands in. An empty bank raises ValueError.
+    t=N; of a chunk's read only the picked rows are kept
+    (``ReadWeights.pick``) once its pooling weights arrive. Alpha is
+    formed once per batch, from the kept reads. Where refinement read no
+    bank (T=0, β=0), one plain read of the block's queries stands in. An
+    empty bank raises ValueError.
     """
     bank, last = _last_bank(model, branch), model.blocks[-1]
-    rows = []
+    pooled = branch == "local" and not all_tokens
+    rows, held = [], []
 
     def keep(owner, name, q, weights):
         if owner is last and name == branch:
-            rows.append((retrieve_rows(q, bank)[0] if weights is None else weights).value)
-        elif name == "pool" and branch == "local" and not all_tokens:
-            alpha = rows.pop()
-            rows.append(alpha[np.arange(len(alpha)), weights.value.argmax(axis=1)][:, None])
+            read = retrieve_rows(q, bank)[0] if weights is None else weights
+            (held if pooled else rows).append(read)
+        elif name == "pool" and pooled:
+            rows.append(held.pop().pick(weights.value.argmax(axis=1)))
 
     for labels, _ in eval_batches(model, dataset, batch_size, capture=keep):
-        yield labels, np.concatenate(rows)
+        yield labels, ReadWeights.stack(rows).value
         rows.clear()
 
 
@@ -189,6 +194,14 @@ def write_hit_rate_csv(report, path):
 
 # ------------------------------------------------------------ weight profile
 
+def _class_indices(dataset, class_id):
+    """Indices of dataset's images of class_id; none raises ValueError."""
+    idx = np.flatnonzero(dataset.labels == int(class_id))
+    if len(idx) == 0:
+        raise ValueError(f"no samples of class {int(class_id)} in the dataset")
+    return idx
+
+
 def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
     """Mean last-block slot weighting over all inputs of one class.
 
@@ -196,11 +209,7 @@ def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
     slot_class along the x axis already.
     """
     bank = _last_bank(model, branch)
-    class_id = int(class_id)
-    idx = np.flatnonzero(dataset.labels == class_id)
-    if len(idx) == 0:
-        raise ValueError(f"no samples of class {class_id} in the dataset")
-    subset = dataset.subset(idx)
+    subset = dataset.subset(_class_indices(dataset, class_id))
     _, slot_class, _ = bank.filled_view()
     acc = np.zeros(bank.total_slots)
     for _, alpha in _sample_rows(model, subset, branch, batch_size):

@@ -4,9 +4,10 @@ Just enough ops to express the model: matmul (with an optional bias), row
 softmax, layernorm, gelu, unfold_matmul (neighborhood unfold and
 projection), cross entropy, the small glue ops (broadcasting add, concat,
 reshape, row mean, per-image weighted sum) and the two memory ops:
-memory_read, one Hopfield read (normalize, score, masked exp, mix, then
-divide by the row sums), and hopfield_update, one refinement step. Values
-are checked finite after every op.
+memory_read, one Hopfield read (normalize the queries, score them
+against the bank's prebuilt keys, masked exp, mix, then divide by the row
+sums), and hopfield_update, one refinement step. Values are checked
+finite after every op.
 
 Layout: activations carry a leading image axis, (B, N, D) for an image's N
 token rows. Every forward GEMM of a (G, m, k) left operand with a shared
@@ -45,8 +46,9 @@ backward takes a sink, so its leaf gradients are added after lane 0's.
 So a lane makes the same calls, and its gradients meet in the same
 order, whether the lanes run concurrently or one after another: the bits
 do not depend on the BLAS thread count. Lanes share only what they read
-(parameters, bank slots, ``_recording``); lane 0's backward alone adds
-into .grad while they run.
+(parameters, bank slots and keys, ``_recording``); lane 0's backward
+alone adds into .grad while they run. A lane stopped by the other lane's
+failure raises LaneStopped, which never hides that failure.
 
 Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
@@ -334,6 +336,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+class LaneStopped(Exception):
+    """Raised in a lane that stopped because the other lane failed."""
+
+
 class _Lanes:
     """What a ``lanes()`` scope yields: ``concurrent`` says whether run()
     may put a second lane on the worker thread."""
@@ -347,8 +353,8 @@ class _Lanes:
         concurrent, on the worker, in a copy of the caller's contextvars
         context (``np.errstate`` among them); otherwise after lane 0. Both
         lanes end before either's error is raised, lane 0's first, except
-        that a BrokenBarrierError, the mark of a lane stopped by the other
-        lane's failure, yields to the other lane's error."""
+        that a LaneStopped, the mark of a lane stopped by the other lane's
+        failure, yields to the other lane's error."""
         if not self.concurrent or len(fns) < 2:
             return [fn() for fn in fns]
         first, second = fns
@@ -361,7 +367,7 @@ class _Lanes:
         if future.exception() is not None:  # waits for lane 1
             errors.append(future.exception())
         if errors:
-            errors.sort(key=lambda e: isinstance(e, threading.BrokenBarrierError))
+            errors.sort(key=lambda e: isinstance(e, LaneStopped))
             raise errors[0]
         return [out, future.result()]
 
@@ -690,7 +696,8 @@ class ReadWeights:
     α is a diagnostic, and gradients reach z through m. ``stack`` joins
     the reads of consecutive images, such as a chunk's lanes, without
     copying their e: ``shape`` then counts every part's rows, and
-    ``value`` divides each part into its rows of one output.
+    ``value`` divides each part into its rows of one output. ``pick``
+    keeps one row per image, so that α is formed for those rows alone.
     """
 
     __slots__ = ("_e", "_s", "_more")
@@ -712,6 +719,19 @@ class ReadWeights:
     def shape(self):
         return (sum(len(e) for e, _ in self._parts()), *self._e.shape[1:])
 
+    def pick(self, index):
+        """The weights of one row per image: (G, 1, K) ReadWeights of
+        (G, R, K) weights, row index[i] of image i. Its ``value`` has the
+        bits of those rows of this ``value``, and only their e and s are
+        copied."""
+        parts, start = [], 0
+        for e, s in self._parts():
+            rows = (np.arange(len(e)), index[start:start + len(e)])
+            parts.append((e[rows][:, None], s[rows][:, None]))
+            start += len(e)
+        (e, s), *more = parts
+        return ReadWeights(e, s, more)
+
     @property
     def value(self):
         out = np.empty(self.shape, dtype=self._e.dtype)
@@ -722,7 +742,19 @@ class ReadWeights:
         return out
 
 
-def memory_read(z, slots, mask):
+def read_keys(slots):
+    """The (D, K) keys memory_read scores against: the (K, D) slots as unit
+    rows times √D, transposed into one contiguous, read-only array. They
+    change only with the slots, so a bank builds them once per state
+    (``MemoryBank.keys``) and its reads share them."""
+    keys = normalize_rows(slots)[0]
+    keys *= math.sqrt(slots.shape[1])
+    keys_t = np.ascontiguousarray(keys.T)
+    keys_t.flags.writeable = False
+    return keys_t
+
+
+def memory_read(z, slots, keys, mask):
     """Hopfield read of (R, D) or (G, R, D) queries from (K, D) constant slots -> (weights, m).
 
     α is the row softmax of √D·ẑ·k̂ᵀ over the slots the mask keeps (the
@@ -733,11 +765,13 @@ def memory_read(z, slots, mask):
     formed only when read; it carries no graph, m carries z's. Both GEMMs
     run in 16-image tiles, as in matmul, with one image per leading index.
 
-    √D is folded into the K×D unit slots once, so the logits GEMM already
-    carries it. exp runs in place with no max subtraction: a logit is at
-    most √D, so s is at most K·e^√D and e·slots at most s times the
-    largest slot component. ``RunConfig`` keeps √D + ln K below 60, which
-    leaves float32 e^28 of headroom for slot and gradient magnitudes; an
+    keys are the slots' ``read_keys``, the unit slots with √D folded in,
+    so the logits GEMM already carries it. The caller builds them once
+    per bank state, not per read, and backward holds that one array. exp
+    runs in place with no max subtraction: a logit is at most √D, so s is
+    at most K·e^√D and e·slots at most s times the largest slot
+    component. ``RunConfig`` keeps √D + ln K below 60, which leaves
+    float32 e^28 of headroom for slot and gradient magnitudes; an
     overflow fails the finite check on s or m. The smallest weight e^−√D
     stays above 0. Backward takes the softmax's Σₖ αₖ·dαₖ as the R×D
     product dout·m (dα = dout·slotsᵀ), forms e ⊙ (dα − Σₖ αₖ·dαₖ) in dα's
@@ -749,13 +783,12 @@ def memory_read(z, slots, mask):
     zv = z.value
     d = zv.shape[-1]
     k = slots.shape[0]
+    if keys.shape != (d, k):
+        raise ValueError(f"memory_read: keys {keys.shape} do not match ({d}, {k})")
     if not mask.any():
         raise ValueError("memory_read: every slot is masked")
     zhat, znorm = normalize_rows(zv)
-    keys = normalize_rows(slots)[0]
-    keys *= math.sqrt(d)
-    keys_t = np.ascontiguousarray(keys.T)
-    e = _tiled_matmul(zhat, keys_t)
+    e = _tiled_matmul(zhat, keys)
     if not mask.all():
         e[..., ~mask] = -np.inf  # exp gives exactly 0 there
     np.exp(e, out=e)
@@ -775,7 +808,7 @@ def memory_read(z, slots, mask):
         dlogits = d2 @ slots.T
         dlogits -= inner
         dlogits *= e.reshape(-1, k)
-        dzhat = dlogits @ keys_t.T
+        dzhat = dlogits @ keys.T
         dzhat /= total.reshape(-1, 1)
         # a row at or under ε is z/ε, linear: no projection off ẑ
         inner = (dzhat * zhat2).sum(axis=1, keepdims=True)

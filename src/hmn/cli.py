@@ -92,11 +92,16 @@ def cmd_analyze(args):
     unknown = [f for f in args.families.split(",") if f not in analysis.DEFAULT_GRIDS]
     if args.what == "robustness" and unknown:
         raise ValueError(f"unknown --families {unknown}; valid: {sorted(analysis.DEFAULT_GRIDS)}")
+    if args.batch_size < 1:  # eval_batches' check, made before --out is
+        raise ValueError(f"batch size must be at least 1, got {args.batch_size}")
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
-    if args.what == "consistency":  # a bad --family or --grid raises before --out is made
+    # a bad --family, --grid or --class-id raises before --out is made
+    if args.what == "consistency":
         grid = [float(v) for v in args.grid.split(",")] if args.grid else None
         analysis._checked_grid(args.family, grid, test.images)
+    if args.what == "weights":
+        analysis._class_indices(test, args.class_id)
     os.makedirs(args.out, exist_ok=True)
     if args.what == "hit-rate":
         outputs = []

@@ -13,7 +13,10 @@ is one chunk's whatever the batch size, also under ``capture``, which
 sees each chunk's reads. A chunk is a whole number of tiles, so every
 GEMM call and every output bit is the whole batch's. Where it can, a
 chunk runs its two tiles as concurrent lanes (``autodiff.lanes``), one
-``_forward`` each, with every GEMM on one BLAS thread.
+``_forward`` each, with every GEMM on one BLAS thread. Under a capture,
+lane 1 hands each read to lane 0 and runs on, and lane 0 calls the
+capture with both lanes' read, so a capture runs in the calling thread
+only and holds up lane 0 alone.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -56,8 +59,8 @@ VERSION = 2
 # GEMMs' 16-image tiles, so a chunk's tiles are the whole batch's. Each
 # tile is a lane, one _forward call
 _CHUNK = 2 * ad._TILE
-# seconds a lane waits at a read for the other lane before it takes the
-# other for hung and stops
+# seconds lane 0 waits at a read for lane 1's event of it before it takes
+# lane 1 for hung and stops
 _MEET_TIMEOUT_S = 300.0
 
 
@@ -68,37 +71,47 @@ def _chunks(n):
             for i in range(0, n, _CHUNK)]
 
 
-def _meeting(capture, n):
-    """(barrier, n lane captures) that meet at every read. When all n lanes
-    have made one capture call, capture sees their merged event once: q
-    and the pool weights concatenated in lane order, a read's weights one
-    ``ReadWeights.stack`` of the lanes' (no copy of e), None where no lane
-    read a bank. An error in capture breaks the barrier, so the other
-    lanes stop with BrokenBarrierError; a lane that raises must abort it."""
-    events = [None] * n
+def _handoff(capture):
+    """(lane 0's capture, lane 1's capture, stop) for a chunk's two
+    concurrent lanes, so that capture sees each read once, merged, in lane
+    0's thread, which called forward. Lane 1 hands each read's event over
+    and runs on without waiting. Lane 0, at its own read, takes lane 1's
+    event of that read, waiting up to _MEET_TIMEOUT_S, and calls capture
+    with the merged event: q and the pool weights concatenated in lane
+    order, a read's weights one ``ReadWeights.stack`` of the lanes' (no
+    copy of e), None where no lane read a bank. A lane that raises, its
+    forward or capture, must call stop: lane 0 then stops at once and lane
+    1 at its next read, each raising ``autodiff.LaneStopped``."""
+    import queue  # loaded already, with the lanes' worker pool
+    events = queue.SimpleQueue()
+    stopped = threading.Event()
 
-    def merge():
+    def first(owner, name, q, weights):
         try:
-            owner, name = events[0][:2]
-            qs, ws = [ev[2] for ev in events], [ev[3] for ev in events]
-            q = None if qs[0] is None else ad.Tensor(np.concatenate([x.value for x in qs]))
-            if name == "pool":
-                w = ad.Tensor(np.concatenate([x.value for x in ws]))
-            else:
-                w = None if ws[0] is None else ad.ReadWeights.stack(ws)
-            capture(owner, name, q, w)
-        finally:
-            events[:] = [None] * n
+            other = events.get(timeout=_MEET_TIMEOUT_S)
+        except queue.Empty:
+            raise TimeoutError(f"lane 1 made no read in {_MEET_TIMEOUT_S:g} s") from None
+        if other is None:
+            raise ad.LaneStopped
+        q1, w1 = other
+        if q is not None:
+            q = ad.Tensor(np.concatenate([q.value, q1.value]))
+        if name == "pool":
+            weights = ad.Tensor(np.concatenate([weights.value, w1.value]))
+        elif weights is not None:
+            weights = ad.ReadWeights.stack([weights, w1])
+        capture(owner, name, q, weights)
 
-    barrier = threading.Barrier(n, merge, timeout=_MEET_TIMEOUT_S)
+    def second(owner, name, q, weights):
+        if stopped.is_set():
+            raise ad.LaneStopped
+        events.put((q, weights))
 
-    def lane_capture(i):
-        def meet(owner, name, q, weights):
-            events[i] = (owner, name, q, weights)
-            barrier.wait()
-        return meet
+    def stop():
+        stopped.set()
+        events.put(None)
 
-    return barrier, [lane_capture(i) for i in range(n)]
+    return first, second, stop
 
 
 class Model:
@@ -175,12 +188,12 @@ class Model:
         block calls capture(block, branch, q, weights)
         (``HMNBlock._refine``). Then comes the one event that is no read,
         told apart by name alone: capture(model, "pool", None, pool), pool
-        the plain Tensor of the chunk's (b, N) pooling weights. Concurrent
-        lanes meet at each read, and capture sees the chunk's merged event
-        once: q and pool concatenated in lane order, weights one
-        ``ReadWeights.stack`` of the lanes' reads. train mode
-        runs the whole batch at once, at the process's BLAS setting, and
-        writes the rows ``_writer`` picks
+        the plain Tensor of the chunk's (b, N) pooling weights. Under
+        concurrent lanes, lane 1 hands its reads to lane 0, and capture
+        sees the chunk's merged event once, in the calling thread: q and
+        pool concatenated in lane order, weights one ``ReadWeights.stack``
+        of the lanes' reads. train mode runs the whole batch at once, at
+        the process's BLAS setting, and writes the rows ``_writer`` picks
         under labels, drawing write tokens from rng; one missing either, or
         given a capture, raises before any bank changes.
         """
@@ -212,21 +225,22 @@ class Model:
         arrays in image order. Where its lanes cannot run concurrently, one
         _forward call runs the whole chunk: the same bits, since an image's
         rows never see the rest of the batch. Concurrent lanes under a
-        capture meet at every read (``_meeting``), so capture sees one event
-        per read per chunk either way."""
+        capture hand lane 1's reads to lane 0 (``_handoff``), so capture
+        sees one event per read per chunk either way, in the calling
+        thread."""
         if not lanes.concurrent or len(tiles) < 2:
             whole = slice(tiles[0].start, tiles[-1].stop)
             return [self._forward(images[whole], t_steps, capture).value]
-        barrier, captures = None, [None] * len(tiles)
+        captures, stop = (None, None), None
         if capture is not None:
-            barrier, captures = _meeting(capture, len(tiles))
+            *captures, stop = _handoff(capture)
 
         def lane(tile, cap):
             try:
                 return self._forward(images[tile], t_steps, cap).value
             except BaseException:
-                if barrier is not None:
-                    barrier.abort()  # the other lane stops at its next read
+                if stop is not None:
+                    stop()
                 raise
 
         return lanes.run([functools.partial(lane, tile, cap) for tile, cap in zip(tiles, captures)])

@@ -4,7 +4,8 @@ Both functions take row queries, (R, D) or stacked one image per leading
 index as (B, R, D); rows never interact. Retrieval is one
 autodiff.memory_read: normalize the queries and the filled slots, score
 by scaled dot product (factor √D restores the logits to roughly unit
-variance; it is folded into the unit slots), exponentiate over filled
+variance; it is folded into the unit slots, which the bank keeps between
+writes, ``MemoryBank.keys``), exponentiate over filled
 slots only, mix the raw (unnormalized) slots by those weights and divide
 by their row sums, which is the softmax mixture normalized after the mix.
 The logits lie in [−√D, √D], so exp needs no max subtraction; RunConfig
@@ -32,7 +33,7 @@ def retrieve_rows(z, bank):
     if z.value.ndim not in (2, 3) or z.value.shape[-1] != bank.dim:
         raise ValueError(f"query shape {z.value.shape} does not match bank dim {bank.dim}")
     slots, _, mask = bank.filled_view()
-    return ad.memory_read(z, slots, mask)
+    return ad.memory_read(z, slots, bank.keys(), mask)
 
 
 def refine_rows(z, bank, beta, T):

@@ -344,7 +344,8 @@ RETAIN_CASES = {
     "gelu": (ad.gelu, [(3, 4)]),
     "hopfield_update": (lambda z, m: ad.hopfield_update(z, m, Tensor(np.array(0.5))),
                         [(3, 4), (3, 4)]),
-    "memory_read": (lambda z: ad.memory_read(z, np.eye(4), np.ones(4, dtype=bool))[1],
+    "memory_read": (lambda z: ad.memory_read(z, np.eye(4), ad.read_keys(np.eye(4)),
+                                             np.ones(4, dtype=bool))[1],
                     [(3, 4)]),
 }
 
@@ -476,7 +477,7 @@ def test_memory_read_backward_keeps_the_bits_of_the_allocating_form(rng, dtype):
     mask[[1, 5, 6]] = False
     dout = edge_values(rng, zv.shape, dtype, big=1e3)
     z = Tensor(zv.copy(), requires_grad=True)
-    alpha, m = ad.memory_read(z, slots, mask)
+    alpha, m = ad.memory_read(z, slots, ad.read_keys(slots), mask)
     m._backward(dout)
     want_alpha, want_m, want_dz = reference_memory_read(zv, slots, mask, dout)
     assert want_dz.dtype == dtype
@@ -491,7 +492,9 @@ def test_stacked_read_weights_are_the_reads_weights_in_order(rng):
     slots = rng.standard_normal((12, 8)).astype(np.float32)
     mask = np.ones(12, dtype=bool)
     mask[[2, 7]] = False
-    reads = [ad.memory_read(rng.standard_normal((n, 9, 8)).astype(np.float32), slots, mask)[0]
+    keys = ad.read_keys(slots)
+    reads = [ad.memory_read(rng.standard_normal((n, 9, 8)).astype(np.float32), slots, keys,
+                            mask)[0]
              for n in (3, 1, 2)]
     stacked = ad.ReadWeights.stack(reads)
     assert stacked.shape == (6, 9, 12)
@@ -646,7 +649,8 @@ def test_fd_memory_read(rng):
     assert mask.any() and not mask.all()
     z = Tensor(rng.standard_normal((2, 2, 3)))
     proj = Tensor(rng.standard_normal((3, 1)))
-    fd_check(lambda: scalarize(ad.memory_read(z, slots, mask)[1], proj), [z])
+    keys = ad.read_keys(slots)
+    fd_check(lambda: scalarize(ad.memory_read(z, slots, keys, mask)[1], proj), [z])
 
 
 def test_hopfield_update_backward_keeps_the_graph_order(rng):
@@ -760,7 +764,7 @@ def test_all_true_mask_is_the_unmasked_softmax(rng):
     row sum, bit for bit, and softmax_rows of them up to rounding."""
     slots = rng.standard_normal((7, 4))
     z = rng.standard_normal((5, 4))
-    alpha, _ = ad.memory_read(Tensor(z), slots, np.ones(7, dtype=bool))
+    alpha, _ = ad.memory_read(Tensor(z), slots, ad.read_keys(slots), np.ones(7, dtype=bool))
     zhat, khat = ad.normalize_rows(z)[0], ad.normalize_rows(slots)[0]
     logits = np.matmul(zhat[None], np.ascontiguousarray((khat * math.sqrt(4)).T))[0]
     e = np.exp(logits)
@@ -788,7 +792,7 @@ def test_float32_read_at_the_widest_d_the_config_allows(rng):
     mask = np.ones(k, dtype=bool)
     mask[[2, 7, 11]] = False
     zt = Tensor(z, requires_grad=True)
-    weights, m = ad.memory_read(zt, slots, mask)
+    weights, m = ad.memory_read(zt, slots, ad.read_keys(slots), mask)
     a = weights.value
     assert a.dtype == np.float32 and np.isfinite(a).all() and np.isfinite(m.value).all()
     assert (a[:, ~mask] == 0.0).all() and (a[:, mask] > 0.0).all()
@@ -799,13 +803,14 @@ def test_float32_read_at_the_widest_d_the_config_allows(rng):
     wide = math.floor((88.9 - math.log(k)) ** 2)
     slots = (rng.standard_normal(wide) + 1e-3 * rng.standard_normal((k, wide))).astype(np.float32)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="memory_read"):
-        ad.memory_read(Tensor(slots[:1]), slots, np.ones(k, dtype=bool))
+        ad.memory_read(Tensor(slots[:1]), slots, ad.read_keys(slots), np.ones(k, dtype=bool))
 
 
 def test_fully_masked_row_rejected(rng):
     z = Tensor(rng.standard_normal((2, 3)))
+    slots = rng.standard_normal((3, 3))
     with pytest.raises(ValueError):
-        ad.memory_read(z, rng.standard_normal((3, 3)), np.zeros(3, dtype=bool))
+        ad.memory_read(z, slots, ad.read_keys(slots), np.zeros(3, dtype=bool))
 
 
 # -------------------------------------------------------------- error paths
@@ -860,9 +865,9 @@ def test_shape_validation_errors(rng):
         ad.hopfield_update(a, a, Tensor(rng.standard_normal(3)))
     with pytest.raises(ValueError):
         ad.hopfield_update(a, Tensor(rng.standard_normal((3, 2))), Tensor(np.array(0.5)))
+    z, slots = Tensor(rng.standard_normal((2, 5, 3))), rng.standard_normal((4, 2))
     with pytest.raises(ValueError):
-        ad.memory_read(Tensor(rng.standard_normal((2, 5, 3))), rng.standard_normal((4, 2)),
-                       np.ones(4, dtype=bool))
+        ad.memory_read(z, slots, ad.read_keys(slots), np.ones(4, dtype=bool))
     with pytest.raises(ValueError):
         ad.add(a, Tensor(rng.standard_normal(2)))
     with pytest.raises(ValueError):

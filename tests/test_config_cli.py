@@ -363,6 +363,19 @@ def test_cli_single_branch_analyses_reject_both(capsys, trained_tiny, tmp_path, 
     assert not os.path.exists(dest)
 
 
+@pytest.mark.parametrize("what,args,message", [
+    ("hit-rate", ["--batch-size", "0"], "batch size must be at least 1, got 0"),
+    ("weights", ["--class-id", "99"], "no samples of class 99 in the dataset")])
+def test_cli_analyze_checks_its_arguments_before_out_is_made(capsys, trained_tiny, tmp_path,
+                                                              what, args, message):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "diag")
+    rc, out, err = run_cli(capsys, "analyze", what, "--ckpt", ckpt, "--out", dest, *args)
+    assert rc == 1 and out == ""
+    assert json.loads(err.strip()) == {"error": "ValueError", "message": message}
+    assert not os.path.exists(dest)
+
+
 def test_cli_robustness_keeps_checkpoints_of_equal_t_apart(capsys, trained_tiny, tmp_path):
     cfg, _, out_dir = trained_tiny
     ckpt = os.path.join(out_dir, "final.ckpt")

@@ -1,9 +1,11 @@
 """Model wiring, pooling, and the binary checkpoint format."""
 
 import contextlib
+import os
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -609,10 +611,165 @@ def test_concurrent_forwards_keep_their_bits_and_the_blas_threads(tmp_path, rng)
     assert ad._recording  # every forward's no_grad scope has closed
 
 
+def concurrent_lanes():
+    """Skip unless an eval forward here runs its lanes concurrently."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable CPU: lanes run one after another")
+    if _blas.threads() is None:
+        pytest.skip("no OpenBLAS found through ctypes: lanes run one after another")
+    if _blas.threads() < 2:
+        pytest.skip("one BLAS thread: lanes run one after another")
+
+
+def lane_threads(model):
+    """(threads, undo): each _forward call of model appends its thread's id."""
+    threads, forward = [], model._forward
+
+    def watched(*args):
+        threads.append(threading.get_ident())
+        return forward(*args)
+
+    model._forward = watched
+    return threads, lambda: vars(model).pop("_forward")
+
+
+def test_concurrent_lanes_hand_the_capture_the_serial_events(tmp_path, rng):
+    # a full chunk and a chunk of a 16- and a 4-image lane, switching
+    # threads often: capture runs in the calling thread only, never twice
+    # at once, and sees the events of the forward whose lanes run one after
+    # another, bit for bit
+    concurrent_lanes()
+    cfg, model = tiny_model(tmp_path, n_blocks=2, t_steps=3)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, model_mod._CHUNK + 20, rng)
+
+    def events():
+        seen, callers, clashes, busy = [], set(), [], threading.Lock()
+
+        def capture(owner, name, q, weights):
+            if not busy.acquire(blocking=False):
+                clashes.append(name)
+                return
+            try:
+                callers.add(threading.get_ident())
+                who = "model" if owner is model else model.blocks.index(owner)
+                seen.append((who, name, None if q is None else q.value.tobytes(),
+                             weights.value.tobytes()))
+                time.sleep(1e-3)  # a second caller would find the lock held
+            finally:
+                busy.release()
+        return seen, callers, clashes, capture
+
+    seen, callers, clashes, capture = events()
+    threads, undo = lane_threads(model)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        logits = model.forward(imgs, capture=capture).value
+    finally:
+        sys.setswitchinterval(interval)
+        undo()
+    assert len(set(threads)) == 2  # lane 1 ran on the worker
+    assert callers == {threading.get_ident()} and clashes == []
+    serial, _, _, capture = events()
+    with _blas.one_thread():
+        assert_same_bits(model.forward(imgs, capture=capture).value, logits)
+    assert len(seen) == 2 * (2 * cfg.n_blocks + 1)
+    assert seen == serial
+
+
+def test_a_failing_lane_1_stops_lane_0_and_raises_its_own_error(tmp_path, rng):
+    # image 20 sits in lane 1; lane 0 waits for lane 1's first read, which
+    # never comes. The forward raises lane 1's error, calls no capture, and
+    # leaves the BLAS threads and the lanes' worker as it found them
+    concurrent_lanes()
+    cfg, model = tiny_model(tmp_path, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, model_mod._CHUNK, rng)
+    imgs[20] = np.nan
+    threads = _blas.threads()
+    calls, raised = [], []
+
+    def run():
+        try:
+            model.forward(imgs, capture=lambda *event: calls.append(event[1]))
+        except Exception as e:
+            raised.append(e)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and type(raised[0]) is FloatingPointError
+    assert str(raised[0]) == "matmul produced non-finite values"
+    assert calls == []
+    assert _blas.threads() == threads
+    lanes, undo = lane_threads(model)
+    model.forward(std_images(cfg, model_mod._CHUNK, rng))
+    undo()
+    assert len(set(lanes)) == 2
+
+
+def count_key_builds(model, monkeypatch):
+    """{bank name: read_keys calls on its slots}, counted from now on."""
+    builds, real = {}, ad.read_keys
+
+    def spy(slots):
+        name = next(n for n, b in model.banks().items() if b.slots is slots)
+        builds[name] = builds.get(name, 0) + 1
+        return real(slots)
+
+    monkeypatch.setattr(ad, "read_keys", spy)
+    return builds
+
+
+def test_each_bank_builds_its_keys_once_per_state(tmp_path, rng, monkeypatch):
+    # reads share their bank's keys until the bank is written: an eval
+    # forward over three chunks builds them once, a second forward never,
+    # and a train step at most once, before its writes: none where the
+    # keys are still those of the slots it reads
+    cfg, model = tiny_model(tmp_path, n_blocks=2, t_steps=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    builds = count_key_builds(model, monkeypatch)
+    imgs = std_images(cfg, 2 * model_mod._CHUNK + 5, rng)
+    model.forward(imgs)
+    assert builds == {name: 1 for name in model.banks()}
+    builds.clear()
+    model.forward(imgs)
+    assert builds == {}
+    labels = rng.integers(0, cfg.num_classes, size=len(imgs))
+    train_step(model, imgs, labels, rng)  # reads the forwards' keys, then writes
+    assert builds == {}
+    for _ in range(2):
+        train_step(model, imgs, labels, rng)
+        assert builds == {name: 1 for name in model.banks()}
+        builds.clear()
+
+
+def test_reads_after_a_train_forward_use_the_written_slots(tmp_path, rng):
+    # a train forward swaps in a slot copy and writes it; later reads must
+    # equal those of a model whose banks never read before
+    cfg, model = tiny_model(tmp_path, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, 6, rng)
+    model.forward(imgs)  # builds every bank's keys
+    model.forward(imgs, mode="train", labels=np.arange(6) % cfg.num_classes, rng=rng)
+    fresh = Model(cfg)
+    for t, u in zip(fresh.parameters().values(), model.parameters().values()):
+        t.value = u.value
+    for bank, twin in zip(model.banks().values(), fresh.banks().values()):
+        twin.load_state(bank.state_dict())
+    got, want = captured(model, imgs), captured(fresh, imgs)
+    assert_same_bits(got[0], want[0])
+    for key, alpha in want[1].items():
+        assert_same_bits(got[1][key], alpha)
+
+
 def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):
     """Training and uncaptured eval forwards never divide a read's weights into
-    alpha; an analysis forms it once per chunk, for its own branch at the last
-    block, so a global-branch analysis never forms local alpha."""
+    alpha; an analysis forms it once per batch, for its own branch at the
+    last block, so a global-branch analysis never forms local alpha, and a
+    pooled local analysis forms only each image's pooled-token row."""
     cfg, model = tiny_model(tmp_path, t_steps=2, n_blocks=2)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     reads = []
@@ -632,7 +789,7 @@ def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):
     assert reads == [(n, 1, cfg.k_global) for n in sizes]
     reads.clear()
     hit_rate(model, test, branch="local", batch_size=7)
-    assert reads == [(n, cfg.n_tokens, cfg.k_local) for n in sizes]
+    assert reads == [(n, 1, cfg.k_local) for n in sizes]
 
 
 @pytest.mark.parametrize("branch", ["local", "global"])
@@ -649,9 +806,9 @@ def test_unrefined_analysis_reads_once_per_chunk(tmp_path, rng, monkeypatch, off
     queries = []
     real = ad.memory_read
 
-    def spy(z, slots, mask):
+    def spy(z, slots, keys, mask):
         queries.append((len(slots), ad.as_tensor(z).shape))
-        return real(z, slots, mask)
+        return real(z, slots, keys, mask)
 
     monkeypatch.setattr(ad, "memory_read", spy)
     n = 2 * model_mod._CHUNK + 5
