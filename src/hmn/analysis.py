@@ -194,14 +194,6 @@ def write_hit_rate_csv(report, path):
 
 # ------------------------------------------------------------ weight profile
 
-def _class_indices(dataset, class_id):
-    """Indices of dataset's images of class_id; none raises ValueError."""
-    idx = np.flatnonzero(dataset.labels == int(class_id))
-    if len(idx) == 0:
-        raise ValueError(f"no samples of class {int(class_id)} in the dataset")
-    return idx
-
-
 def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
     """Mean last-block slot weighting over all inputs of one class.
 
@@ -209,7 +201,10 @@ def weight_profile(model, dataset, class_id, branch="global", batch_size=64):
     slot_class along the x axis already.
     """
     bank = _last_bank(model, branch)
-    subset = dataset.subset(_class_indices(dataset, class_id))
+    idx = np.flatnonzero(dataset.labels == int(class_id))
+    if len(idx) == 0:
+        raise ValueError(f"no samples of class {int(class_id)} in the dataset")
+    subset = dataset.subset(idx)
     _, slot_class, _ = bank.filled_view()
     acc = np.zeros(bank.total_slots)
     for _, alpha in _sample_rows(model, subset, branch, batch_size):

@@ -46,9 +46,13 @@ backward takes a sink, so its leaf gradients are added after lane 0's.
 So a lane makes the same calls, and its gradients meet in the same
 order, whether the lanes run concurrently or one after another: the bits
 do not depend on the BLAS thread count. Lanes share only what they read
-(parameters, bank slots and keys, ``_recording``); lane 0's backward
-alone adds into .grad while they run. A lane stopped by the other lane's
-failure raises LaneStopped, which never hides that failure.
+(parameters, bank slots and keys); lane 0's backward alone adds into
+.grad while they run. Whether ops record a graph, and where a backward
+puts leaf gradients, are context variables: lane 1 runs in a copy of its
+caller's context, so it records as its caller does, and a ``no_grad()``
+scope in one thread never stops another thread's graph. A lane stopped
+by the other lane's failure raises LaneStopped, which never hides that
+failure.
 
 Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
@@ -110,27 +114,20 @@ from . import _blas, kernels
 _FINITE_MSG = "{} produced non-finite values"
 _EPS = 1e-12
 
-# read by _node; off while any no_grad() scope is open. Process-wide, so
-# that lanes run under their caller's scope; a count of open scopes, so
-# that scopes overlapping across threads leave it on once all have closed
-_recording = True
-_no_grad_scopes = 0
-_no_grad_lock = threading.Lock()
+# whether ops record a graph: off inside no_grad(). A context variable, so
+# a scope covers its own thread and the lanes it runs (``_Lanes.run`` runs
+# lane 1 in a copy of the caller's context), never another thread
+_recording = contextvars.ContextVar("recording", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Scope in which op outputs keep no parents and no backward closure."""
-    global _recording, _no_grad_scopes
-    with _no_grad_lock:
-        _no_grad_scopes += 1
-        _recording = False
+    token = _recording.set(False)
     try:
         yield
     finally:
-        with _no_grad_lock:
-            _no_grad_scopes -= 1
-            _recording = _no_grad_scopes == 0
+        _recording.reset(token)
 
 
 def _finite(name, arr):
@@ -219,7 +216,7 @@ def as_tensor(x):
 
 def _records(*inputs):
     """Whether an op over these input tensors records a node."""
-    return _recording and any(t.node is not None for t in inputs)
+    return _recording.get() and any(t.node is not None for t in inputs)
 
 
 def _node(value, inputs, bwd, name):
@@ -232,12 +229,8 @@ def _node(value, inputs, bwd, name):
     return out
 
 
-class _Walk(threading.local):
-    # the leaf-gradient sink of the backward walking in this thread, if any
-    sink = None
-
-
-_walk = _Walk()
+# the leaf-gradient sink of the backward walking in this context, if any
+_sink = contextvars.ContextVar("sink", default=None)
 
 
 def _accum(node, g, own=False):
@@ -248,8 +241,8 @@ def _accum(node, g, own=False):
     backward given a sink, a leaf's gradient goes to the sink instead."""
     if node is None:
         return
-    if node._backward is None and _walk.sink is not None:
-        node = _walk.sink.setdefault(node, Node())
+    if node._backward is None and (sink := _sink.get()) is not None:
+        node = sink.setdefault(node, Node())
     if node.grad is None:
         node.grad = g if own else g.copy()
     else:
@@ -291,7 +284,7 @@ def backward(loss, sink=None):
         stack.append((node, True))
         stack.extend((p, False) for p in node._parents if p not in seen)
     loss.node.grad = np.ones_like(loss.value)
-    _walk.sink = sink
+    token = _sink.set(sink)
     try:
         while topo:
             node = topo.pop()
@@ -303,7 +296,7 @@ def backward(loss, sink=None):
             node.grad = None
             node._walked = True
     finally:
-        _walk.sink = None
+        _sink.reset(token)
 
 
 def accumulate(sink):

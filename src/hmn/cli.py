@@ -6,6 +6,7 @@ to stderr with a nonzero exit code otherwise.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -83,6 +84,8 @@ def cmd_sweep(args):
 
 
 def cmd_analyze(args):
+    """Run one analysis and only then make --out and write its files, so a
+    failing step leaves no directory behind."""
     if args.what != "robustness" and len(args.ckpt) > 1:
         raise ValueError(f"{args.what} reads one --ckpt, got {len(args.ckpt)}; "
                          "only robustness compares several")
@@ -92,34 +95,24 @@ def cmd_analyze(args):
     unknown = [f for f in args.families.split(",") if f not in analysis.DEFAULT_GRIDS]
     if args.what == "robustness" and unknown:
         raise ValueError(f"unknown --families {unknown}; valid: {sorted(analysis.DEFAULT_GRIDS)}")
-    if args.batch_size < 1:  # eval_batches' check, made before --out is
-        raise ValueError(f"batch size must be at least 1, got {args.batch_size}")
     model, _, _ = load_checkpoint(args.ckpt[0])
     test = _load_eval_data(model, args.data)
-    # a bad --family, --grid or --class-id raises before --out is made
-    if args.what == "consistency":
-        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
-        analysis._checked_grid(args.family, grid, test.images)
-    if args.what == "weights":
-        analysis._class_indices(test, args.class_id)
-    os.makedirs(args.out, exist_ok=True)
     if args.what == "hit-rate":
-        outputs = []
-        branches = ["local", "global"] if branch == "both" else [branch]
-        for one in branches:
-            rep = analysis.hit_rate(model, test, branch=one, all_tokens=args.all_tokens,
-                                    batch_size=args.batch_size)
-            path = os.path.join(args.out, f"hit_rate_{one}.csv")
-            analysis.write_hit_rate_csv(rep, path)
-            outputs.append(path)
-            _emit(rep)
-        _emit({"outputs": outputs})
+        reports = [analysis.hit_rate(model, test, branch=one, all_tokens=args.all_tokens,
+                                     batch_size=args.batch_size)
+                   for one in (["local", "global"] if branch == "both" else [branch])]
+
+        def save():
+            paths = [os.path.join(args.out, f"hit_rate_{rep['branch']}.csv") for rep in reports]
+            for rep, path in zip(reports, paths):
+                analysis.write_hit_rate_csv(rep, path)
+                _emit(rep)
+            return paths
     elif args.what == "weights":
         profile, slot_class = analysis.weight_profile(
             model, test, args.class_id, branch=branch, batch_size=args.batch_size)
-        paths = analysis.write_weight_profile(profile, slot_class, args.class_id,
-                                              args.out, branch)
-        _emit({"outputs": list(paths)})
+        save = functools.partial(analysis.write_weight_profile, profile, slot_class,
+                                 args.class_id, args.out, branch)
     elif args.what == "robustness":
         models = [model] + [load_checkpoint(path)[0] for path in args.ckpt[1:]]
         labels = [f"T={m.cfg.t_steps}" for m in models]
@@ -128,16 +121,15 @@ def cmd_analyze(args):
         grids = {f: analysis.DEFAULT_GRIDS[f] for f in args.families.split(",")}
         rows = analysis.robustness(list(zip(labels, models)), test, grids=grids,
                                    seed=args.seed, batch_size=args.batch_size)
-        paths = analysis.write_robustness(rows, args.out)
-        _emit({"outputs": paths})
-    elif args.what == "consistency":
+        save = functools.partial(analysis.write_robustness, rows, args.out)
+    else:
+        grid = [float(v) for v in args.grid.split(",")] if args.grid else None
         rows = analysis.consistency(model, test, family=args.family, grid=grid,
                                     seed=args.seed, batch_size=args.batch_size,
                                     branch=branch)
-        paths = analysis.write_consistency(rows, args.out)
-        _emit({"outputs": paths})
-    else:
-        raise ValueError(f"unknown analysis {args.what!r}")
+        save = functools.partial(analysis.write_consistency, rows, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    _emit({"outputs": list(save())})
     return 0
 
 

@@ -11,14 +11,12 @@ backward must run before its bank's next write. Both writers ensure it:
 ``train.train_step`` writes after its last backward, and
 ``Model.forward(mode="train")`` swaps in a copy first. A bank has no mode.
 
-A bank also keeps the keys its reads score against (``keys``), built on
-the first read after a ``write`` or ``load_state``, the only two ways
-its slots may change, and shared by every read until the next. A write
-drops them rather than changing them, so a backward holding them keeps
-the keys of the slots it read.
+A bank also keeps the keys its reads score against, ``keys``, the
+slots' ``autodiff.read_keys``. ``__init__``, ``write`` and ``load_state``,
+the only ways its slots change, build them; reads only read them. A
+write builds a new array rather than changing the old one, so a backward
+holding them keeps the keys of the slots it read.
 """
-
-import threading
 
 import numpy as np
 
@@ -47,10 +45,7 @@ class MemoryBank:
         self.slot_class = np.repeat(
             np.arange(self.num_classes, dtype=np.int64), self.per_class_capacity)
         self.written = np.zeros(self.num_classes, dtype=np.int64)
-        # the slots' read_keys, None until a read needs them; the lock makes
-        # two lanes' first reads build them once
-        self._keys = None
-        self._keys_lock = threading.Lock()
+        self.keys = ad.read_keys(self.slots)
 
     def write(self, rows, class_ids):
         """Copy (n, D) detached rows into their classes' ring slots in place, in row order.
@@ -71,7 +66,7 @@ class MemoryBank:
             kept = np.arange(max(n - cap, 0), n)
             self.slots[self.class_start[c] + (self.written[c] + kept) % cap] = own[kept]
             self.written[c] += n
-        self._keys = None
+        self.keys = ad.read_keys(self.slots)
 
     @property
     def filled(self):
@@ -90,15 +85,6 @@ class MemoryBank:
         """
         offset = np.arange(self.total_slots) - self.class_start[self.slot_class]
         return self.slots, self.slot_class, offset < self.filled[self.slot_class]
-
-    def keys(self):
-        """The (D, K) ``autodiff.read_keys`` of the slots, built once per
-        state of the bank: the first call after a write or load_state
-        builds them, later calls return the same read-only array."""
-        with self._keys_lock:
-            if self._keys is None:
-                self._keys = ad.read_keys(self.slots)
-            return self._keys
 
     # checkpoint plumbing; arrays are copied on both paths
     def state_dict(self):
@@ -122,4 +108,4 @@ class MemoryBank:
                              f"of shape {self.written.shape}")
         self.slots[:] = slots
         self.written[:] = written
-        self._keys = None
+        self.keys = ad.read_keys(self.slots)

@@ -59,9 +59,6 @@ VERSION = 2
 # GEMMs' 16-image tiles, so a chunk's tiles are the whole batch's. Each
 # tile is a lane, one _forward call
 _CHUNK = 2 * ad._TILE
-# seconds lane 0 waits at a read for lane 1's event of it before it takes
-# lane 1 for hung and stops
-_MEET_TIMEOUT_S = 300.0
 
 
 def _chunks(n):
@@ -75,22 +72,20 @@ def _handoff(capture):
     """(lane 0's capture, lane 1's capture, stop) for a chunk's two
     concurrent lanes, so that capture sees each read once, merged, in lane
     0's thread, which called forward. Lane 1 hands each read's event over
-    and runs on without waiting. Lane 0, at its own read, takes lane 1's
-    event of that read, waiting up to _MEET_TIMEOUT_S, and calls capture
-    with the merged event: q and the pool weights concatenated in lane
-    order, a read's weights one ``ReadWeights.stack`` of the lanes' (no
-    copy of e), None where no lane read a bank. A lane that raises, its
-    forward or capture, must call stop: lane 0 then stops at once and lane
-    1 at its next read, each raising ``autodiff.LaneStopped``."""
+    and runs on without waiting. Lane 0, at its own read, waits for lane
+    1's event of that read and calls capture with the merged event: q and
+    the pool weights concatenated in lane order, a read's weights one
+    ``ReadWeights.stack`` of the lanes' (no copy of e), None where no lane
+    read a bank. A lane that raises, its forward or capture, must call
+    stop: lane 0 then stops at once and lane 1 at its next read, each
+    raising ``autodiff.LaneStopped``. Lane 1 makes every read lane 0 does
+    or calls stop, so lane 0 never waits for an event that cannot come."""
     import queue  # loaded already, with the lanes' worker pool
     events = queue.SimpleQueue()
     stopped = threading.Event()
 
     def first(owner, name, q, weights):
-        try:
-            other = events.get(timeout=_MEET_TIMEOUT_S)
-        except queue.Empty:
-            raise TimeoutError(f"lane 1 made no read in {_MEET_TIMEOUT_S:g} s") from None
+        other = events.get()
         if other is None:
             raise ad.LaneStopped
         q1, w1 = other

@@ -33,7 +33,7 @@ def retrieve_rows(z, bank):
     if z.value.ndim not in (2, 3) or z.value.shape[-1] != bank.dim:
         raise ValueError(f"query shape {z.value.shape} does not match bank dim {bank.dim}")
     slots, _, mask = bank.filled_view()
-    return ad.memory_read(z, slots, bank.keys(), mask)
+    return ad.memory_read(z, slots, bank.keys, mask)
 
 
 def refine_rows(z, bank, beta, T):

@@ -25,11 +25,12 @@ otherwise. Every lane reads the banks as they stood before the step; each
 lane's loss is its cross-entropy sum over the batch size. Lane 0's
 gradients accumulate in the leaves' .grad, lane 1's in a sink that is
 added after them, so the sums have one order at any thread count. After
-the last chunk, the lanes' bank writes are made in lane order, then the
-optimizer steps once. A bank stores rows written in parts as it stores
-them in one write, so an image's forward bits and the bank state after
-the step are those of one whole-batch train forward at one BLAS thread;
-only the gradient sums regroup by lane.
+the last chunk, each bank takes one write of the rows every lane queued
+for it, concatenated in lane order, then the optimizer steps once. A
+bank stores rows written in parts as it stores them in one write, so an
+image's forward bits and the bank state after the step are those of one
+whole-batch train forward at one BLAS thread; only the gradient sums
+regroup by lane.
 
 ``train_step`` is the one bank writer. ``eval_batches``, the one eval-mode
 batch loop under ``evaluate`` and every ``hmn.analysis`` diagnostic, opens
@@ -103,8 +104,8 @@ def _write_line(path, line, mode="a"):
 
 def train_step(model, x, labels, rng):
     """Forward and backward over a batch in consecutive _CHUNK-image
-    chunks, lane by lane, then every lane's bank writes, in lane order;
-    returns (mean loss, count of correct argmaxes).
+    chunks, lane by lane, then one write per bank of every lane's rows, in
+    lane order; returns (mean loss, count of correct argmaxes).
 
     The write tokens of all blocks are drawn first, so the rng stream is
     that of ``Model.forward(mode="train")``. A chunk's lanes are its
@@ -117,12 +118,14 @@ def train_step(model, x, labels, rng):
     the leaves' .grad, which the caller zeroes before and steps the
     optimizer on after: lane 0's directly, lane 1's through a sink added
     once both lanes are done. An error in either lane is raised once both
-    have stopped, before any bank is written.
+    have stopped, before any bank is written. Each bank then takes one
+    ``write`` of its queued rows concatenated in lane order, so it builds
+    its keys once per step.
     """
     x = model._images(x)
     b = len(x)
     picks = model._write_tokens(b, rng)
-    loss_sum, correct, pending = 0.0, 0, []
+    loss_sum, correct, pending = 0.0, 0, {}
 
     def lane(tile, sink):
         writes = []
@@ -141,9 +144,11 @@ def train_step(model, x, labels, rng):
             for loss, right, writes in done:
                 loss_sum += loss
                 correct += right
-                pending += writes
-    for bank, rows, cls in pending:
-        bank.write(rows, cls)
+                for bank, rows, cls in writes:
+                    pending.setdefault(bank, []).append((rows, cls))
+    for bank, parts in pending.items():
+        rows, cls = zip(*parts)
+        bank.write(np.concatenate(rows), np.concatenate(cls))
     return loss_sum, correct
 
 

@@ -376,6 +376,17 @@ def test_cli_analyze_checks_its_arguments_before_out_is_made(capsys, trained_tin
     assert not os.path.exists(dest)
 
 
+def test_cli_robustness_with_a_missing_second_checkpoint_makes_no_out(capsys, trained_tiny,
+                                                                      tmp_path):
+    ckpt = os.path.join(trained_tiny[2], "final.ckpt")
+    dest = str(tmp_path / "rob")
+    rc, out, err = run_cli(capsys, "analyze", "robustness", "--ckpt", ckpt,
+                           "--ckpt", str(tmp_path / "missing.ckpt"), "--out", dest)
+    assert rc == 1 and out == ""
+    assert json.loads(err.strip())["error"] == "FileNotFoundError"
+    assert not os.path.exists(dest)
+
+
 def test_cli_robustness_keeps_checkpoints_of_equal_t_apart(capsys, trained_tiny, tmp_path):
     cfg, _, out_dir = trained_tiny
     ckpt = os.path.join(out_dir, "final.ckpt")

@@ -1,15 +1,10 @@
 """Per-class ring-buffer bank vs a naive keep-last-c list oracle."""
 
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hmn.autodiff as ad
 from hmn.memory import MemoryBank
 from hmn.retrieval import retrieve_rows
 
@@ -273,14 +268,16 @@ def fresh_copy(bank):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_read_after_a_write_or_a_load_uses_the_new_slots(rng, dtype):
-    # the keys a read builds are kept until the slots change; each read
-    # after a change must equal a read from a bank that never read before
+    # a write or a load builds the keys of the new slots and reads only read
+    # them; each read after a change must equal a read from a fresh bank
     bank = MemoryBank(3, 10, 4, dtype)
     z = rng.standard_normal((2, 5, 4)).astype(dtype)
     bank.write(rng.standard_normal((4, 4)), [0, 1, 2, 0])
     states = []
     for step in range(3):
-        read_bits(bank, z)  # builds the keys of the current slots
+        keys = bank.keys
+        read_bits(bank, z)
+        assert bank.keys is keys
         if step < 2:
             bank.write(rng.standard_normal((3, 4)), [step, 2, 1])
         else:
@@ -288,36 +285,5 @@ def test_a_read_after_a_write_or_a_load_uses_the_new_slots(rng, dtype):
         states.append(bank.state_dict())
         for got, want in zip(read_bits(bank, z), read_bits(fresh_copy(bank), z)):
             assert_same_bits(got, want)
-    assert bank.keys() is bank.keys()
-    assert not bank.keys().flags.writeable
-
-
-def test_threads_reading_a_fresh_bank_build_its_keys_once(rng, monkeypatch):
-    # more readers than cores, switching often, on a slow build: a reader
-    # that saw no keys and built its own would make a second build
-    bank = MemoryBank(3, 10, 4)
-    bank.write(rng.standard_normal((6, 4)), [0, 1, 2, 0, 1, 2])
-    builds, real = [], ad.read_keys
-
-    def slow(slots):
-        builds.append(None)
-        time.sleep(1e-3)
-        return real(slots)
-
-    monkeypatch.setattr(ad, "read_keys", slow)
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        readers = [threading.Thread(target=lambda: got.append(bank.keys()), daemon=True)
-                   for _ in range(8)]
-        for r in readers:
-            r.start()
-        for r in readers:
-            r.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(r.is_alive() for r in readers)
-    assert len(builds) == 1 and len(got) == 8
-    assert all(k is got[0] for k in got)
+    assert not bank.keys.flags.writeable
 

@@ -160,12 +160,12 @@ def test_eval_forward_records_no_graph_and_restores_recording(tmp_path, rng):
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     logits = model.forward(std_images(cfg, 3, rng))
     assert not logits.requires_grad and logits._parents == ()
-    assert ad._recording
+    assert ad._recording.get()
     bad = std_images(cfg, 3, rng)
     bad[1, 0, 2, 3] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         model.forward(bad)
-    assert ad._recording
+    assert ad._recording.get()
     w = ad.Tensor(np.ones(2), requires_grad=True)
     assert ad.add(w, w).requires_grad
 
@@ -491,7 +491,7 @@ def test_inference_entry_points_match_a_graph_building_forward(tmp_path, rng, mo
     w = ad.Tensor(np.ones(2), requires_grad=True)
     hooked = []
     for _ in eval_batches(model, test, batch_size=7,
-                          capture=lambda *read: hooked.append(ad._recording)):
+                          capture=lambda *read: hooked.append(ad._recording.get())):
         assert ad.add(w, w).requires_grad
     assert hooked and not any(hooked)
     # the same entry points with the scope switched off build the full graph
@@ -608,7 +608,7 @@ def test_concurrent_forwards_keep_their_bits_and_the_blas_threads(tmp_path, rng)
         for r in runs:
             assert_same_bits(r, logits)
     assert _blas.threads() == threads
-    assert ad._recording  # every forward's no_grad scope has closed
+    assert ad._recording.get()  # every forward's no_grad scope has closed
 
 
 def concurrent_lanes():
@@ -724,26 +724,24 @@ def count_key_builds(model, monkeypatch):
 
 
 def test_each_bank_builds_its_keys_once_per_state(tmp_path, rng, monkeypatch):
-    # reads share their bank's keys until the bank is written: an eval
-    # forward over three chunks builds them once, a second forward never,
-    # and a train step at most once, before its writes: none where the
-    # keys are still those of the slots it reads
+    # reads only read their bank's keys: eval forwards over three chunks
+    # build none, while a train step, at its one write per bank, and a
+    # load_state each build them once per bank
     cfg, model = tiny_model(tmp_path, n_blocks=2, t_steps=2)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     builds = count_key_builds(model, monkeypatch)
     imgs = std_images(cfg, 2 * model_mod._CHUNK + 5, rng)
-    model.forward(imgs)
-    assert builds == {name: 1 for name in model.banks()}
-    builds.clear()
-    model.forward(imgs)
-    assert builds == {}
     labels = rng.integers(0, cfg.num_classes, size=len(imgs))
-    train_step(model, imgs, labels, rng)  # reads the forwards' keys, then writes
-    assert builds == {}
+    once = {name: 1 for name in model.banks()}
     for _ in range(2):
+        model.forward(imgs)
+        assert builds == {}
         train_step(model, imgs, labels, rng)
-        assert builds == {name: 1 for name in model.banks()}
+        assert builds == once
         builds.clear()
+    for bank in model.banks().values():
+        bank.load_state(bank.state_dict())
+    assert builds == once
 
 
 def test_reads_after_a_train_forward_use_the_written_slots(tmp_path, rng):

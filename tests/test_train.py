@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -20,6 +21,7 @@ from hmn import _blas
 from hmn.analysis import hit_rate
 from hmn.cli import main
 from hmn.data import synth_blobs
+from hmn.memory import MemoryBank
 from hmn.model import Model, blas_threads, load_checkpoint, save_checkpoint
 from hmn.optim import lr_at
 from hmn.train import TrainingDiverged, evaluate, prepare_datasets, train, train_step
@@ -417,6 +419,55 @@ def test_train_step_writes_every_bank_in_place(tmp_path):
         for (name, bank), slots, old in zip(model.banks().items(), arrays, before):
             assert bank.slots is slots, name
             assert not np.array_equal(slots, old), name
+
+
+def test_a_train_step_writes_each_bank_once(tmp_path, monkeypatch):
+    # 40 images are two chunks, three lanes: each bank takes one write of the
+    # rows every lane queued for it
+    cfg = make_tiny_cfg(tmp_path, n_blocks=2)
+    model = Model(cfg, np.random.default_rng(0))
+    ds = synth_blobs(cfg.num_classes, 20, tuple(cfg.image_size), seed=3)
+    written, write = [], MemoryBank.write
+    monkeypatch.setattr(MemoryBank, "write",
+                        lambda bank, *args: written.append(bank) or write(bank, *args))
+    train_step(model, (ds.images - cfg.norm_mean) / cfg.norm_std, ds.labels,
+               np.random.default_rng(1))
+    assert sorted(written, key=id) == sorted(model.banks().values(), key=id)
+
+
+def test_another_threads_eval_forward_leaves_this_threads_graph_alone(tmp_path):
+    # a second thread holds an eval forward, and with it its no_grad scope,
+    # open across a whole train step: the step's gradients and bank writes
+    # must be those of the same step run alone
+    cfg = make_tiny_cfg(tmp_path, n_blocks=2)
+    ds = synth_blobs(cfg.num_classes, 20, tuple(cfg.image_size), seed=3)
+    x = (ds.images - cfg.norm_mean) / cfg.norm_std
+    pair = step_pair(cfg, np.float32)
+    for model, rng in pair:
+        chunked_step(model, x, ds.labels, rng)  # fills the banks, so β reads
+    (solo, rs), (beside, rb) = pair
+    chunked_step(solo, x, ds.labels, rs)
+    reader = Model(cfg, np.random.default_rng(9))
+    inside, release = threading.Event(), threading.Event()
+
+    def hold(owner, name, q, weights):
+        if not inside.is_set():
+            inside.set()
+            release.wait(60)
+
+    thread = threading.Thread(target=lambda: reader.forward(x[:4], capture=hold), daemon=True)
+    thread.start()
+    try:
+        assert inside.wait(60)
+        chunked_step(beside, x, ds.labels, rb)
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert_same_banks_and_rng(*pair)
+    for (name, ps), pb in zip(solo.parameters().items(), beside.parameters().values()):
+        assert pb.grad is not None, name
+        assert pb.grad.tobytes() == ps.grad.tobytes(), name
 
 
 def test_chunked_step_loss_is_the_batch_mean(tmp_path):
