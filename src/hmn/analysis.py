@@ -123,11 +123,11 @@ def _rank_slots(alpha):
 
 def _sample_rows(model, dataset, branch, batch_size, all_tokens=False):
     """Yield (labels (n,), alpha (n, t, K)) per eval batch: last-block
-    retrieval weight rows for branch, kept chunk by chunk through capture.
+    retrieval weight rows for branch, kept tile by tile through capture.
 
     The global branch has t=1. The local branch gives the token picked by
     the pooling weights (argmax), t=1, or every token with all_tokens,
-    t=N; of a chunk's read only the picked rows are kept
+    t=N; of a tile's read only the picked rows are kept
     (``ReadWeights.pick``) once its pooling weights arrive. Alpha is
     formed once per batch, from the kept reads. Where refinement read no
     bank (T=0, β=0), one plain read of the block's queries stands in. An

@@ -50,9 +50,10 @@ do not depend on the BLAS thread count. Lanes share only what they read
 .grad while they run. Whether ops record a graph, and where a backward
 puts leaf gradients, are context variables: lane 1 runs in a copy of its
 caller's context, so it records as its caller does, and a ``no_grad()``
-scope in one thread never stops another thread's graph. A lane stopped
-by the other lane's failure raises LaneStopped, which never hides that
-failure.
+scope in one thread never stops another thread's graph. Neither lane
+ever waits for the other before the join: what lane 1 hands on, its
+sink's gradients, its bank writes and its capture events, is held and
+taken by the calling thread after the join.
 
 Ops preserve dtype: a float32 tensor stays float32 through every op, its
 gradient included, and every other input computes in float64 (the dtype
@@ -329,10 +330,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-class LaneStopped(Exception):
-    """Raised in a lane that stopped because the other lane failed."""
-
-
 class _Lanes:
     """What a ``lanes()`` scope yields: ``concurrent`` says whether run()
     may put a second lane on the worker thread."""
@@ -345,23 +342,17 @@ class _Lanes:
         lane order. Lane 0 runs in the calling thread and lane 1, when
         concurrent, on the worker, in a copy of the caller's contextvars
         context (``np.errstate`` among them); otherwise after lane 0. Both
-        lanes end before either's error is raised, lane 0's first, except
-        that a LaneStopped, the mark of a lane stopped by the other lane's
-        failure, yields to the other lane's error."""
+        lanes end before either's error is raised, lane 0's first. Neither
+        waits for the other: whatever lane 1 hands on, its caller takes
+        after the join."""
         if not self.concurrent or len(fns) < 2:
             return [fn() for fn in fns]
         first, second = fns
         future = _pool.submit(contextvars.copy_context().run, second)
-        errors = []
         try:
             out = first()
-        except BaseException as e:  # re-raised below, once lane 1 has ended
-            errors.append(e)
-        if future.exception() is not None:  # waits for lane 1
-            errors.append(future.exception())
-        if errors:
-            errors.sort(key=lambda e: isinstance(e, LaneStopped))
-            raise errors[0]
+        finally:
+            future.exception()  # waits for lane 1, so lane 0's error comes after it
         return [out, future.result()]
 
 
@@ -687,7 +678,7 @@ class ReadWeights:
     e holds the read's unnormalized weights (R×K) and s their row sums
     (R×1). Each read of ``value`` divides them; ``shape`` is e's. No graph:
     α is a diagnostic, and gradients reach z through m. ``stack`` joins
-    the reads of consecutive images, such as a chunk's lanes, without
+    the reads of consecutive images, such as a batch's tiles, without
     copying their e: ``shape`` then counts every part's rows, and
     ``value`` divides each part into its rows of one output. ``pick``
     keeps one row per image, so that α is formed for those rows alone.

@@ -10,13 +10,14 @@ writes through the capture ``_writer`` returns. An eval ``forward``
 records no autodiff graph and runs ``_forward`` over consecutive
 ``_CHUNK``-image chunks, the train step's chunks, so its working memory
 is one chunk's whatever the batch size, also under ``capture``, which
-sees each chunk's reads. A chunk is a whole number of tiles, so every
+sees each tile's reads. A chunk is a whole number of tiles, so every
 GEMM call and every output bit is the whole batch's. Where it can, a
 chunk runs its two tiles as concurrent lanes (``autodiff.lanes``), one
 ``_forward`` each, with every GEMM on one BLAS thread. Under a capture,
-lane 1 hands each read to lane 0 and runs on, and lane 0 calls the
-capture with both lanes' read, so a capture runs in the calling thread
-only and holds up lane 0 alone.
+lane 0 calls it as it reads and lane 1 holds its events, which the
+calling thread hands to the capture after the join; so a capture runs in
+the calling thread only and sees each read once per tile, in image order,
+at every thread count.
 
 A model computes in one dtype: float32 unless built with another (the
 finite-difference checks build float64). Parameters, β, bank slots,
@@ -40,7 +41,6 @@ import functools
 import json
 import os
 import struct
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -66,47 +66,6 @@ def _chunks(n):
     the slices of its 16-image tiles."""
     return [[slice(j, min(j + ad._TILE, n)) for j in range(i, min(i + _CHUNK, n), ad._TILE)]
             for i in range(0, n, _CHUNK)]
-
-
-def _handoff(capture):
-    """(lane 0's capture, lane 1's capture, stop) for a chunk's two
-    concurrent lanes, so that capture sees each read once, merged, in lane
-    0's thread, which called forward. Lane 1 hands each read's event over
-    and runs on without waiting. Lane 0, at its own read, waits for lane
-    1's event of that read and calls capture with the merged event: q and
-    the pool weights concatenated in lane order, a read's weights one
-    ``ReadWeights.stack`` of the lanes' (no copy of e), None where no lane
-    read a bank. A lane that raises, its forward or capture, must call
-    stop: lane 0 then stops at once and lane 1 at its next read, each
-    raising ``autodiff.LaneStopped``. Lane 1 makes every read lane 0 does
-    or calls stop, so lane 0 never waits for an event that cannot come."""
-    import queue  # loaded already, with the lanes' worker pool
-    events = queue.SimpleQueue()
-    stopped = threading.Event()
-
-    def first(owner, name, q, weights):
-        other = events.get()
-        if other is None:
-            raise ad.LaneStopped
-        q1, w1 = other
-        if q is not None:
-            q = ad.Tensor(np.concatenate([q.value, q1.value]))
-        if name == "pool":
-            weights = ad.Tensor(np.concatenate([weights.value, w1.value]))
-        elif weights is not None:
-            weights = ad.ReadWeights.stack([weights, w1])
-        capture(owner, name, q, weights)
-
-    def second(owner, name, q, weights):
-        if stopped.is_set():
-            raise ad.LaneStopped
-        events.put((q, weights))
-
-    def stop():
-        stopped.set()
-        events.put(None)
-
-    return first, second, stop
 
 
 class Model:
@@ -179,15 +138,15 @@ class Model:
         concatenates their logits. A chunk's 16-image tiles run as two
         concurrent lanes, one ``_forward`` each, where ``autodiff.lanes``
         allows; otherwise one ``_forward`` runs the chunk. Both give the
-        same bits. capture, a callable, sees each chunk's reads: every
-        block calls capture(block, branch, q, weights)
+        same bits. capture, a callable, sees each tile's reads, tile by
+        tile in image order, and is called in the calling thread only:
+        every block calls capture(block, branch, q, weights)
         (``HMNBlock._refine``). Then comes the one event that is no read,
         told apart by name alone: capture(model, "pool", None, pool), pool
-        the plain Tensor of the chunk's (b, N) pooling weights. Under
-        concurrent lanes, lane 1 hands its reads to lane 0, and capture
-        sees the chunk's merged event once, in the calling thread: q and
-        pool concatenated in lane order, weights one ``ReadWeights.stack``
-        of the lanes' reads. train mode runs the whole batch at once, at
+        the plain Tensor of the tile's (b, N) pooling weights. A captured
+        chunk runs tile by tile even where its lanes cannot run
+        concurrently, so capture sees the same events at every BLAS thread
+        count (``_eval_chunk``). train mode runs the whole batch at once, at
         the process's BLAS setting, and writes the rows ``_writer`` picks
         under labels, drawing write tokens from rng; one missing either, or
         given a capture, raises before any bank changes.
@@ -217,28 +176,26 @@ class Model:
 
     def _eval_chunk(self, images, tiles, t_steps, capture, lanes):
         """The logits of one chunk, whose lanes are tiles, as a list of
-        arrays in image order. Where its lanes cannot run concurrently, one
-        _forward call runs the whole chunk: the same bits, since an image's
-        rows never see the rest of the batch. Concurrent lanes under a
-        capture hand lane 1's reads to lane 0 (``_handoff``), so capture
-        sees one event per read per chunk either way, in the calling
-        thread."""
-        if not lanes.concurrent or len(tiles) < 2:
+        arrays in image order. Lane 0 calls capture as it reads; lane 1
+        holds its events, and the calling thread hands them to capture
+        after the join, in order. So capture sees each read once per tile,
+        in image order and in the calling thread only, whether the lanes
+        ran concurrently or not, and neither lane waits for the other."""
+        if capture is None and not lanes.concurrent:
+            # one call for the chunk: the same bits as one per tile, since
+            # an image's rows never see the rest of the batch, in half the
+            # op calls. A captured chunk runs per tile even where its lanes
+            # run one after another, so that capture sees the same events
+            # at every BLAS thread count
             whole = slice(tiles[0].start, tiles[-1].stop)
-            return [self._forward(images[whole], t_steps, capture).value]
-        captures, stop = (None, None), None
-        if capture is not None:
-            *captures, stop = _handoff(capture)
-
-        def lane(tile, cap):
-            try:
-                return self._forward(images[tile], t_steps, cap).value
-            except BaseException:
-                if stop is not None:
-                    stop()
-                raise
-
-        return lanes.run([functools.partial(lane, tile, cap) for tile, cap in zip(tiles, captures)])
+            return [self._forward(images[whole], t_steps).value]
+        held = []
+        captures = (capture, None if capture is None else lambda *event: held.append(event))
+        logits = lanes.run([functools.partial(self._forward, images[tile], t_steps, cap)
+                            for tile, cap in zip(tiles, captures)])
+        for event in held:
+            capture(*event)
+        return [lg.value for lg in logits]
 
     def _images(self, images):
         """images as a (B, C, H, W) array of the model's dtype, B ≥ 1; any

@@ -71,7 +71,7 @@ def eval_batches(model, dataset, batch_size=None, capture=None):
     ``ValueError``. A batch's forward runs in ``_CHUNK``-image chunks
     whatever its size, so batch_size sets how many images a yield holds,
     not the forward's working memory. capture goes to each batch's
-    ``Model.forward``, which calls it per chunk before the yield.
+    ``Model.forward``, which calls it per 16-image tile before the yield.
     """
     if len(dataset) == 0:
         raise ValueError("the dataset is empty; nothing to evaluate")

@@ -456,7 +456,7 @@ REF_BATCH = 7
 
 def reference_rows(model, dataset, branch, all_tokens=False):
     """Per image: (label, its last-block weight rows), from one forward over
-    the whole set, whose capture hook collects every chunk's reads, and a
+    the whole set, whose capture hook collects every tile's reads, and a
     plain loop over images. Where refinement read no bank, a plain read of
     the unrefined queries stands in."""
     cfg, last = model.cfg, model.blocks[-1]

@@ -52,7 +52,7 @@ def recorder(model):
 
 
 def captured(model, imgs):
-    """(logits, reads): an eval forward under a recorder, each key's chunks
+    """(logits, reads): an eval forward under a recorder, each key's tiles
     concatenated; a key whose reads are None maps to None."""
     reads, hook = recorder(model)
     logits = model.forward(imgs, capture=hook).value
@@ -340,9 +340,11 @@ def test_eval_forward_memory_does_not_grow_with_the_batch(tmp_path, rng):
 
     one = imgs[:model_mod._CHUNK]
     peak([one])  # warm up one-off allocations
-    # concurrent lanes overlap differently from forward to forward, so the
-    # one-chunk peak is the highest of as many forwards as the batch has chunks
-    small, _ = peak([one] * chunks)
+    # concurrent lanes overlap differently from forward to forward; at one
+    # BLAS thread a chunk is one _forward call, so its whole working set is
+    # live at once, every time
+    with _blas.one_thread():
+        small, _ = peak([one])
     large, logits = peak([imgs])
     assert large <= small + imgs.astype(np.float32).nbytes + logits.nbytes
 
@@ -575,8 +577,9 @@ def test_a_forward_inside_a_capture_runs_and_restores_the_blas_threads(tmp_path,
     worker.join(timeout=60)
     assert not worker.is_alive() and len(out) == 1
     assert_same_bits(out[0].value, plain)
-    assert len(inner) == 1
-    assert_same_bits(inner[0], plain)
+    assert len(inner) == 2  # one "pool" event per tile
+    for logits in inner:
+        assert_same_bits(logits, plain)
     assert _blas.threads() == threads
 
 
@@ -637,7 +640,7 @@ def test_concurrent_lanes_hand_the_capture_the_serial_events(tmp_path, rng):
     # a full chunk and a chunk of a 16- and a 4-image lane, switching
     # threads often: capture runs in the calling thread only, never twice
     # at once, and sees the events of the forward whose lanes run one after
-    # another, bit for bit
+    # another, bit for bit, tile by tile
     concurrent_lanes()
     cfg, model = tiny_model(tmp_path, n_blocks=2, t_steps=3)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
@@ -674,14 +677,44 @@ def test_concurrent_lanes_hand_the_capture_the_serial_events(tmp_path, rng):
     serial, _, _, capture = events()
     with _blas.one_thread():
         assert_same_bits(model.forward(imgs, capture=capture).value, logits)
-    assert len(seen) == 2 * (2 * cfg.n_blocks + 1)
+    assert len(seen) == 4 * (2 * cfg.n_blocks + 1)
     assert seen == serial
 
 
-def test_a_failing_lane_1_stops_lane_0_and_raises_its_own_error(tmp_path, rng):
-    # image 20 sits in lane 1; lane 0 waits for lane 1's first read, which
-    # never comes. The forward raises lane 1's error, calls no capture, and
-    # leaves the BLAS threads and the lanes' worker as it found them
+def test_lane_0_hands_over_its_reads_without_waiting_for_lane_1(tmp_path, rng):
+    # lane 1 starts its forward only once the capture has seen lane 0's
+    # "pool" event, so lane 0 must reach it on its own
+    concurrent_lanes()
+    cfg, model = tiny_model(tmp_path, n_blocks=2)
+    fill_via_training_steps(cfg, model, np.random.default_rng(5))
+    imgs = std_images(cfg, model_mod._CHUNK, rng)
+    plain = model.forward(imgs).value
+    pooled, waited, caller = threading.Event(), [], threading.get_ident()
+    forward = model._forward
+
+    def held_back(*args):
+        if threading.get_ident() != caller:
+            waited.append(pooled.wait(timeout=10))
+        return forward(*args)
+
+    def capture(owner, name, q, weights):
+        if name == "pool":
+            pooled.set()
+
+    model._forward = held_back
+    try:
+        logits = model.forward(imgs, capture=capture).value
+    finally:
+        vars(model).pop("_forward")
+    assert waited == [True]
+    assert_same_bits(logits, plain)
+
+
+def test_a_failing_lane_1_raises_its_own_error_after_lane_0_s_events(tmp_path, rng):
+    # image 20 sits in lane 1, which fails at its first op while lane 0
+    # runs on. The forward raises lane 1's error once lane 0 has ended,
+    # the capture has seen lane 0's events alone, and the BLAS threads and
+    # the lanes' worker are as the forward found them
     concurrent_lanes()
     cfg, model = tiny_model(tmp_path, n_blocks=2)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
@@ -702,12 +735,34 @@ def test_a_failing_lane_1_stops_lane_0_and_raises_its_own_error(tmp_path, rng):
     assert not worker.is_alive()
     assert len(raised) == 1 and type(raised[0]) is FloatingPointError
     assert str(raised[0]) == "matmul produced non-finite values"
-    assert calls == []
+    assert calls == ["local", "global", "local", "global", "pool"]
     assert _blas.threads() == threads
     lanes, undo = lane_threads(model)
     model.forward(std_images(cfg, model_mod._CHUNK, rng))
     undo()
     assert len(set(lanes)) == 2
+
+
+def test_lanes_raise_lane_0s_error_once_lane_1_has_ended():
+    # both lanes fail; lane 1 ends last, so run() must wait for it
+    concurrent_lanes()
+    ended = threading.Event()
+
+    def lane_0():
+        raise KeyError("lane 0")
+
+    def lane_1():
+        time.sleep(0.05)
+        ended.set()
+        raise ValueError("lane 1")
+
+    with ad.lanes() as lanes:
+        assert lanes.concurrent
+        with pytest.raises(KeyError):
+            lanes.run([lane_0, lane_1])
+        assert ended.is_set()
+        with pytest.raises(ValueError, match="lane 1"):
+            lanes.run([lambda: None, lane_1])
 
 
 def count_key_builds(model, monkeypatch):
@@ -792,9 +847,9 @@ def test_alpha_is_formed_only_under_capture(tmp_path, rng, monkeypatch):
 
 @pytest.mark.parametrize("branch", ["local", "global"])
 @pytest.mark.parametrize("off", ["T0", "beta0"])
-def test_unrefined_analysis_reads_once_per_chunk(tmp_path, rng, monkeypatch, off, branch):
+def test_unrefined_analysis_reads_once_per_tile(tmp_path, rng, monkeypatch, off, branch):
     """Where refinement reads no bank, an analysis makes one plain read per
-    chunk, at the last block and for its own branch only."""
+    16-image tile, at the last block and for its own branch only."""
     cfg, model = tiny_model(tmp_path, n_blocks=2, t_steps=0 if off == "T0" else 1)
     fill_via_training_steps(cfg, model, np.random.default_rng(5))
     if off == "beta0":
@@ -817,7 +872,7 @@ def test_unrefined_analysis_reads_once_per_chunk(tmp_path, rng, monkeypatch, off
     bank, rows = ((last.bank_local, cfg.n_tokens) if branch == "local"
                   else (last.bank_global, 1))
     want = (len(bank.filled_view()[0]), (rows, cfg.d_lat))
-    assert queries == [(want[0], (b, *want[1])) for b in (32, 32, 5)]
+    assert queries == [(want[0], (b, *want[1])) for b in (16, 16, 16, 16, 5)]
 
 
 def test_checkpoint_with_optimizer_state_loads(tmp_path, rng):
